@@ -2,7 +2,7 @@
 # verify command: everything tier-1 runs (build + tests) plus vet, the
 # race detector on the concurrent packages, and a short fuzz smoke of
 # the root fuzz targets plus the backend plan/sorted/batch parity
-# targets.
+# targets and the server's wire-decoder parity target.
 
 GO ?= go
 FUZZTIME ?= 5s
@@ -55,6 +55,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzTiledParity$$' -fuzztime $(FUZZTIME) ./internal/backend
 	$(GO) test -run '^$$' -fuzz '^FuzzIncrementalParity$$' -fuzztime $(FUZZTIME) ./internal/backend
 	$(GO) test -run '^$$' -fuzz '^FuzzShardedParity$$' -fuzztime $(FUZZTIME) ./internal/backend
+	$(GO) test -run '^$$' -fuzz '^FuzzComputeDecodeParity$$' -fuzztime $(FUZZTIME) ./internal/server
 
 # Tier-1+: the full robustness gate: lint (vet + the mplint analyzer
 # suite), race, fuzz smoke, a one-iteration pass over every benchmark

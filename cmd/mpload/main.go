@@ -75,12 +75,13 @@ type Report struct {
 	Mixes      []MixResult `json:"mixes"`
 }
 
+// response is the part of a reply mpload reads. It leaves out multi and
+// reductions, which it never uses: decoding them would spend client CPU
+// on the same CPUs an in-process server runs on.
 type response struct {
-	Multi      []int64 `json:"multi"`
-	Reductions []int64 `json:"reductions"`
-	Coalesced  int     `json:"coalesced"`
-	Fallback   string  `json:"fallback"`
-	Error      *struct {
+	Coalesced int    `json:"coalesced"`
+	Fallback  string `json:"fallback"`
+	Error     *struct {
 		Kind string `json:"kind"`
 	} `json:"error"`
 }

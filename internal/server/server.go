@@ -392,7 +392,7 @@ func (s *Server) handleCompute(reduce, batchEP bool) http.HandlerFunc {
 			resp.Fallback = "serial"
 		}
 		s.st.ok.Add(1)
-		writeJSON(w, http.StatusOK, resp)
+		writeCompute(w, &resp)
 	}
 }
 

@@ -187,13 +187,25 @@ func TestBadRequests(t *testing.T) {
 	}
 
 	t.Run("malformed JSON", func(t *testing.T) {
-		resp, err := http.Post(x.ts.URL+"/v1/multiprefix", "application/json", strings.NewReader("{nope"))
-		if err != nil {
-			t.Fatal(err)
+		if status, kind := x.postRaw(t, "/v1/multiprefix", "{nope"); status != http.StatusBadRequest || kind != kindBadInput {
+			t.Fatalf("got %d/%q", status, kind)
 		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("status %d", resp.StatusCode)
+	})
+	// A body valid for every decoding endpoint, so that only what
+	// follows it can make a request fail.
+	valid, err := json.Marshal(map[string]any{"op": "sum", "m": 4, "labels": labels, "values": values,
+		"batch": [][]int64{values}, "full": true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoding := []string{"/v1/multiprefix", "/v1/multireduce", "/v1/multiprefix/batch",
+		"/v1/multireduce/batch", "/v1/update", "/v1/query"}
+	t.Run("data after the JSON value", func(t *testing.T) {
+		for _, path := range decoding {
+			status, kind := x.postRaw(t, path, string(valid)+`{"x":`)
+			if status != http.StatusBadRequest || kind != kindBadInput {
+				t.Errorf("%s: got %d/%q, want 400/%q", path, status, kind, kindBadInput)
+			}
 		}
 	})
 	t.Run("GET rejected", func(t *testing.T) {
@@ -214,6 +226,30 @@ func TestBadRequests(t *testing.T) {
 			t.Fatalf("got %d/%q", hr.StatusCode, er.Error.Kind)
 		}
 	})
+	t.Run("body too large after the JSON value", func(t *testing.T) {
+		// The value ends inside the limit; the whole body does not.
+		y := newTestServer(t, Options{MaxBody: 1024})
+		body := string(valid) + strings.Repeat(" ", 4096)
+		for _, path := range decoding {
+			status, kind := y.postRaw(t, path, body)
+			if status != http.StatusRequestEntityTooLarge || kind != kindTooLarge {
+				t.Errorf("%s: got %d/%q, want 413/%q", path, status, kind, kindTooLarge)
+			}
+		}
+	})
+}
+
+// postRaw sends body as is and returns the status and the error kind.
+func (x *testServer) postRaw(t *testing.T, path, body string) (int, string) {
+	t.Helper()
+	resp, err := http.Post(x.ts.URL+path, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST %s: %v", path, err)
+	}
+	defer resp.Body.Close()
+	var er errorResponse
+	_ = json.NewDecoder(resp.Body).Decode(&er) // a 200 carries no error kind
+	return resp.StatusCode, er.Error.Kind
 }
 
 // TestAdmissionShed fills the in-flight pool and asserts excess load

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -59,23 +58,6 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) (release func(), 
 		s.st.inFlight.Add(-1)
 		<-s.slots
 	}, true
-}
-
-// decodeJSON decodes a size-bounded request body, writing the typed
-// error itself on failure.
-func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, s.opts.MaxBody)
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			s.writeError(w, http.StatusRequestEntityTooLarge, kindTooLarge,
-				fmt.Sprintf("body exceeds %d bytes", s.opts.MaxBody))
-			return false
-		}
-		s.writeError(w, http.StatusBadRequest, kindBadInput, "malformed JSON: "+err.Error())
-		return false
-	}
-	return true
 }
 
 // resolvePlanIdent validates the plan identity every endpoint shares —

@@ -7,7 +7,9 @@
 #   2. a smoke multiprefix request answers correctly,
 #   3. a chaos-panicked request is still answered (degradation ladder:
 #      200 + "fallback":"serial"),
-#   4. a malformed request gets a typed 400,
+#   4. a malformed request gets a typed 400, data after the JSON value
+#      a typed 400, and a body over -max-body a typed 413 even when its
+#      JSON value ends inside the limit,
 #   5. stateful plans work end to end: bind resident values over
 #      /v1/update, point-update, pinned /v1/query reads the maintained
 #      answer, a stale pin is rejected 409 version_conflict, and
@@ -30,9 +32,10 @@ $GO build -o "$BIN/mpload" ./cmd/mpload
 PORT=$((20000 + RANDOM % 20000))
 URL="http://127.0.0.1:$PORT"
 # panic=2: every second request hits an engine panic, so the ladder is
-# exercised by the smoke traffic itself.
+# exercised by the smoke traffic itself. -max-body 4096 is small enough
+# for the oversized-body check below and large enough for the rest.
 "$BIN/mpd" -addr "127.0.0.1:$PORT" -backend chunked -chaos "panic=2,seed=9" \
-  -warm "$BIN/warm.json" >"$BIN/mpd.log" 2>&1 &
+  -max-body 4096 -warm "$BIN/warm.json" >"$BIN/mpd.log" 2>&1 &
 MPD_PID=$!
 
 for i in $(seq 1 100); do
@@ -71,6 +74,17 @@ CODE=$(curl -s -o "$BIN/err.json" -w '%{http_code}' -X POST "$URL/v1/multiprefix
   -d '{"op":"median","m":2,"labels":[0],"values":[1]}')
 if [ "$CODE" != 400 ] || [ "$(jq -r .error.kind "$BIN/err.json")" != bad_input ]; then
   echo "check-service: bad op not rejected typed (code $CODE)"; exit 1
+fi
+CODE=$(curl -s -o "$BIN/trail.json" -w '%{http_code}' -X POST "$URL/v1/multiprefix" \
+  --data-binary "$BODY{\"x\":")
+if [ "$CODE" != 400 ] || [ "$(jq -r .error.kind "$BIN/trail.json")" != bad_input ]; then
+  echo "check-service: data after the JSON value not rejected typed (code $CODE)"; exit 1
+fi
+{ printf '%s' "$BODY"; head -c 8192 /dev/zero | tr '\0' ' '; } >"$BIN/big.json"
+CODE=$(curl -s -o "$BIN/big.out" -w '%{http_code}' -X POST "$URL/v1/multiprefix" \
+  --data-binary @"$BIN/big.json")
+if [ "$CODE" != 413 ] || [ "$(jq -r .error.kind "$BIN/big.out")" != payload_too_large ]; then
+  echo "check-service: body over -max-body not rejected typed (code $CODE)"; exit 1
 fi
 
 # Stateful plans: bind resident values, point-update, then a query
