@@ -38,7 +38,7 @@ race:
 # small size matrix lives in the tests themselves (worker counts 1..8
 # × the carry-edge label shapes).
 race-matrix:
-	$(GO) test -race -count=2 -run 'Sorted|Sharded|Batch|Chunk|Plan|Update|Incremental' ./internal/backend ./internal/core
+	$(GO) test -race -count=2 -run 'Sorted|Sharded|Batch|Chunk|Plan|Update|Incremental|PanicInjection|PooledEngines' ./internal/backend ./internal/core
 	$(GO) test -race -count=2 -run 'Update|Query|Warm|Metrics|Eviction|Stateful' ./internal/server
 
 # Each fuzz target runs briefly from its seed corpus plus FUZZTIME of

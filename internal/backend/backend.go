@@ -226,6 +226,8 @@ func shardedReduce[T any](b impl[T], op core.Op[T], values []T, labels []int, m 
 
 // ctxDone reports a pre-cancelled cfg.Ctx, so the serial backend
 // honors cancellation at entry like every other backend.
+//
+//mp:polls
 func ctxDone(cfg core.Config) error {
 	if cfg.Ctx == nil {
 		return nil

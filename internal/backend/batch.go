@@ -129,7 +129,7 @@ func (p *Plan[T]) runBatch(dsts, srcs [][]T, withMulti bool) error {
 		}
 		return p.teamBatch(p.shBatchBody, dsts, srcs, withMulti)
 	case planChunked:
-		return p.teamBatch(p.chunkBatchBody, dsts, srcs, withMulti)
+		return p.chunks.Batch(p.team, dsts, srcs, withMulti, p.red, p.cfg)
 	case planVector:
 		if withMulti {
 			return p.vrunBatch(dsts, srcs)
@@ -169,7 +169,6 @@ func (p *Plan[T]) serialBatch(dsts, srcs [][]T, withMulti bool) (err error) {
 	if withMulti && len(p.red) != p.m {
 		p.red = make([]T, p.m)
 	}
-	ctx := p.cfg.Ctx
 	for k := range srcs {
 		var multi, red []T
 		if withMulti {
@@ -177,20 +176,8 @@ func (p *Plan[T]) serialBatch(dsts, srcs [][]T, withMulti bool) (err error) {
 		} else {
 			red = dsts[k]
 		}
-		core.FillIdentity(p.op, red)
-		if ctx == nil {
-			core.BucketRange(p.op, p.op.Fast, "serial", srcs[k], p.labels, multi, red, 0, p.n, nil)
-			continue
-		}
-		for lo := 0; lo < p.n || lo == 0; lo += core.CancelStride {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			hi := min(lo+core.CancelStride, p.n)
-			core.BucketRange(p.op, p.op.Fast, "serial", srcs[k], p.labels, multi, red, lo, hi, nil)
-			if hi == p.n {
-				break
-			}
+		if err := p.serialPass(srcs[k], multi, red); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -203,17 +190,12 @@ func (p *Plan[T]) serialBatch(dsts, srcs [][]T, withMulti bool) (err error) {
 func (p *Plan[T]) sortedSerialBatch(dsts, srcs [][]T, withMulti bool) (err error) {
 	defer recoverPlanPanic("plan/sorted", &err)
 	fast := p.op.FastKind(p.cfg.FaultHook)
-	var stop func() bool
-	if p.cfg.Ctx != nil {
-		p.guard.reset()
-		stop = p.sortedStop
-	}
 	for k := range srcs {
 		// Poll between vectors as well: a short vector never exhausts
 		// the in-scan stride credit, so without this check a cancelled
 		// batch of small vectors would run to completion.
-		if stop != nil && stop() {
-			return p.guard.first()
+		if err := ctxDone(p.cfg); err != nil {
+			return err
 		}
 		var multi, red []T
 		if withMulti {
@@ -221,14 +203,8 @@ func (p *Plan[T]) sortedSerialBatch(dsts, srcs [][]T, withMulti bool) (err error
 		} else {
 			red = dsts[k]
 		}
-		var ok bool
-		if p.tiledRun(fast) {
-			ok = core.SortedTiledScanLabels(p.op, fast, srcs[k], p.sperm, p.sstart, multi, red, &p.tiles[0], stop)
-		} else {
-			ok = core.SortedScanLabels(p.op, fast, srcs[k], p.sperm, p.sstart, multi, red, 0, p.m, p.cfg.FaultHook, stop)
-		}
-		if !ok {
-			return p.guard.first()
+		if err := p.scanSingle(fast, srcs[k], multi, red); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -241,102 +217,13 @@ func (p *Plan[T]) teamBatch(body func(w int, bar *par.Barrier), dsts, srcs [][]T
 	p.batchDsts, p.batchSrcs = dsts, srcs
 	p.runMulti = withMulti
 	p.fast = p.op.FastKind(p.cfg.FaultHook)
-	p.guard.reset()
+	p.guard.Reset()
 	defer func() { p.batchDsts, p.batchSrcs = nil, nil }()
 	p.team.Run(body)
-	if err := p.guard.first(); err != nil {
+	if err := p.guard.First(); err != nil {
 		return err
 	}
 	return ctxDone(p.cfg)
-}
-
-// mergeInto is the chunked engine's pass 3 (exclusive scan across
-// chunks per label) into an arbitrary reduction target, leaving each
-// chunk's bucket slot holding its offset.
-//
-//mp:locked
-func (p *Plan[T]) mergeInto(red []T) {
-	hook := p.cfg.FaultHook
-	core.FillIdentity(p.op, red)
-	for w := 0; w < p.workers; w++ {
-		bw := p.buckets[w]
-		for _, l := range p.touched[w] {
-			offset := red[l]
-			if hook != nil {
-				hook.Combine(core.PhaseChunkMerge, l)
-			}
-			red[l] = p.op.Combine(red[l], bw[l])
-			bw[l] = offset
-		}
-	}
-}
-
-// chunkBatch is the fused chunked batch body: for each vector, the
-// local bucket pass, a barrier, the merge on worker 0, a barrier, and
-// the offset apply — two arrivals per vector, no gate round between
-// vectors. No barrier is needed between one vector's apply and the
-// next vector's local pass: apply only reads this worker's own offset
-// buckets and writes its own range of the previous destination, while
-// the next local pass resets only this worker's own buckets.
-//
-//mp:locked
-func (p *Plan[T]) chunkBatch(w int, inner *par.Barrier) {
-	total := 2 * len(p.batchSrcs)
-	done := 0
-	phase := core.PhaseChunkLocal
-	defer func() {
-		if rec := recover(); rec != nil {
-			p.guard.fail(&core.EnginePanicError{
-				Engine: "plan/chunked", Phase: phase,
-				Worker: w, Value: rec, Stack: debug.Stack(),
-			})
-		}
-		inner.DrainAwait(total - done)
-	}()
-	buckets := p.buckets[w]
-	lo, hi := par.Range(p.n, p.workers, w)
-	for k := range p.batchSrcs {
-		values := p.batchSrcs[k]
-		var multi, red []T
-		if p.runMulti {
-			multi, red = p.batchDsts[k], p.red
-		} else {
-			red = p.batchDsts[k]
-		}
-		phase = core.PhaseChunkLocal
-		if !p.guard.interrupted(p.cfg.Ctx) {
-			for _, l := range p.touched[w] {
-				buckets[l] = p.op.Identity
-			}
-			for seg := lo; seg < hi; seg += core.CancelStride {
-				if p.guard.interrupted(p.cfg.Ctx) {
-					break
-				}
-				end := min(seg+core.CancelStride, hi)
-				core.BucketRange(p.op, p.fast, core.PhaseChunkLocal, values, p.labels, multi, buckets, seg, end, p.cfg.FaultHook)
-			}
-		}
-		inner.Await()
-		done++
-		if w == 0 {
-			phase = core.PhaseChunkMerge
-			if !p.guard.interrupted(p.cfg.Ctx) {
-				p.mergeInto(red)
-			}
-		}
-		inner.Await()
-		done++
-		if p.runMulti && w > 0 && !p.guard.interrupted(p.cfg.Ctx) {
-			phase = core.PhaseChunkApply
-			for seg := lo; seg < hi; seg += core.CancelStride {
-				if p.guard.interrupted(p.cfg.Ctx) {
-					break
-				}
-				end := min(seg+core.CancelStride, hi)
-				core.ApplyRange(p.op, p.fast, p.labels, buckets, multi, seg, end, p.cfg.FaultHook)
-			}
-		}
-	}
 }
 
 // sortedBatch is the fused sorted batch body: for each vector, the
@@ -355,7 +242,7 @@ func (p *Plan[T]) sortedBatch(w int, inner *par.Barrier) {
 	phase := core.PhaseSortedScan
 	defer func() {
 		if rec := recover(); rec != nil {
-			p.guard.fail(&core.EnginePanicError{
+			p.guard.Fail(&core.EnginePanicError{
 				Engine: "plan/sorted", Phase: phase,
 				Worker: w, Value: rec, Stack: debug.Stack(),
 			})
@@ -372,7 +259,7 @@ func (p *Plan[T]) sortedBatch(w int, inner *par.Barrier) {
 			red = p.batchDsts[k]
 		}
 		phase = core.PhaseSortedScan
-		if !p.guard.interrupted(p.cfg.Ctx) {
+		if !p.interrupted() {
 			if p.tiledRun(p.fast) {
 				core.SortedTiledShardScan(p.op, p.fast, values, p.sperm, p.sstart, multi, red,
 					&p.tiles[w], sh, w, p.leadTotal, p.carryOut, p.leadClosed, p.hasTrail,
@@ -387,13 +274,13 @@ func (p *Plan[T]) sortedBatch(w int, inner *par.Barrier) {
 		done++
 		if w == 0 {
 			phase = core.PhaseSortedStitch
-			if !p.guard.interrupted(p.cfg.Ctx) {
+			if !p.interrupted() {
 				p.batchNeedApply = core.SortedStitch(p.op, p.shards, p.leadTotal, p.carryOut, p.carryIn, p.leadClosed, p.hasTrail, red, p.cfg.FaultHook)
 			}
 		}
 		inner.Await()
 		done++
-		if p.runMulti && p.batchNeedApply && !p.guard.interrupted(p.cfg.Ctx) {
+		if p.runMulti && p.batchNeedApply && !p.interrupted() {
 			phase = core.PhaseSortedApply
 			core.SortedLeadApply(p.op, p.fast, values, p.sperm, p.sstart, multi,
 				sh, w, p.carryIn, p.cfg.FaultHook, p.sortedStop)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"multiprefix/internal/core"
@@ -280,13 +281,14 @@ func TestBatchPanicRecovery(t *testing.T) {
 	const n, m, k = 2000, 16, 3
 	rng := rand.New(rand.NewSource(95))
 	labels, srcs, multiDsts, _ := batchInput(rng, n, m, k)
-	fired := false
+	// Every worker calls Combine concurrently, so the one-shot latch
+	// must be atomic.
+	var fired atomic.Bool
 	oneShot := core.Op[int64]{
 		Name:     "+int64 (one-shot panic)",
 		Identity: 0,
 		Combine: func(a, x int64) int64 {
-			if !fired {
-				fired = true
+			if fired.CompareAndSwap(false, true) {
 				panic("injected")
 			}
 			return a + x
@@ -294,7 +296,7 @@ func TestBatchPanicRecovery(t *testing.T) {
 		IsIdentity: func(x int64) bool { return x == 0 },
 	}
 	for _, name := range []string{"sorted", "chunked"} {
-		fired = false
+		fired.Store(false)
 		be, err := Open[int64](name)
 		if err != nil {
 			t.Fatal(err)
@@ -307,7 +309,7 @@ func TestBatchPanicRecovery(t *testing.T) {
 		if err := plan.RunBatch(multiDsts, srcs); !errors.As(err, &pe) {
 			t.Fatalf("%s: want EnginePanicError, got %v", name, err)
 		}
-		if !fired {
+		if !fired.Load() {
 			t.Fatalf("%s: panic never fired", name)
 		}
 		// Same plan, same team: the retry must succeed and be correct —
@@ -329,7 +331,7 @@ func TestBatchPanicRecovery(t *testing.T) {
 	}
 
 	// The auto plan degrades the failed batch to the fused serial batch.
-	fired = false
+	fired.Store(false)
 	be, err := Open[int64]("auto")
 	if err != nil {
 		t.Fatal(err)
@@ -342,7 +344,7 @@ func TestBatchPanicRecovery(t *testing.T) {
 	if err := plan.RunBatch(multiDsts, srcs); err != nil {
 		t.Fatalf("auto batch fallback: %v", err)
 	}
-	if !fired {
+	if !fired.Load() {
 		t.Fatal("auto: panic never fired")
 	}
 	for j := 0; j < k; j++ {

@@ -29,9 +29,9 @@ const (
 	// are a fused scan over contiguous runs, parallelized with
 	// Blelloch-style carry propagation across shard boundaries.
 	planSorted
-	// planChunked: the chunked decomposition with the chunk
-	// partitions, per-chunk touched-label lists and worker team all
-	// built at plan time.
+	// planChunked: core's ChunkRunner, the one chunked body, with
+	// each chunk's touched-label list found once at plan time on the
+	// plan's worker team.
 	planChunked
 	// planBuffers: spinetree or parallel, delegated to a plan-owned
 	// pooled core.Buffers (the arena is rebuilt per run — those
@@ -56,7 +56,7 @@ const (
 
 // Plan is a prepared multiprefix pipeline over one fixed label
 // vector: labels are validated and their structure (class count,
-// chunk partitions, per-chunk touched labels, spinetree where the
+// per-chunk touched labels, counting-sort order, spinetree where the
 // engine allows) is computed once at build time, then Run and Reduce
 // evaluate any number of value vectors against it. For the portable
 // backends a warm Plan performs zero steady-state heap allocations.
@@ -105,20 +105,19 @@ type Plan[T any] struct {
 	//mp:guarded-by mu
 	red []T
 
-	// chunked state, mirroring core's pooled chunkRunner with the
-	// first-touch discovery hoisted to plan time
+	// the persistent worker team of the chunked, sorted and sharded
+	// plans, and the sorted and sharded bodies' per-run state
 	workers int
-	buckets [][]T
-	touched [][]int
 	team    *par.Team
-	guard   planGuard
+	guard   core.Guard
 	fast    core.FastOp
 	//mp:guarded-by mu
 	runMulti bool // current run wants Multi (read by worker bodies)
 	//mp:guarded-by mu
-	values    []T // current run's values (read by worker bodies)
-	localBody func(w int, bar *par.Barrier)
-	applyBody func(w int, bar *par.Barrier)
+	values []T // current run's values (read by worker bodies)
+
+	// chunked state: core's runner, planned over the labels
+	chunks *core.ChunkRunner[T]
 
 	// sorted state: the plan-time counting-sort permutation and run
 	// bounds, plus the shard decomposition and carry slots of the
@@ -164,7 +163,6 @@ type Plan[T any] struct {
 	batchDsts, batchSrcs [][]T
 	//mp:guarded-by mu
 	batchNeedApply  bool // written by worker 0 between barriers
-	chunkBatchBody  func(w int, bar *par.Barrier)
 	sortedBatchBody func(w int, bar *par.Barrier)
 
 	// spinetree / parallel delegate state
@@ -217,50 +215,6 @@ type Plan[T any] struct {
 
 	//mp:guarded-by mu
 	closed bool
-}
-
-// planGuard is the shared failure state of one planned chunked run
-// (the chunked engine's guard): first panic or cancellation recorded,
-// every worker drains at its next stride boundary.
-type planGuard struct {
-	stop atomic.Bool
-	mu   sync.Mutex
-	err  error
-}
-
-func (g *planGuard) reset() {
-	g.stop.Store(false)
-	g.mu.Lock()
-	g.err = nil
-	g.mu.Unlock()
-}
-
-func (g *planGuard) fail(err error) {
-	g.mu.Lock()
-	if g.err == nil {
-		g.err = err
-	}
-	g.mu.Unlock()
-	g.stop.Store(true)
-}
-
-func (g *planGuard) first() error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.err
-}
-
-func (g *planGuard) interrupted(ctx context.Context) bool {
-	if g.stop.Load() {
-		return true
-	}
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			g.fail(err)
-			return true
-		}
-	}
-	return false
 }
 
 // Plan builds a reusable pipeline for this backend over the given
@@ -336,7 +290,9 @@ func (b impl[T]) Plan(op core.Op[T], labels []int, m int, cfg core.Config) (*Pla
 		p.exec = planChunked
 		p.multi = make([]T, p.n)
 		p.red = make([]T, m)
-		p.prepareChunks()
+		p.startTeam(core.ChunkWorkers(cfg.Workers, p.n))
+		p.chunks = core.NewChunkRunner[T]("plan/chunked")
+		p.chunks.Plan(p.team, op, p.labels, m)
 	case kindSpinetree, kindParallel:
 		p.exec = planBuffers
 		p.bufKind = k
@@ -349,41 +305,23 @@ func (b impl[T]) Plan(op core.Op[T], labels []int, m int, cfg core.Config) (*Pla
 	return p, nil
 }
 
-// prepareChunks precomputes the chunked decomposition: the worker
-// count and partition bounds the one-shot engine would use, each
-// chunk's touched-label list (first-touch order, normally discovered
-// per run with O(m) seen bookkeeping), per-chunk bucket storage, and
-// the persistent worker team with prebound bodies.
+// startTeam starts the plan's persistent worker team. A plan dropped
+// without Close must not leak the team's parked goroutines, so a
+// cleanup closes it.
 //
 //mp:locked
-func (p *Plan[T]) prepareChunks() {
-	p.workers = core.ChunkWorkers(p.cfg.Workers, p.n)
-	p.buckets = make([][]T, p.workers)
-	p.touched = make([][]int, p.workers)
-	seen := make([]bool, p.m)
-	for w := 0; w < p.workers; w++ {
-		lo, hi := par.Range(p.n, p.workers, w)
-		var order []int
-		for i := lo; i < hi; i++ {
-			if l := p.labels[i]; !seen[l] {
-				seen[l] = true
-				order = append(order, l)
-			}
-		}
-		for _, l := range order {
-			seen[l] = false
-		}
-		p.buckets[w] = make([]T, p.m)
-		p.touched[w] = order
-	}
-	p.localBody = p.chunkLocal
-	p.applyBody = p.chunkApply
-	p.chunkBatchBody = p.chunkBatch
-	t := par.NewTeam(p.workers)
+func (p *Plan[T]) startTeam(workers int) {
+	t := par.NewTeam(workers)
 	p.team = t
-	// A plan dropped without Close must not leak the team's parked
-	// goroutines.
 	runtime.AddCleanup(p, func(t *par.Team) { t.Close() }, t)
+}
+
+// interrupted is the sorted and sharded bodies' stride poll: the
+// plan's guard against the current call's context.
+//
+//mp:locked
+func (p *Plan[T]) interrupted() bool {
+	return p.guard.Interrupted(p.cfg.Ctx)
 }
 
 // prepareVector builds the vecmp.Plan — the one backend with true
@@ -581,7 +519,7 @@ func (p *Plan[T]) run(values []T) (core.Result[T], error) {
 		err = p.runSharded(values, true)
 		res = core.Result[T]{Multi: p.multi, Reductions: p.red}
 	case planChunked:
-		err = p.runChunked(values, true)
+		err = p.chunks.Run(p.team, values, p.multi, p.red, p.cfg)
 		res = core.Result[T]{Multi: p.multi, Reductions: p.red}
 	case planBuffers:
 		if p.bufKind == kindSpinetree {
@@ -647,7 +585,7 @@ func (p *Plan[T]) reduce(values []T) ([]T, error) {
 			red = p.red
 		}
 	case planChunked:
-		if err = p.runChunked(values, false); err == nil {
+		if err = p.chunks.Run(p.team, values, nil, p.red, p.cfg); err == nil {
 			red = p.red
 		}
 	case planBuffers:
@@ -715,129 +653,21 @@ func recoverPlanPanic(engine string, err *error) {
 //mp:locked
 func (p *Plan[T]) runSerial(values []T, withMulti bool) (err error) {
 	defer recoverPlanPanic("plan/serial", &err)
-	core.FillIdentity(p.op, p.red)
 	var multi []T
 	if withMulti {
 		multi = p.multi
 	}
-	ctx := p.cfg.Ctx
-	if ctx == nil {
-		core.BucketRange(p.op, p.op.Fast, "serial", values, p.labels, multi, p.red, 0, p.n, nil)
-		return nil
-	}
-	for lo := 0; lo < p.n || lo == 0; lo += core.CancelStride {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		hi := min(lo+core.CancelStride, p.n)
-		core.BucketRange(p.op, p.op.Fast, "serial", values, p.labels, multi, p.red, lo, hi, nil)
-		if hi == p.n {
-			break
-		}
-	}
-	return nil
+	return p.serialPass(values, multi, p.red)
 }
 
-// runChunked is the planned chunked engine: pass 1 (local buckets)
-// and pass 4 (offset apply) on the persistent team with the
-// plan-time partitions and touched lists, pass 3 (merge) on the
-// calling goroutine — the same four-pass structure, panic recovery
-// and cancellation polling as the one-shot engine.
+// serialPass is one planned serial pass over values into multi (nil
+// for reduce-only) and red.
 //
 //mp:locked
-func (p *Plan[T]) runChunked(values []T, withMulti bool) error {
-	p.values = values
-	p.runMulti = withMulti
-	p.fast = p.op.FastKind(p.cfg.FaultHook)
-	p.guard.reset()
-	p.team.Run(p.localBody)
-	if err := p.guard.first(); err != nil {
-		p.values = nil
-		return err
-	}
-
-	// Pass 3: exclusive scan across chunks per label, replacing each
-	// chunk's bucket slot with its offset.
-	if err := ctxDone(p.cfg); err != nil {
-		p.values = nil
-		return err
-	}
-	p.mergeInto(p.red)
-
-	if withMulti && p.workers > 1 {
-		if err := ctxDone(p.cfg); err != nil {
-			p.values = nil
-			return err
-		}
-		p.team.Run(p.applyBody)
-		if err := p.guard.first(); err != nil {
-			p.values = nil
-			return err
-		}
-	}
-	p.values = nil
-	return nil
-}
-
-// chunkLocal is pass 1+2 for one worker: reset this chunk's touched
-// buckets to the identity (the plan-time touched list replaces the
-// one-shot engine's per-run first-touch discovery), then the bucket
-// pass in CancelStride segments.
-//
-//mp:locked
-func (p *Plan[T]) chunkLocal(w int, _ *par.Barrier) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			p.guard.fail(&core.EnginePanicError{
-				Engine: "plan/chunked", Phase: core.PhaseChunkLocal,
-				Worker: w, Value: rec, Stack: debug.Stack(),
-			})
-		}
-	}()
-	buckets := p.buckets[w]
-	for _, l := range p.touched[w] {
-		buckets[l] = p.op.Identity
-	}
-	var multi []T
-	if p.runMulti {
-		multi = p.multi
-	}
-	lo, hi := par.Range(p.n, p.workers, w)
-	for seg := lo; seg < hi; seg += core.CancelStride {
-		if p.guard.interrupted(p.cfg.Ctx) {
-			return
-		}
-		end := min(seg+core.CancelStride, hi)
-		core.BucketRange(p.op, p.fast, core.PhaseChunkLocal, p.values, p.labels, multi, buckets, seg, end, p.cfg.FaultHook)
-	}
-}
-
-// chunkApply is pass 4 for one worker: add the chunk's offsets onto
-// its local prefix sums. Chunk 0's offsets are the identity, so
-// worker 0 idles.
-//
-//mp:locked
-func (p *Plan[T]) chunkApply(w int, _ *par.Barrier) {
-	if w == 0 {
-		return
-	}
-	defer func() {
-		if rec := recover(); rec != nil {
-			p.guard.fail(&core.EnginePanicError{
-				Engine: "plan/chunked", Phase: core.PhaseChunkApply,
-				Worker: w, Value: rec, Stack: debug.Stack(),
-			})
-		}
-	}()
-	offsets := p.buckets[w]
-	lo, hi := par.Range(p.n, p.workers, w)
-	for seg := lo; seg < hi; seg += core.CancelStride {
-		if p.guard.interrupted(p.cfg.Ctx) {
-			return
-		}
-		end := min(seg+core.CancelStride, hi)
-		core.ApplyRange(p.op, p.fast, p.labels, offsets, p.multi, seg, end, p.cfg.FaultHook)
-	}
+//mp:polls
+func (p *Plan[T]) serialPass(values, multi, red []T) error {
+	core.FillIdentity(p.op, red)
+	return core.SerialSegments(p.op, values, p.labels, multi, red, p.cfg.Ctx)
 }
 
 // runPram executes one simulated PRAM run. The simulator builds its

@@ -344,6 +344,77 @@ func TestPlanAutoFallback(t *testing.T) {
 	}
 }
 
+// TestPlanChunkMergePanic: a panic in the chunked merge pass, which
+// runs on the calling goroutine, is shielded like a panic in a worker
+// pass. An explicit chunked plan returns the typed error naming the
+// merge phase; an auto plan resolved to chunked degrades to the serial
+// answer. Both plans serve the next call.
+func TestPlanChunkMergePanic(t *testing.T) {
+	const n, m = 3000, 32
+	rng := rand.New(rand.NewSource(19))
+	values := make([]int64, n)
+	labels := make([]int, n)
+	for i := range values {
+		values[i] = int64(rng.Intn(100))
+		labels[i] = rng.Intn(m)
+	}
+	want, err := core.Serial(core.AddInt64, values, labels, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.Config{Workers: 3, AutoCal: &core.AutoCalibration{SerialMax: 0}}
+	for _, name := range []string{"chunked", "auto"} {
+		t.Run(name, func(t *testing.T) {
+			be, err := Open[int64](name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan, err := be.Plan(core.AddInt64, labels, m, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer plan.Close()
+			if plan.exec != planChunked {
+				t.Fatalf("plan resolved to exec %d, want chunked", plan.exec)
+			}
+			inj := fault.New()
+			inj.PanicEvent = fault.EventCombine
+			inj.PanicPhase = core.PhaseChunkMerge
+			call := Call{Hook: inj}
+			res, runErr := plan.RunCall(call, values)
+			if name == "auto" && (runErr != nil || !equalInt64(res.Multi, want.Multi) || !equalInt64(res.Reductions, want.Reductions)) {
+				t.Fatalf("Run did not degrade to the serial answer: %v", runErr)
+			}
+			red, reduceErr := plan.ReduceCall(call, values)
+			if name == "auto" && (reduceErr != nil || !equalInt64(red, want.Reductions)) {
+				t.Fatalf("Reduce did not degrade to the serial answer: %v", reduceErr)
+			}
+			if name == "chunked" {
+				for _, err := range []error{runErr, reduceErr} {
+					var pe *core.EnginePanicError
+					if !errors.As(err, &pe) {
+						t.Fatalf("want *EnginePanicError, got %v", err)
+					}
+					if pe.Engine != "plan/chunked" || pe.Phase != core.PhaseChunkMerge {
+						t.Errorf("attribution %s/%s, want plan/chunked/%s", pe.Engine, pe.Phase, core.PhaseChunkMerge)
+					}
+				}
+			}
+			if inj.Combines.Load() == 0 {
+				t.Fatal("fault hook never fired")
+			}
+			res, err = plan.Run(values)
+			if err != nil || !equalInt64(res.Multi, want.Multi) || !equalInt64(res.Reductions, want.Reductions) {
+				t.Fatalf("next Run: %v, or result differs from serial", err)
+			}
+			red, err = plan.Reduce(values)
+			if err != nil || !equalInt64(red, want.Reductions) {
+				t.Fatalf("next Reduce: %v, or result differs from serial", err)
+			}
+		})
+	}
+}
+
 // TestPlanCancellation: a cancelled context is terminal — reported as
 // context.Canceled and never masked by the auto fallback.
 func TestPlanCancellation(t *testing.T) {

@@ -3,7 +3,6 @@ package backend
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"runtime/debug"
 	"unsafe"
 
@@ -75,7 +74,7 @@ func (p *Plan[T]) prepareSharded() error {
 	}
 	p.shRing = newHashRing(s)
 	p.shOwned = p.shRing.ownedLabels(p.m)
-	p.sortedStop = func() bool { return p.guard.interrupted(p.cfg.Ctx) }
+	p.sortedStop = p.interrupted
 	if s == 1 {
 		// Degenerate single shard: the one row covers the whole vector,
 		// so the serial sorted machinery runs unchanged over it.
@@ -87,9 +86,7 @@ func (p *Plan[T]) prepareSharded() error {
 	p.shCarryB = make([]T, s*p.m)
 	p.shBody = p.shardedRun
 	p.shBatchBody = p.shardedBatch
-	t := par.NewTeam(s)
-	p.team = t
-	runtime.AddCleanup(p, func(t *par.Team) { t.Close() }, t)
+	p.startTeam(s)
 	p.prepareShardedTiles()
 	return nil
 }
@@ -130,29 +127,15 @@ func (p *Plan[T]) runSharded(values []T, withMulti bool) (err error) {
 		if withMulti {
 			multi = p.multi
 		}
-		var stop func() bool
-		if p.cfg.Ctx != nil {
-			p.guard.reset()
-			stop = p.sortedStop
-		}
-		var ok bool
-		if p.tiledRun(fast) {
-			ok = core.SortedTiledScanLabels(p.op, fast, values, p.sperm, p.sstart, multi, p.red, &p.tiles[0], stop)
-		} else {
-			ok = core.SortedScanLabels(p.op, fast, values, p.sperm, p.sstart, multi, p.red, 0, p.m, p.cfg.FaultHook, stop)
-		}
-		if !ok {
-			return p.guard.first()
-		}
-		return nil
+		return p.scanSingle(fast, values, multi, p.red)
 	}
 	p.values = values
 	p.runMulti = withMulti
 	p.fast = fast
-	p.guard.reset()
+	p.guard.Reset()
 	defer func() { p.values = nil }()
 	p.team.Run(p.shBody)
-	if ferr := p.guard.first(); ferr != nil {
+	if ferr := p.guard.First(); ferr != nil {
 		return ferr
 	}
 	return ctxDone(p.cfg)
@@ -214,14 +197,14 @@ func (p *Plan[T]) shardedRun(w int, inner *par.Barrier) {
 	phase := core.PhaseShardedScan
 	defer func() {
 		if rec := recover(); rec != nil {
-			p.guard.fail(&core.EnginePanicError{
+			p.guard.Fail(&core.EnginePanicError{
 				Engine: "plan/sharded", Phase: phase,
 				Worker: w, Value: rec, Stack: debug.Stack(),
 			})
 		}
 		inner.DrainAwait(total - done)
 	}()
-	if !p.guard.interrupted(p.cfg.Ctx) {
+	if !p.interrupted() {
 		p.shardedPass1(w, p.values)
 	}
 	inner.Await()
@@ -229,7 +212,7 @@ func (p *Plan[T]) shardedRun(w int, inner *par.Barrier) {
 	phase = core.PhaseShardedExchange
 	cur, next := p.shCarryA, p.shCarryB
 	for r := 0; r < p.shRounds; r++ {
-		if !p.guard.interrupted(p.cfg.Ctx) {
+		if !p.interrupted() {
 			core.ShardedExchangeRound(p.op, p.fast, cur, next, p.m, w, 1<<r, p.cfg.FaultHook)
 			if w == 0 {
 				p.shMeasured++
@@ -239,7 +222,7 @@ func (p *Plan[T]) shardedRun(w int, inner *par.Barrier) {
 		done++
 		cur, next = next, cur
 	}
-	if p.guard.interrupted(p.cfg.Ctx) {
+	if p.interrupted() {
 		return
 	}
 	phase = core.PhaseShardedApply
@@ -259,7 +242,7 @@ func (p *Plan[T]) shardedBatch(w int, inner *par.Barrier) {
 	phase := core.PhaseShardedScan
 	defer func() {
 		if rec := recover(); rec != nil {
-			p.guard.fail(&core.EnginePanicError{
+			p.guard.Fail(&core.EnginePanicError{
 				Engine: "plan/sharded", Phase: phase,
 				Worker: w, Value: rec, Stack: debug.Stack(),
 			})
@@ -275,7 +258,7 @@ func (p *Plan[T]) shardedBatch(w int, inner *par.Barrier) {
 			red = p.batchDsts[k]
 		}
 		phase = core.PhaseShardedScan
-		if !p.guard.interrupted(p.cfg.Ctx) {
+		if !p.interrupted() {
 			p.shardedPass1(w, values)
 		}
 		inner.Await()
@@ -283,7 +266,7 @@ func (p *Plan[T]) shardedBatch(w int, inner *par.Barrier) {
 		phase = core.PhaseShardedExchange
 		cur, next := p.shCarryA, p.shCarryB
 		for r := 0; r < p.shRounds; r++ {
-			if !p.guard.interrupted(p.cfg.Ctx) {
+			if !p.interrupted() {
 				core.ShardedExchangeRound(p.op, p.fast, cur, next, p.m, w, 1<<r, p.cfg.FaultHook)
 				if w == 0 {
 					p.shMeasured++
@@ -293,7 +276,7 @@ func (p *Plan[T]) shardedBatch(w int, inner *par.Barrier) {
 			done++
 			cur, next = next, cur
 		}
-		if !p.guard.interrupted(p.cfg.Ctx) {
+		if !p.interrupted() {
 			phase = core.PhaseShardedApply
 			p.shardedFinish(w, cur, next, values, multi, red, p.runMulti)
 		}

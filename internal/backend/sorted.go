@@ -3,7 +3,6 @@ package backend
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"runtime/debug"
 
 	"multiprefix/internal/core"
@@ -48,7 +47,7 @@ func (p *Plan[T]) prepareSorted() error {
 	p.sperm = make([]int32, p.n)
 	p.sstart = make([]int32, p.m+1)
 	core.BuildSortedIndexInto(p.sperm, p.sstart, p.labels)
-	p.sortedStop = func() bool { return p.guard.interrupted(p.cfg.Ctx) }
+	p.sortedStop = p.interrupted
 	p.workers = core.ChunkWorkers(p.cfg.Workers, p.n)
 	if p.workers > 1 {
 		p.shards = core.SortedShards(p.sstart, p.n, p.workers)
@@ -60,9 +59,7 @@ func (p *Plan[T]) prepareSorted() error {
 		p.sortedBody = p.sortedScan
 		p.sortedApplyBody = p.sortedApply
 		p.sortedBatchBody = p.sortedBatch
-		t := par.NewTeam(p.workers)
-		p.team = t
-		runtime.AddCleanup(p, func(t *par.Team) { t.Close() }, t)
+		p.startTeam(p.workers)
 	}
 	p.prepareTiles()
 	return nil
@@ -121,6 +118,30 @@ func (p *Plan[T]) tiledRun(fast core.FastOp) bool {
 	return p.tiles != nil && core.FastScans[T](fast)
 }
 
+// scanSingle is the one-worker scan of the sorted plan and of a
+// single-shard sharded plan: one fused segmented scan of values over
+// the plan's single index row (sperm, sstart), polling the context
+// when one is set.
+//
+//mp:locked
+func (p *Plan[T]) scanSingle(fast core.FastOp, values, multi, red []T) error {
+	var stop func() bool
+	if p.cfg.Ctx != nil {
+		p.guard.Reset()
+		stop = p.sortedStop
+	}
+	var ok bool
+	if p.tiledRun(fast) {
+		ok = core.SortedTiledScanLabels(p.op, fast, values, p.sperm, p.sstart, multi, red, &p.tiles[0], stop)
+	} else {
+		ok = core.SortedScanLabels(p.op, fast, values, p.sperm, p.sstart, multi, red, 0, p.m, p.cfg.FaultHook, stop)
+	}
+	if !ok {
+		return p.guard.First()
+	}
+	return nil
+}
+
 // runSorted evaluates one value vector through the planned sorted
 // engine, into p.multi (when withMulti) and p.red.
 //
@@ -133,30 +154,16 @@ func (p *Plan[T]) runSorted(values []T, withMulti bool) (err error) {
 	}
 	fast := p.op.FastKind(p.cfg.FaultHook)
 	if p.team == nil {
-		var stop func() bool
-		if p.cfg.Ctx != nil {
-			p.guard.reset()
-			stop = p.sortedStop
-		}
-		var ok bool
-		if p.tiledRun(fast) {
-			ok = core.SortedTiledScanLabels(p.op, fast, values, p.sperm, p.sstart, multi, p.red, &p.tiles[0], stop)
-		} else {
-			ok = core.SortedScanLabels(p.op, fast, values, p.sperm, p.sstart, multi, p.red, 0, p.m, p.cfg.FaultHook, stop)
-		}
-		if !ok {
-			return p.guard.first()
-		}
-		return nil
+		return p.scanSingle(fast, values, multi, p.red)
 	}
 
 	p.values = values
 	p.runMulti = withMulti
 	p.fast = fast
-	p.guard.reset()
+	p.guard.Reset()
 	defer func() { p.values = nil }()
 	p.team.Run(p.sortedBody)
-	if ferr := p.guard.first(); ferr != nil {
+	if ferr := p.guard.First(); ferr != nil {
 		return ferr
 	}
 	if ferr := ctxDone(p.cfg); ferr != nil {
@@ -168,7 +175,7 @@ func (p *Plan[T]) runSorted(values []T, withMulti bool) (err error) {
 			return ferr
 		}
 		p.team.Run(p.sortedApplyBody)
-		if ferr := p.guard.first(); ferr != nil {
+		if ferr := p.guard.First(); ferr != nil {
 			return ferr
 		}
 	}
@@ -182,7 +189,7 @@ func (p *Plan[T]) runSorted(values []T, withMulti bool) (err error) {
 func (p *Plan[T]) sortedScan(w int, _ *par.Barrier) {
 	defer func() {
 		if rec := recover(); rec != nil {
-			p.guard.fail(&core.EnginePanicError{
+			p.guard.Fail(&core.EnginePanicError{
 				Engine: "plan/sorted", Phase: core.PhaseSortedScan,
 				Worker: w, Value: rec, Stack: debug.Stack(),
 			})
@@ -211,7 +218,7 @@ func (p *Plan[T]) sortedScan(w int, _ *par.Barrier) {
 func (p *Plan[T]) sortedApply(w int, _ *par.Barrier) {
 	defer func() {
 		if rec := recover(); rec != nil {
-			p.guard.fail(&core.EnginePanicError{
+			p.guard.Fail(&core.EnginePanicError{
 				Engine: "plan/sorted", Phase: core.PhaseSortedApply,
 				Worker: w, Value: rec, Stack: debug.Stack(),
 			})

@@ -95,13 +95,12 @@ func TestPooledZeroAllocs(t *testing.T) {
 
 // oneShotChunkedAllocBound pins the one-shot chunked engines' per-call
 // allocation count. A one-shot call inherently allocates the result
-// storage the caller keeps, one bucket array per chunk, and the worker
-// goroutine closures — but the per-chunk first-touch label lists and
-// seen bitmaps come from the process-wide chunkListPool, so the count
-// must stay flat in log2(m). Before pooling, append-growth of those
-// lists put the generic variant at 64 allocs/op at n=2^16 in the
-// committed benchmark snapshot; the bound fails loudly if they ever
-// creep back into the per-call path.
+// storage the caller keeps, its runner's flat bucket, seen-mark and
+// touched-list arrays, and a worker team that is closed before the
+// call returns — a count that must stay flat in log2(m). Append-growth
+// of per-chunk label lists once put the generic variant at 64
+// allocs/op at n=2^16 in the committed benchmark snapshot; the bound
+// fails loudly if per-call growth ever creeps back in.
 const oneShotChunkedAllocBound = 28
 
 // TestOneShotChunkedAllocBound measures the package-level Chunked and
@@ -127,7 +126,7 @@ func TestOneShotChunkedAllocBound(t *testing.T) {
 		}
 	}
 	run()
-	reduce() // warm the chunkListPool
+	reduce() // warm up outside the measurement
 	bound := float64(oneShotChunkedAllocBound)
 	if raceDetectorEnabled {
 		// The race runtime allocates shadow state for each of the

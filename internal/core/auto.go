@@ -407,13 +407,9 @@ func AutoReduce[T any](op Op[T], values []T, labels []int, m int, cfg Config) ([
 
 // serialCtx is Serial honoring cfg.Ctx: with a context the single
 // bucket pass runs in cancelStride segments polling at each boundary
-// (the serial pass carries no cross-segment state beyond the buckets,
-// so segmenting is exact), matching the parallel branches' mid-run
+// (SerialSegments), matching the parallel branches' mid-run
 // cancellation promptness.
 func serialCtx[T any](op Op[T], values []T, labels []int, m int, cfg Config) (res Result[T], err error) {
-	if cfg.Ctx == nil {
-		return Serial(op, values, labels, m)
-	}
 	if err := checkInputs(op, values, labels, m); err != nil {
 		return Result[T]{}, err
 	}
@@ -421,7 +417,7 @@ func serialCtx[T any](op Op[T], values []T, labels []int, m int, cfg Config) (re
 	multi := make([]T, len(values))
 	buckets := make([]T, m)
 	fillIdentity(buckets, op.Identity)
-	if err := serialSegments(op, values, labels, multi, buckets, cfg.Ctx); err != nil {
+	if err := SerialSegments(op, values, labels, multi, buckets, cfg.Ctx); err != nil {
 		return Result[T]{}, err
 	}
 	return Result[T]{Multi: multi, Reductions: buckets}, nil
@@ -430,49 +426,36 @@ func serialCtx[T any](op Op[T], values []T, labels []int, m int, cfg Config) (re
 // serialReduceCtx is SerialReduce under the same segmented
 // cancellation polling as serialCtx.
 func serialReduceCtx[T any](op Op[T], values []T, labels []int, m int, cfg Config) (red []T, err error) {
-	if cfg.Ctx == nil {
-		return SerialReduce(op, values, labels, m)
-	}
 	if err := checkInputs(op, values, labels, m); err != nil {
 		return nil, err
 	}
 	defer recoverEnginePanic("serial", nil, &err)
 	buckets := make([]T, m)
 	fillIdentity(buckets, op.Identity)
-	if err := serialSegments(op, values, labels, nil, buckets, cfg.Ctx); err != nil {
+	if err := SerialSegments(op, values, labels, nil, buckets, cfg.Ctx); err != nil {
 		return nil, err
 	}
 	return buckets, nil
 }
 
-// serialSegments runs the serial bucket pass over values in
-// cancelStride segments, polling ctx at each boundary. multi may be
-// nil for reduce-only.
-func serialSegments[T any](op Op[T], values []T, labels []int, multi []T, buckets []T, ctx context.Context) error {
+// SerialSegments runs the serial bucket pass over values into multi
+// (nil for reduce-only) and buckets, which must hold the identity.
+// With a context it runs in cancelStride segments, polling ctx at each
+// boundary; the pass carries no state across segments beyond the
+// buckets, so segmenting is exact. The one-shot, pooled and planned
+// serial paths all run this loop.
+func SerialSegments[T any](op Op[T], values []T, labels []int, multi, buckets []T, ctx context.Context) error {
 	n := len(values)
+	if ctx == nil {
+		BucketRange(op, op.Fast, "serial", values, labels, multi, buckets, 0, n, nil)
+		return nil
+	}
 	for lo := 0; lo < n || lo == 0; lo += cancelStride {
-		if err := ctxErr(ctx); err != nil {
+		if err := ctx.Err(); err != nil {
 			return err
 		}
 		hi := min(lo+cancelStride, n)
-		var seg []T
-		if multi != nil {
-			seg = multi[lo:hi]
-		}
-		if !tryBucketLoop(op.Fast, values[lo:hi], labels[lo:hi], seg, buckets) {
-			if multi != nil {
-				for i := lo; i < hi; i++ {
-					l := labels[i]
-					multi[i] = buckets[l]
-					buckets[l] = op.Combine(buckets[l], values[i])
-				}
-			} else {
-				for i := lo; i < hi; i++ {
-					l := labels[i]
-					buckets[l] = op.Combine(buckets[l], values[i])
-				}
-			}
-		}
+		BucketRange(op, op.Fast, "serial", values, labels, multi, buckets, lo, hi, nil)
 		if hi == n {
 			break
 		}
@@ -483,9 +466,6 @@ func serialSegments[T any](op Op[T], values []T, labels []int, multi []T, bucket
 // serialCtxIn is the pooled counterpart of serialCtx, drawing multi
 // and the bucket array from b.
 func (b *Buffers[T]) serialCtxIn(op Op[T], values []T, labels []int, m int, cfg Config) (res Result[T], err error) {
-	if cfg.Ctx == nil {
-		return b.Serial(op, values, labels, m)
-	}
 	if err := checkInputs(op, values, labels, m); err != nil {
 		return Result[T]{}, err
 	}
@@ -493,7 +473,7 @@ func (b *Buffers[T]) serialCtxIn(op Op[T], values []T, labels []int, m int, cfg 
 	multi := b.growMulti(len(values))
 	red := b.growRed(m)
 	fillIdentity(red, op.Identity)
-	if err := serialSegments(op, values, labels, multi, red, cfg.Ctx); err != nil {
+	if err := SerialSegments(op, values, labels, multi, red, cfg.Ctx); err != nil {
 		return Result[T]{}, err
 	}
 	return Result[T]{Multi: multi, Reductions: red}, nil
@@ -501,16 +481,13 @@ func (b *Buffers[T]) serialCtxIn(op Op[T], values []T, labels []int, m int, cfg 
 
 // serialReduceCtxIn is the pooled counterpart of serialReduceCtx.
 func (b *Buffers[T]) serialReduceCtxIn(op Op[T], values []T, labels []int, m int, cfg Config) (red []T, err error) {
-	if cfg.Ctx == nil {
-		return b.SerialReduce(op, values, labels, m)
-	}
 	if err := checkInputs(op, values, labels, m); err != nil {
 		return nil, err
 	}
 	defer recoverEnginePanic("serial", nil, &err)
 	red = b.growRed(m)
 	fillIdentity(red, op.Identity)
-	if err := serialSegments(op, values, labels, nil, red, cfg.Ctx); err != nil {
+	if err := SerialSegments(op, values, labels, nil, red, cfg.Ctx); err != nil {
 		return nil, err
 	}
 	return red, nil

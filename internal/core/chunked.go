@@ -8,58 +8,33 @@ import (
 	"multiprefix/internal/par"
 )
 
-// chunkLists pools the type-independent per-chunk bookkeeping of the
-// one-shot chunked engines: the first-touch label lists and the seen
-// bitmaps. Growing the label lists by append cost the one-shot generic
-// variant ~W·log2(m) allocations per call at n=2^16 (64 allocs/op in
-// the committed benchmark snapshot); pooling them the way the Buffers
-// path pools its chunkRunner state leaves only the per-call result and
-// bucket storage. The lists hold ints and bools — no element type —
-// so one process-wide pool serves every instantiation.
-type chunkLists struct {
-	seen    [][]bool
-	touched [][]int
-}
-
-var chunkListPool = sync.Pool{New: func() any { return new(chunkLists) }}
-
-// acquireChunkLists returns pooled per-chunk lists sized for a
-// (workers, m) run: seen bitmaps cleared, touched lists empty with
-// capacity m so first-touch appends never grow.
-func acquireChunkLists(workers, m int) *chunkLists {
-	cl := chunkListPool.Get().(*chunkLists)
-	for len(cl.seen) < workers {
-		cl.seen = append(cl.seen, nil)
-		cl.touched = append(cl.touched, nil)
-	}
-	for w := 0; w < workers; w++ {
-		cl.seen[w] = grown(cl.seen[w], m)
-		clear(cl.seen[w])
-		if cap(cl.touched[w]) < m {
-			cl.touched[w] = make([]int, 0, m)
-		} else {
-			cl.touched[w] = cl.touched[w][:0]
-		}
-	}
-	return cl
-}
-
 // cancelStride is how many elements a chunked worker processes between
 // polls of the cancellation flag and context. Small enough that a
 // mid-run cancellation on multi-million-element inputs returns in well
 // under a chunk's full runtime; large enough that the poll is free.
 const cancelStride = 8192
 
-// chunkGuard is the shared failure state of one chunked run: the first
-// panic or cancellation is recorded and every worker drains at its
-// next stride boundary.
-type chunkGuard struct {
+// Guard is the shared failure state of one team run: the first panic
+// or cancellation is recorded and every worker drains at its next
+// stride boundary. The chunked runner and the backend's sorted and
+// sharded plans all fail through it.
+type Guard struct {
 	stop atomic.Bool
 	mu   sync.Mutex
 	err  error
 }
 
-func (g *chunkGuard) fail(err error) {
+// Reset clears the guard for the next run.
+func (g *Guard) Reset() {
+	g.stop.Store(false)
+	g.mu.Lock()
+	g.err = nil
+	g.mu.Unlock()
+}
+
+// Fail records err as the run's failure unless one is already
+// recorded, and tells every worker to stop.
+func (g *Guard) Fail(err error) {
 	g.mu.Lock()
 	if g.err == nil {
 		g.err = err
@@ -68,21 +43,22 @@ func (g *chunkGuard) fail(err error) {
 	g.stop.Store(true)
 }
 
-func (g *chunkGuard) first() error {
+// First returns the run's first failure, or nil.
+func (g *Guard) First() error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.err
 }
 
-// interrupted polls the failure flag and the context; a cancelled
+// Interrupted polls the failure flag and the context; a cancelled
 // context is recorded as the run's failure.
-func (g *chunkGuard) interrupted(ctx context.Context) bool {
+func (g *Guard) Interrupted(ctx context.Context) bool {
 	if g.stop.Load() {
 		return true
 	}
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
-			g.fail(err)
+			g.Fail(err)
 			return true
 		}
 	}
@@ -95,7 +71,7 @@ func (g *chunkGuard) interrupted(ctx context.Context) bool {
 //
 //  1. split the vector into one contiguous chunk per worker;
 //  2. in parallel, run the serial algorithm on each chunk with local
-//     buckets, recording which labels the chunk touched;
+//     buckets, over the labels the chunk touches;
 //  3. sequentially combine the per-chunk reductions in chunk order into
 //     per-chunk label offsets (an exclusive scan over chunks, per label);
 //  4. in parallel, add each chunk's offsets onto its local prefix sums.
@@ -107,207 +83,344 @@ func (g *chunkGuard) interrupted(ctx context.Context) bool {
 //
 // The execution is hardened: a panic in Op.Combine inside any worker is
 // recovered into a typed *EnginePanicError and returned, and cfg.Ctx,
-// when set, cancels the run within cancelStride elements.
-func Chunked[T any](op Op[T], values []T, labels []int, m int, cfg Config) (res Result[T], err error) {
+// when set, cancels the run within cancelStride elements. The call runs
+// on a ChunkRunner and worker team of its own; the team is closed
+// before Chunked returns.
+func Chunked[T any](op Op[T], values []T, labels []int, m int, cfg Config) (Result[T], error) {
 	if err := checkInputs(op, values, labels, m); err != nil {
 		return Result[T]{}, err
 	}
 	if err := ctxErr(cfg.Ctx); err != nil {
 		return Result[T]{}, err
 	}
-	n := len(values)
-	workers := chunkWorkers(cfg.Workers, n)
-	phase := PhaseChunkLocal
-	defer recoverEnginePanic("chunked", &phase, &err)
-
-	multi := make([]T, n)
-	local := make([][]T, workers) // per-chunk buckets, reused as offsets
-	cl := acquireChunkLists(workers, m)
-	defer chunkListPool.Put(cl)
-	hook := cfg.FaultHook
-	fast := op.fastKind(hook)
-	var g chunkGuard
-
-	// Pass 1+2: local serial multiprefix per chunk.
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			defer func() {
-				if rec := recover(); rec != nil {
-					g.fail(newEnginePanic("chunked", PhaseChunkLocal, w, rec))
-				}
-			}()
-			lo, hi := par.Range(n, workers, w)
-			buckets := make([]T, m)
-			cl.touched[w] = chunkLocalPass(fast, op, values, labels, multi, buckets, cl.seen[w], cl.touched[w], lo, hi, hook, &g, cfg.Ctx)
-			local[w] = buckets
-		}(w)
-	}
-	wg.Wait()
-	if err := g.first(); err != nil {
+	multi, red := make([]T, len(values)), make([]T, m)
+	if err := chunkedOnce(op, values, labels, m, multi, red, cfg); err != nil {
 		return Result[T]{}, err
 	}
-
-	// Pass 3: exclusive scan across chunks, per label. running[l] holds
-	// the combine of chunks 0..w-1 for label l; each chunk's bucket slot
-	// is replaced by its offset (the exclusive prefix).
-	phase = PhaseChunkMerge
-	if err := ctxErr(cfg.Ctx); err != nil {
-		return Result[T]{}, err
-	}
-	running := make([]T, m)
-	fillIdentity(running, op.Identity)
-	for w := 0; w < workers; w++ {
-		for _, l := range cl.touched[w] {
-			offset := running[l]
-			if hook != nil {
-				hook.Combine(PhaseChunkMerge, l)
-			}
-			running[l] = op.Combine(running[l], local[w][l])
-			local[w][l] = offset
-		}
-	}
-
-	// Pass 4: apply offsets. Chunk 0 needs no fix-up (offsets are the
-	// identity), so start at chunk 1.
-	phase = PhaseChunkApply
-	if err := ctxErr(cfg.Ctx); err != nil {
-		return Result[T]{}, err
-	}
-	wg.Add(workers - 1)
-	for w := 1; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			defer func() {
-				if rec := recover(); rec != nil {
-					g.fail(newEnginePanic("chunked", PhaseChunkApply, w, rec))
-				}
-			}()
-			lo, hi := par.Range(n, workers, w)
-			offsets := local[w]
-			for seg := lo; seg < hi; seg += cancelStride {
-				if g.interrupted(cfg.Ctx) {
-					return
-				}
-				end := seg + cancelStride
-				if end > hi {
-					end = hi
-				}
-				if tryChunkApply(fast, labels, offsets, multi, seg, end) {
-					continue
-				}
-				for i := seg; i < end; i++ {
-					if hook != nil {
-						hook.Combine(PhaseChunkApply, i)
-					}
-					multi[i] = op.Combine(offsets[labels[i]], multi[i])
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if err := g.first(); err != nil {
-		return Result[T]{}, err
-	}
-
-	return Result[T]{Multi: multi, Reductions: running}, nil
+	return Result[T]{Multi: multi, Reductions: red}, nil
 }
 
 // ChunkedReduce is the multireduce counterpart of Chunked: per-chunk
 // local reductions combined across chunks in vector order, hardened
 // the same way.
-func ChunkedReduce[T any](op Op[T], values []T, labels []int, m int, cfg Config) (red []T, err error) {
+func ChunkedReduce[T any](op Op[T], values []T, labels []int, m int, cfg Config) ([]T, error) {
 	if err := checkInputs(op, values, labels, m); err != nil {
 		return nil, err
 	}
 	if err := ctxErr(cfg.Ctx); err != nil {
 		return nil, err
 	}
-	n := len(values)
-	workers := chunkWorkers(cfg.Workers, n)
-	phase := PhaseChunkLocal
-	defer recoverEnginePanic("chunked", &phase, &err)
-
-	local := make([][]T, workers)
-	cl := acquireChunkLists(workers, m)
-	defer chunkListPool.Put(cl)
-	hook := cfg.FaultHook
-	fast := op.fastKind(hook)
-	var g chunkGuard
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			defer func() {
-				if rec := recover(); rec != nil {
-					g.fail(newEnginePanic("chunked", PhaseChunkLocal, w, rec))
-				}
-			}()
-			lo, hi := par.Range(n, workers, w)
-			buckets := make([]T, m)
-			cl.touched[w] = chunkLocalPass(fast, op, values, labels, nil, buckets, cl.seen[w], cl.touched[w], lo, hi, hook, &g, cfg.Ctx)
-			local[w] = buckets
-		}(w)
-	}
-	wg.Wait()
-	if err := g.first(); err != nil {
+	red := make([]T, m)
+	if err := chunkedOnce(op, values, labels, m, nil, red, cfg); err != nil {
 		return nil, err
+	}
+	return red, nil
+}
+
+// chunkedOnce runs one validated call on a fresh runner and team, and
+// closes the team before returning so no goroutine outlives the call.
+func chunkedOnce[T any](op Op[T], values []T, labels []int, m int, multi, red []T, cfg Config) error {
+	workers := chunkWorkers(cfg.Workers, len(values))
+	r := NewChunkRunner[T]("chunked")
+	r.bind(op, labels, m, workers)
+	team := par.NewTeam(workers)
+	defer team.Close()
+	return r.Run(team, values, multi, red, cfg)
+}
+
+// chunkPass selects what one team round of a ChunkRunner does.
+type chunkPass uint8
+
+const (
+	passFind  chunkPass = iota // find each chunk's touched labels
+	passLocal                  // passes 1+2: each chunk's local bucket pass
+	passApply                  // pass 4: add each chunk's offsets
+	passBatch                  // passes 1–4 for every vector of a batch
+)
+
+// ChunkRunner is the chunked engine: the one body behind the one-shot
+// Chunked, the pooled Buffers.Chunked and the backend's chunked Plan.
+// A chunk's touched-label list depends only on the labels, so it is
+// setup (the §5.2.1 setup/evaluation split): a plan finds the lists
+// once (Plan), while one-shot and pooled calls find them per call,
+// each worker over its own range at the start of the local pass.
+//
+// Passes 1+2 and 4 run on a par.Team supplied per call; pass 3 (the
+// merge) runs on the calling goroutine, or on worker 0 between two
+// barriers in a fused batch. The worker bodies never touch the team's
+// inner barrier outside a batch, and a batch drains its remaining
+// arrivals on abort, so a failed run leaves the team healthy.
+//
+// Not safe for concurrent use; callers serialize runs.
+type ChunkRunner[T any] struct {
+	engine  string // EnginePanicError.Engine of this runner's failures
+	op      Op[T]
+	labels  []int
+	n, m    int
+	workers int
+	fixed   bool   // touched lists belong to labels (Plan); else found per run
+	buckets []T    // workers×m: chunk w's buckets, then its offsets
+	seen    []bool // workers×m first-touch marks, all false between runs
+	order   []int  // backing store of the touched lists
+	touched [][]int
+	g       Guard
+	body    func(w int, inner *par.Barrier)
+
+	// per-run state read by the worker bodies, cleared after each run
+	pass       chunkPass
+	values     []T
+	multi, red []T
+	dsts, srcs [][]T
+	batchMulti bool
+	fast       FastOp
+	hook       FaultHook
+	ctx        context.Context
+}
+
+// NewChunkRunner returns an unbound runner whose *EnginePanicError
+// values name engine.
+func NewChunkRunner[T any](engine string) *ChunkRunner[T] {
+	r := &ChunkRunner[T]{engine: engine}
+	r.body = r.round
+	return r
+}
+
+// bind points r at one (op, labels, m) problem split into workers
+// chunks, growing its storage in place; runs then find the touched
+// lists themselves. Each chunk touches at most min(m, chunk length)
+// labels, so min(n, workers·m) slots hold every list.
+func (r *ChunkRunner[T]) bind(op Op[T], labels []int, m, workers int) {
+	r.op, r.labels, r.n, r.m, r.workers, r.fixed = op, labels, len(labels), m, workers, false
+	r.buckets = grown(r.buckets, workers*m)
+	r.seen = grown(r.seen, workers*m)
+	r.order = grown(r.order, min(r.n, workers*m))
+	r.touched = grown(r.touched, workers)
+	off := 0
+	for w := range workers {
+		lo, hi := par.Range(r.n, workers, w)
+		c := min(m, hi-lo)
+		r.touched[w] = r.order[off : off+c : off+c]
+		off += c
+	}
+}
+
+// Plan fixes r to one label vector for a planned pipeline: it binds
+// (op, labels, m) over the team's workers and finds every chunk's
+// touched labels once, on the team, so runs skip the discovery.
+// labels must already be validated against m and stay unchanged.
+func (r *ChunkRunner[T]) Plan(team *par.Team, op Op[T], labels []int, m int) {
+	r.bind(op, labels, m, team.Workers())
+	r.pass = passFind
+	team.Run(r.body)
+	r.fixed = true
+	r.seen = nil // only discovery reads it
+}
+
+// Run evaluates one value vector: passes 1+2 on the team, the merge
+// into red on the calling goroutine, then, when multi is non-nil, the
+// offset apply on the team. multi == nil is a reduce-only run. A panic
+// anywhere, merge included, comes back as an *EnginePanicError naming
+// the pass, and cfg.Ctx cancels the run within cancelStride elements.
+//
+//mp:hotpath
+func (r *ChunkRunner[T]) Run(team *par.Team, values, multi, red []T, cfg Config) (err error) {
+	phase := PhaseChunkLocal
+	defer recoverEnginePanic(r.engine, &phase, &err)
+	r.start(cfg)
+	defer r.finish()
+	r.values, r.multi = values, multi
+	if err := r.teamRound(team, passLocal); err != nil {
+		return err
 	}
 	phase = PhaseChunkMerge
 	if err := ctxErr(cfg.Ctx); err != nil {
-		return nil, err
+		return err
 	}
-	out := make([]T, m)
-	fillIdentity(out, op.Identity)
-	for w := 0; w < workers; w++ {
-		for _, l := range cl.touched[w] {
-			if hook != nil {
-				hook.Combine(PhaseChunkMerge, l)
-			}
-			out[l] = op.Combine(out[l], local[w][l])
-		}
+	r.merge(red)
+	if multi == nil || r.workers == 1 {
+		return nil
 	}
-	return out, nil
+	phase = PhaseChunkApply
+	if err := ctxErr(cfg.Ctx); err != nil {
+		return err
+	}
+	return r.teamRound(team, passApply)
 }
 
-// chunkLocalPass runs one chunk's local serial multiprefix over
-// [lo, hi) in cancelStride segments, polling the guard between
-// segments. multi == nil means reduce-only. Each segment runs the
-// monomorphic kernel when available, otherwise the generic loop with
-// fault-hook events. Returns the (possibly grown) first-touch order.
-func chunkLocalPass[T any](fast FastOp, op Op[T], values []T, labels []int, multi, buckets []T, seen []bool, order []int, lo, hi int, hook FaultHook, g *chunkGuard, ctx context.Context) []int {
-	for seg := lo; seg < hi; seg += cancelStride {
-		if g.interrupted(ctx) {
-			return order
+// Batch evaluates each srcs[k] in one team round for the whole batch:
+// per vector the local pass, a barrier, the merge on worker 0, a
+// barrier and the offset apply. No barrier is needed between one
+// vector's apply and the next vector's local pass: apply reads only
+// the worker's own offsets and writes only its own range, and the next
+// local pass resets only the worker's own buckets. With batchMulti
+// dsts[k] receives the prefixes and red is reduction scratch;
+// otherwise dsts[k] receives the reductions. The runner must be
+// planned (Plan), since the batch does not look for touched labels.
+func (r *ChunkRunner[T]) Batch(team *par.Team, dsts, srcs [][]T, batchMulti bool, red []T, cfg Config) error {
+	r.start(cfg)
+	defer r.finish()
+	r.dsts, r.srcs, r.batchMulti, r.red = dsts, srcs, batchMulti, red
+	if err := r.teamRound(team, passBatch); err != nil {
+		return err
+	}
+	return ctxErr(cfg.Ctx)
+}
+
+func (r *ChunkRunner[T]) start(cfg Config) {
+	r.fast = r.op.fastKind(cfg.FaultHook)
+	r.hook, r.ctx = cfg.FaultHook, cfg.Ctx
+	r.g.Reset()
+}
+
+// finish drops the run's references so an idle runner keeps no caller
+// storage alive.
+func (r *ChunkRunner[T]) finish() {
+	r.values, r.multi, r.red, r.dsts, r.srcs = nil, nil, nil, nil, nil
+	r.hook, r.ctx = nil, nil
+}
+
+func (r *ChunkRunner[T]) teamRound(team *par.Team, pass chunkPass) error {
+	r.pass = pass
+	team.Run(r.body)
+	return r.g.First()
+}
+
+// interrupted is the workers' stride poll.
+func (r *ChunkRunner[T]) interrupted() bool {
+	return r.g.Interrupted(r.ctx)
+}
+
+// round is the team body for chunk w. A recovered panic fails the run
+// with the phase that was executing. A batch has a fixed count of two
+// inner-barrier arrivals per vector, so an aborting worker drains the
+// arrivals it still owes and its siblings stay aligned.
+//
+//mp:hotpath
+func (r *ChunkRunner[T]) round(w int, inner *par.Barrier) {
+	phase, owed := PhaseChunkLocal, 0
+	defer func() {
+		if rec := recover(); rec != nil {
+			r.g.Fail(newEnginePanic(r.engine, phase, w, rec))
 		}
-		end := seg + cancelStride
-		if end > hi {
-			end = hi
+		inner.DrainAwait(owed)
+	}()
+	switch r.pass {
+	case passFind:
+		r.find(w)
+	case passLocal:
+		if !r.fixed {
+			r.find(w)
 		}
-		if o, ok := tryChunkLocal(fast, op.Identity, values, labels, multi, buckets, seen, order, seg, end); ok {
-			order = o
-			continue
-		}
-		for i := seg; i < end; i++ {
-			l := labels[i]
-			if !seen[l] {
-				seen[l] = true
-				buckets[l] = op.Identity
-				order = append(order, l)
+		r.local(w, r.values, r.multi)
+	case passApply:
+		phase = PhaseChunkApply
+		r.apply(w, r.multi)
+	case passBatch:
+		owed = 2 * len(r.srcs)
+		for k, values := range r.srcs {
+			multi, red := r.dsts[k], r.red
+			if !r.batchMulti {
+				multi, red = nil, r.dsts[k]
 			}
-			if multi != nil {
-				multi[i] = buckets[l]
+			phase = PhaseChunkLocal
+			if !r.interrupted() {
+				r.local(w, values, multi)
 			}
-			if hook != nil {
-				hook.Combine(PhaseChunkLocal, i)
+			inner.Await()
+			owed--
+			if w == 0 && !r.interrupted() {
+				phase = PhaseChunkMerge
+				r.merge(red)
 			}
-			buckets[l] = op.Combine(buckets[l], values[i])
+			inner.Await()
+			owed--
+			if multi != nil && !r.interrupted() {
+				phase = PhaseChunkApply
+				r.apply(w, multi)
+			}
 		}
 	}
-	return order
+}
+
+// find records chunk w's touched labels in first-touch order, then
+// clears the seen marks it set.
+//
+//mp:hotpath
+func (r *ChunkRunner[T]) find(w int) {
+	lo, hi := par.Range(r.n, r.workers, w)
+	seen := r.seen[w*r.m : (w+1)*r.m]
+	order := r.touched[w][:cap(r.touched[w])]
+	k := 0
+	for _, l := range r.labels[lo:hi] {
+		if !seen[l] {
+			seen[l] = true
+			order[k] = l
+			k++
+		}
+	}
+	order = order[:k]
+	for _, l := range order {
+		seen[l] = false
+	}
+	r.touched[w] = order
+}
+
+// local is passes 1+2 for chunk w: reset its touched buckets to the
+// identity, then run the serial bucket pass over its range in
+// cancelStride segments.
+//
+//mp:hotpath
+func (r *ChunkRunner[T]) local(w int, values, multi []T) {
+	buckets := r.buckets[w*r.m : (w+1)*r.m]
+	for _, l := range r.touched[w] {
+		buckets[l] = r.op.Identity
+	}
+	lo, hi := par.Range(r.n, r.workers, w)
+	for seg := lo; seg < hi; seg += cancelStride {
+		if r.interrupted() {
+			return
+		}
+		BucketRange(r.op, r.fast, PhaseChunkLocal, values, r.labels, multi, buckets, seg, min(seg+cancelStride, hi), r.hook)
+	}
+}
+
+// merge is pass 3: the exclusive scan across chunks per label, in
+// chunk order. red receives the reductions and each chunk's bucket
+// slot its offset.
+//
+//mp:hotpath
+func (r *ChunkRunner[T]) merge(red []T) {
+	fillIdentity(red, r.op.Identity)
+	for w := 0; w < r.workers; w++ {
+		bw := r.buckets[w*r.m : (w+1)*r.m]
+		for _, l := range r.touched[w] {
+			offset := red[l]
+			if r.hook != nil {
+				r.hook.Combine(PhaseChunkMerge, l)
+			}
+			red[l] = r.op.Combine(red[l], bw[l])
+			bw[l] = offset
+		}
+	}
+}
+
+// apply is pass 4 for chunk w: combine the chunk's offsets into its
+// prefixes. Chunk 0's offsets are the identity, so it has nothing to
+// do.
+//
+//mp:hotpath
+func (r *ChunkRunner[T]) apply(w int, multi []T) {
+	if w == 0 {
+		return
+	}
+	offsets := r.buckets[w*r.m : (w+1)*r.m]
+	lo, hi := par.Range(r.n, r.workers, w)
+	for seg := lo; seg < hi; seg += cancelStride {
+		if r.interrupted() {
+			return
+		}
+		ApplyRange(r.op, r.fast, r.labels, offsets, multi, seg, min(seg+cancelStride, hi), r.hook)
+	}
 }
 
 // chunkWorkers resolves the worker count for the chunked engines:

@@ -174,80 +174,6 @@ func bucketKernel[E fastElem](fast FastOp, values []E, labels []int, multi, buck
 	return true
 }
 
-// tryChunkLocal runs one stride segment [lo, hi) of a chunk's local
-// bucket pass (Chunked pass 1+2). order accumulates first-touched
-// labels and the possibly-grown slice is returned; multi may be nil
-// for reduce-only runs.
-func tryChunkLocal[T any](fast FastOp, ident T, values []T, labels []int, multi, buckets []T, seen []bool, order []int, lo, hi int) ([]int, bool) {
-	if fast == FastNone {
-		return order, false
-	}
-	switch vs := any(values).(type) {
-	case []int64:
-		id, _ := any(ident).(int64)
-		return chunkLocalKernel(fast, id, vs, labels, asI64(multi), asI64(buckets), seen, order, lo, hi)
-	case []float64:
-		id, _ := any(ident).(float64)
-		return chunkLocalKernel(fast, id, vs, labels, asF64(multi), asF64(buckets), seen, order, lo, hi)
-	}
-	return order, false
-}
-
-//mp:hotpath
-func chunkLocalKernel[E fastElem](fast FastOp, ident E, values []E, labels []int, multi, buckets []E, seen []bool, order []int, lo, hi int) ([]int, bool) {
-	switch fast {
-	case FastAdd:
-		for i := lo; i < hi; i++ {
-			l := labels[i]
-			if !seen[l] {
-				seen[l] = true
-				buckets[l] = ident
-				order = append(order, l) //mp:nolint at most m first-touches per run; warm pooled runs reuse the grown capacity (TestPooledZeroAllocs pins 0 allocs)
-			}
-			s := buckets[l]
-			if multi != nil {
-				multi[i] = s
-			}
-			buckets[l] = s + values[i]
-		}
-	case FastMax:
-		for i := lo; i < hi; i++ {
-			l := labels[i]
-			if !seen[l] {
-				seen[l] = true
-				buckets[l] = ident
-				order = append(order, l) //mp:nolint at most m first-touches per run; warm pooled runs reuse the grown capacity (TestPooledZeroAllocs pins 0 allocs)
-			}
-			s := buckets[l]
-			if multi != nil {
-				multi[i] = s
-			}
-			if v := values[i]; !(s > v) {
-				buckets[l] = v
-			}
-		}
-	case FastMin:
-		for i := lo; i < hi; i++ {
-			l := labels[i]
-			if !seen[l] {
-				seen[l] = true
-				buckets[l] = ident
-				order = append(order, l) //mp:nolint at most m first-touches per run; warm pooled runs reuse the grown capacity (TestPooledZeroAllocs pins 0 allocs)
-			}
-			s := buckets[l]
-			if multi != nil {
-				multi[i] = s
-			}
-			if v := values[i]; !(s < v) {
-				buckets[l] = v
-			}
-		}
-	default:
-		return order, false
-	}
-	return order, true
-}
-
 // tryChunkApply runs one stride segment [lo, hi) of the offset-apply
 // pass (Chunked pass 4): multi[i] = offsets[labels[i]] ⊕ multi[i].
 func tryChunkApply[T any](fast FastOp, labels []int, offsets, multi []T, lo, hi int) bool {

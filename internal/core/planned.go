@@ -2,12 +2,13 @@ package core
 
 // This file exports the planned-execution primitives the backend
 // package's Plan pipeline is built from: one-time validation of a
-// label vector, the chunk-partition helpers, and the stride-segment
+// label vector, the chunk-partition helper, and the stride-segment
 // kernels (bucket pass, offset apply) that the one-shot engines use
-// internally. Exporting the segment kernels — rather than letting the
-// backend re-implement the loops — keeps Plan.Run bit-identical to
-// the one-shot engines: same iteration order, same fast-path
-// dispatch, same fault-hook event stream.
+// internally. The chunked Plan runs the ChunkRunner itself, and the
+// serial Plan runs SerialSegments. Sharing the code, rather than
+// letting the backend re-implement the loops, keeps Plan.Run
+// bit-identical to the one-shot engines: same iteration order, same
+// fast-path dispatch, same fault-hook event stream.
 
 // CancelStride is how many elements a planned or chunked pass
 // processes between polls of the cancellation context (see the

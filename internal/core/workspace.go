@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"runtime"
 	"sync"
 
@@ -60,7 +59,7 @@ type Buffers[T any] struct {
 
 	team   *par.Team
 	runner *parRunner[T]   // pooled Parallel state
-	chunk  *chunkRunner[T] // pooled Chunked state
+	chunk  *ChunkRunner[T] // pooled Chunked state
 }
 
 func (b *Buffers[T]) growMulti(n int) []T {
@@ -295,50 +294,23 @@ func (b *Buffers[T]) ParallelReduce(op Op[T], values []T, labels []int, m int, c
 	return red, nil
 }
 
-// Chunked is Chunked reusing b's per-chunk buckets, result storage and
-// worker team. Chunk bodies never touch the team's inner barrier, so a
-// failed chunked run leaves the team healthy.
+// Chunked is Chunked reusing b's ChunkRunner, result storage and
+// worker team. The touched lists are found again on every call, so
+// the labels may change between calls. Chunk bodies never touch the
+// team's inner barrier, so a failed chunked run leaves the team
+// healthy.
 //
 //mp:hotpath
-func (b *Buffers[T]) Chunked(op Op[T], values []T, labels []int, m int, cfg Config) (res Result[T], err error) {
+func (b *Buffers[T]) Chunked(op Op[T], values []T, labels []int, m int, cfg Config) (Result[T], error) {
 	if err := checkInputs(op, values, labels, m); err != nil {
 		return Result[T]{}, err
 	}
 	if err := ctxErr(cfg.Ctx); err != nil {
 		return Result[T]{}, err
 	}
-	n := len(values)
-	workers := chunkWorkers(cfg.Workers, n)
-	multi := b.growMulti(n)
-	red := b.growRed(m)
-	phase := PhaseChunkLocal
-	defer recoverEnginePanic("chunked", &phase, &err)
-	if b.chunk == nil {
-		b.chunk = newChunkRunner[T]()
-	}
-	r := b.chunk
-	r.reset(op, values, labels, multi, m, workers, cfg)
-	team := b.ensureTeam(workers)
-	team.Run(r.localBody)
-	if err := r.g.first(); err != nil {
+	multi, red := b.growMulti(len(values)), b.growRed(m)
+	if err := b.chunked(op, values, labels, m, multi, red, cfg); err != nil {
 		return Result[T]{}, err
-	}
-
-	phase = PhaseChunkMerge
-	if err := ctxErr(cfg.Ctx); err != nil {
-		return Result[T]{}, err
-	}
-	r.merge(red)
-
-	phase = PhaseChunkApply
-	if err := ctxErr(cfg.Ctx); err != nil {
-		return Result[T]{}, err
-	}
-	if workers > 1 {
-		team.Run(r.applyBody)
-		if err := r.g.first(); err != nil {
-			return Result[T]{}, err
-		}
 	}
 	return Result[T]{Multi: multi, Reductions: red}, nil
 }
@@ -346,34 +318,29 @@ func (b *Buffers[T]) Chunked(op Op[T], values []T, labels []int, m int, cfg Conf
 // ChunkedReduce is ChunkedReduce on pooled state.
 //
 //mp:hotpath
-func (b *Buffers[T]) ChunkedReduce(op Op[T], values []T, labels []int, m int, cfg Config) (out []T, err error) {
+func (b *Buffers[T]) ChunkedReduce(op Op[T], values []T, labels []int, m int, cfg Config) ([]T, error) {
 	if err := checkInputs(op, values, labels, m); err != nil {
 		return nil, err
 	}
 	if err := ctxErr(cfg.Ctx); err != nil {
 		return nil, err
 	}
-	n := len(values)
-	workers := chunkWorkers(cfg.Workers, n)
 	red := b.growRed(m)
-	phase := PhaseChunkLocal
-	defer recoverEnginePanic("chunked", &phase, &err)
-	if b.chunk == nil {
-		b.chunk = newChunkRunner[T]()
-	}
-	r := b.chunk
-	r.reset(op, values, labels, nil, m, workers, cfg)
-	team := b.ensureTeam(workers)
-	team.Run(r.localBody)
-	if err := r.g.first(); err != nil {
+	if err := b.chunked(op, values, labels, m, nil, red, cfg); err != nil {
 		return nil, err
 	}
-	phase = PhaseChunkMerge
-	if err := ctxErr(cfg.Ctx); err != nil {
-		return nil, err
-	}
-	r.merge(red)
 	return red, nil
+}
+
+// chunked binds b's runner to one validated call and runs it on b's
+// team.
+func (b *Buffers[T]) chunked(op Op[T], values []T, labels []int, m int, multi, red []T, cfg Config) error {
+	workers := chunkWorkers(cfg.Workers, len(values))
+	if b.chunk == nil {
+		b.chunk = NewChunkRunner[T]("chunked")
+	}
+	b.chunk.bind(op, labels, m, workers)
+	return b.chunk.Run(b.ensureTeam(workers), values, multi, red, cfg)
 }
 
 // SerialEngine adapts b's pooled Serial to the Engine signature.
@@ -447,125 +414,6 @@ func SegmentedScanIn[T any](b *Buffers[T], op Op[T], values []T, segments []bool
 		return nil, nil, err
 	}
 	return res.Multi, res.Reductions, nil
-}
-
-// chunkRunner is the reusable state of the pooled Chunked engine: the
-// per-chunk buckets, first-touch bookkeeping and prebound worker
-// bodies. The bodies never use the team's inner barrier — chunk phases
-// synchronize only through the round gate — so a chunked failure never
-// poisons the team.
-type chunkRunner[T any] struct {
-	op      Op[T]
-	values  []T
-	labels  []int
-	multi   []T // nil in reduce-only runs
-	fast    FastOp
-	hook    FaultHook
-	ctx     context.Context
-	workers int
-	n       int
-	buckets [][]T
-	seen    [][]bool
-	touched [][]int
-	g       chunkGuard
-
-	localBody func(w int, bar *par.Barrier)
-	applyBody func(w int, bar *par.Barrier)
-}
-
-func newChunkRunner[T any]() *chunkRunner[T] {
-	r := &chunkRunner[T]{}
-	r.localBody = r.local
-	r.applyBody = r.apply
-	return r
-}
-
-func (r *chunkRunner[T]) reset(op Op[T], values []T, labels []int, multi []T, m, workers int, cfg Config) {
-	r.op, r.values, r.labels, r.multi = op, values, labels, multi
-	r.hook = cfg.FaultHook
-	r.fast = op.fastKind(cfg.FaultHook)
-	r.ctx = cfg.Ctx
-	r.workers = workers
-	r.n = len(values)
-	for len(r.buckets) < workers {
-		r.buckets = append(r.buckets, nil)
-		r.seen = append(r.seen, nil)
-		r.touched = append(r.touched, nil)
-	}
-	for w := 0; w < workers; w++ {
-		r.buckets[w] = grown(r.buckets[w], m)
-		r.seen[w] = grown(r.seen[w], m)
-	}
-	r.g.stop.Store(false)
-	r.g.mu.Lock()
-	r.g.err = nil
-	r.g.mu.Unlock()
-}
-
-// local runs one chunk's local serial multiprefix (Chunked pass 1+2).
-func (r *chunkRunner[T]) local(w int, _ *par.Barrier) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			r.g.fail(newEnginePanic("chunked", PhaseChunkLocal, w, rec))
-		}
-	}()
-	lo, hi := par.Range(r.n, r.workers, w)
-	buckets, seen := r.buckets[w], r.seen[w]
-	clear(seen)
-	order := r.touched[w][:0]
-	order = chunkLocalPass(r.fast, r.op, r.values, r.labels, r.multi, buckets, seen, order, lo, hi, r.hook, &r.g, r.ctx)
-	r.touched[w] = order
-}
-
-// merge is Chunked pass 3 on the caller's goroutine: the exclusive
-// scan across chunks per label, leaving each chunk's bucket slot
-// holding its offset and red holding the total reductions.
-func (r *chunkRunner[T]) merge(red []T) {
-	fillIdentity(red, r.op.Identity)
-	for w := 0; w < r.workers; w++ {
-		bw := r.buckets[w]
-		for _, l := range r.touched[w] {
-			offset := red[l]
-			if r.hook != nil {
-				r.hook.Combine(PhaseChunkMerge, l)
-			}
-			red[l] = r.op.Combine(red[l], bw[l])
-			bw[l] = offset
-		}
-	}
-}
-
-// apply is Chunked pass 4: add each chunk's offsets onto its local
-// prefix sums. Chunk 0's offsets are the identity, so worker 0 idles.
-func (r *chunkRunner[T]) apply(w int, _ *par.Barrier) {
-	if w == 0 {
-		return
-	}
-	defer func() {
-		if rec := recover(); rec != nil {
-			r.g.fail(newEnginePanic("chunked", PhaseChunkApply, w, rec))
-		}
-	}()
-	lo, hi := par.Range(r.n, r.workers, w)
-	offsets := r.buckets[w]
-	for seg := lo; seg < hi; seg += cancelStride {
-		if r.g.interrupted(r.ctx) {
-			return
-		}
-		end := seg + cancelStride
-		if end > hi {
-			end = hi
-		}
-		if tryChunkApply(r.fast, r.labels, offsets, r.multi, seg, end) {
-			continue
-		}
-		for i := seg; i < end; i++ {
-			if r.hook != nil {
-				r.hook.Combine(PhaseChunkApply, i)
-			}
-			r.multi[i] = r.op.Combine(offsets[r.labels[i]], r.multi[i])
-		}
-	}
 }
 
 // parWorkers resolves the worker count for the parallel engines: the

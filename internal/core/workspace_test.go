@@ -39,14 +39,17 @@ func sameResult(t *testing.T, name string, got, want Result[int64]) {
 // TestPooledEnginesMatchSerial runs every pooled engine repeatedly on
 // the same Buffers with changing shapes and operators, checking
 // bit-exact agreement with the unpooled Serial reference. Shape
-// changes between rounds exercise the grow-in-place paths.
+// changes between rounds exercise the grow-in-place paths. The
+// repeated {257, 1024} round draws fresh labels at an unchanged shape,
+// where each chunk touches a different label set: a pooled runner that
+// kept the previous call's touched lists would fail it.
 func TestPooledEnginesMatchSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	ws := NewWorkspace[int64]()
 	b := ws.Acquire()
 	defer ws.Release(b)
 	shapes := []struct{ n, m int }{
-		{0, 0}, {1, 1}, {17, 3}, {1000, 1}, {1000, 64}, {5000, 997}, {257, 1024}, {4096, 16},
+		{0, 0}, {1, 1}, {17, 3}, {1000, 1}, {1000, 64}, {5000, 997}, {257, 1024}, {257, 1024}, {4096, 16},
 	}
 	ops := []Op[int64]{AddInt64, MaxInt64, MulInt64, MinInt64}
 	cfg := Config{Workers: 4}

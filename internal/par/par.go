@@ -301,6 +301,7 @@ type Team struct {
 	inner   *Barrier // workers only
 	body    func(w int, inner *Barrier)
 	closed  bool
+	exited  sync.WaitGroup // one count per worker, released on exit
 }
 
 // NewTeam starts a team of workers goroutines parked at the start gate.
@@ -314,6 +315,7 @@ func NewTeam(workers int) *Team {
 		gate:    NewBarrier(workers + 1),
 		inner:   NewBarrier(workers),
 	}
+	t.exited.Add(workers)
 	for w := 0; w < workers; w++ {
 		go t.loop(w)
 	}
@@ -328,6 +330,7 @@ func (t *Team) Workers() int { return t.workers }
 func (t *Team) Inner() *Barrier { return t.inner }
 
 func (t *Team) loop(w int) {
+	defer t.exited.Done()
 	for {
 		t.gate.Await() // start of round (or Close)
 		if t.closed {
@@ -349,13 +352,14 @@ func (t *Team) Run(body func(w int, inner *Barrier)) {
 	t.body = nil
 }
 
-// Close shuts the team down: the workers exit and the team must not be
-// used again. Safe to call with workers parked at the start gate (the
-// only state between Runs).
+// Close shuts the team down and returns once every worker goroutine
+// has exited; the team must not be used again. Safe to call with
+// workers parked at the start gate (the only state between Runs).
 func (t *Team) Close() {
 	if t.closed {
 		return
 	}
 	t.closed = true
 	t.gate.Await() // release the workers into the closed check
+	t.exited.Wait()
 }
