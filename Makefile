@@ -2,7 +2,8 @@
 # verify command: everything tier-1 runs (build + tests) plus vet, the
 # race detector on the concurrent packages, and a short fuzz smoke of
 # the root fuzz targets plus the backend plan/sorted/batch parity
-# targets and the server's wire-decoder parity target.
+# targets, the server's wire-decoder parity target and its
+# body-to-response target.
 
 GO ?= go
 FUZZTIME ?= 5s
@@ -36,10 +37,11 @@ race:
 # server's stateful-plan traffic (concurrent update/query/run/evict)
 # re-run under the race detector with fresh scheduling (-count=2) — a
 # small size matrix lives in the tests themselves (worker counts 1..8
-# × the carry-edge label shapes).
+# × the carry-edge label shapes) — and the plan cache's label-text
+# index under concurrent lookups, stores and evictions.
 race-matrix:
 	$(GO) test -race -count=2 -run 'Sorted|Sharded|Batch|Chunk|Plan|Update|Incremental|PanicInjection|PooledEngines' ./internal/backend ./internal/core
-	$(GO) test -race -count=2 -run 'Update|Query|Warm|Metrics|Eviction|Stateful' ./internal/server
+	$(GO) test -race -count=2 -run 'Update|Query|Warm|Metrics|Eviction|Stateful|TextIndex|ServeCompute|OverLimit' ./internal/server
 
 # Each fuzz target runs briefly from its seed corpus plus FUZZTIME of
 # random inputs; failures minimize and persist under testdata/fuzz.
@@ -56,6 +58,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzIncrementalParity$$' -fuzztime $(FUZZTIME) ./internal/backend
 	$(GO) test -run '^$$' -fuzz '^FuzzShardedParity$$' -fuzztime $(FUZZTIME) ./internal/backend
 	$(GO) test -run '^$$' -fuzz '^FuzzComputeDecodeParity$$' -fuzztime $(FUZZTIME) ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzServeCompute$$' -fuzztime $(FUZZTIME) ./internal/server
 
 # Tier-1+: the full robustness gate: lint (vet + the mplint analyzer
 # suite), race, fuzz smoke, a one-iteration pass over every benchmark

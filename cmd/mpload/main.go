@@ -56,6 +56,9 @@ type MixResult struct {
 	// CoalescedAvg is the mean fused-round size observed in responses
 	// (1 = every request ran alone).
 	CoalescedAvg float64 `json:"coalesced_avg"`
+	// TextHitShare is the share of the mix's requests whose plan the
+	// server found by the labels array's wire bytes, from /v1/stats.
+	TextHitShare float64 `json:"text_hit_share"`
 	// Fallbacks counts responses served by the degradation ladder's
 	// serial rung (nonzero only under chaos).
 	Fallbacks int `json:"fallbacks"`
@@ -159,10 +162,15 @@ func main() {
 		if mix == "" {
 			continue
 		}
+		before := serverStats(base)
 		r := runMix(base, mix, bodies, *clients, *dur, *n)
+		after := serverStats(base)
+		if d := after.Requests - before.Requests; d > 0 {
+			r.TextHitShare = float64(after.LabelTextHits-before.LabelTextHits) / float64(d)
+		}
 		rep.Mixes = append(rep.Mixes, r)
-		log.Printf("mpload: %-6s %8.0f qps  mean %6.2fms  p99 %6.2fms  ok %d  err %d  shed %d  coalesced %.2f",
-			r.Mix, r.QPS, r.MeanMS, r.P99MS, r.OK, r.Errors, r.Shed, r.CoalescedAvg)
+		log.Printf("mpload: %-6s %8.0f qps  mean %6.2fms  p99 %6.2fms  ok %d  err %d  shed %d  coalesced %.2f  text hits %.3f",
+			r.Mix, r.QPS, r.MeanMS, r.P99MS, r.OK, r.Errors, r.Shed, r.CoalescedAvg, r.TextHitShare)
 	}
 
 	enc, _ := json.MarshalIndent(rep, "", "  ")
@@ -301,6 +309,22 @@ func parseChaos(spec string, opts *server.Options) error {
 		}
 	}
 	return nil
+}
+
+// serverStats fetches the server's /v1/stats counters; a zero snapshot
+// when they cannot be read.
+func serverStats(base string) server.StatsSnapshot {
+	var st server.StatsSnapshot
+	resp, err := http.Get(base + "/v1/stats")
+	if err != nil {
+		log.Printf("mpload: /v1/stats: %v", err)
+		return st
+	}
+	defer resp.Body.Close()
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		log.Printf("mpload: /v1/stats: %v", err)
+	}
+	return st
 }
 
 func hostname() string {

@@ -70,6 +70,14 @@ type computeRequest struct {
 	// pinned to different versions, and the round is rejected with
 	// version_conflict if the plan has moved on by execution time.
 	PinVersion uint64 `json:"pin_version,omitempty"`
+
+	// labelText is the labels array as the wire carried it, when the
+	// scanner decoded the body (see decodeCompute). It aliases the
+	// body's pooled buffer.
+	labelText []byte
+	// overN is the length of the longest array the decoder refused to
+	// store for holding more than MaxN elements; 0 when none.
+	overN int
 }
 
 // pointUpdate is one resident-value replacement in an updateRequest.

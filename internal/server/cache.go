@@ -1,7 +1,9 @@
 package server
 
 import (
+	"bytes"
 	"container/list"
+	"hash/maphash"
 	"sync"
 
 	"multiprefix/internal/backend"
@@ -29,13 +31,30 @@ import (
 //     lookup accelerator, not an identity. A hit re-checks the full
 //     label vector; a digest collision gets a private, uncached plan
 //     rather than another key's answers.
+//
+// A second index finds an entry by a compute request's labels array as
+// the wire carried it, so that a warm request neither parses nor
+// digests its labels (acquireText). Its hash is likewise only a lookup
+// accelerator: a hit needs the request's text equal, byte for byte, to
+// the text the entry stores.
 type planCache struct {
 	mu      sync.Mutex
 	cap     int
 	workers int
 	entries map[backend.Key]*planEntry
+	texts   map[textKey]*planEntry // entry.text != nil exactly when texts[entry.textKey] == entry
+	seed    maphash.Seed
 	lru     *list.List // of *planEntry, front = most recently used
 	st      *stats
+}
+
+// textKey indexes an entry by a labels array's wire text: the plan
+// identity the text leaves out, and a maphash of the text under the
+// process's own seed, which is never persisted.
+type textKey struct {
+	backend, op string
+	m           int
+	sum         uint64
 }
 
 // planEntry is one cached plan, pinned by every request using it.
@@ -49,6 +68,11 @@ type planEntry struct {
 	refs   int
 	dead   bool // evicted or errored: close plan when refs hits zero
 	elem   *list.Element
+	// text is the last labels text a compute request found this entry
+	// by, which parses to labels; textKey is where it is indexed. nil
+	// when none is, and always once the entry is dead.
+	text    []byte
+	textKey textKey
 }
 
 func newPlanCache(capacity, workers int, st *stats) *planCache {
@@ -56,6 +80,8 @@ func newPlanCache(capacity, workers int, st *stats) *planCache {
 		cap:     capacity,
 		workers: workers,
 		entries: make(map[backend.Key]*planEntry),
+		texts:   make(map[textKey]*planEntry),
+		seed:    maphash.MakeSeed(),
 		lru:     list.New(),
 		st:      st,
 	}
@@ -117,6 +143,60 @@ func (c *planCache) acquire(backendName string, op core.Op[int64], labels []int,
 		return nil, err
 	}
 	return e, nil
+}
+
+// textKey returns the text-index key of a labels text under a resolved
+// backend, operator name and label space.
+func (c *planCache) textKey(backendName, opName string, m int, text []byte) textKey {
+	return textKey{backend: backendName, op: opName, m: m, sum: maphash.Bytes(c.seed, text)}
+}
+
+// acquireText pins the entry indexed under k whose stored text equals
+// text byte for byte, or returns nil. Such an entry is built, and its
+// labels are what text parses to, with n and the label range already
+// checked, so the caller takes them from the entry and skips the
+// parse, the digest and the label compare of acquire. A hit counts as
+// a cache hit and as a text hit.
+func (c *planCache) acquireText(k textKey, text []byte) *planEntry {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e := c.texts[k]
+	if e == nil || !bytes.Equal(e.text, text) {
+		return nil
+	}
+	e.refs++
+	c.lru.MoveToFront(e.elem)
+	c.st.cacheHits.Add(1)
+	c.st.textHits.Add(1)
+	return e
+}
+
+// storeText indexes e under k by a copy of text, which must parse to
+// e's labels; the copy does not alias the request body. One text per
+// entry: the latest replaces the entry's older text and takes k from
+// any other entry. A dead entry (evicted, or a private collision plan)
+// is not indexed.
+func (c *planCache) storeText(e *planEntry, k textKey, text []byte) {
+	own := bytes.Clone(text)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e.dead {
+		return
+	}
+	c.dropTextLocked(e)
+	if old := c.texts[k]; old != nil {
+		c.dropTextLocked(old)
+	}
+	e.text, e.textKey = own, k
+	c.texts[k] = e
+}
+
+// dropTextLocked removes e's text from the text index.
+func (c *planCache) dropTextLocked(e *planEntry) {
+	if e.text != nil {
+		delete(c.texts, e.textKey)
+		e.text = nil
+	}
 }
 
 // release drops one pin. The last pin of a dead entry closes its plan.
@@ -186,12 +266,13 @@ func (c *planCache) evictLocked() {
 	}
 }
 
-// dropLocked unlinks an entry from the map and LRU list and marks it
-// dead. Idempotent.
+// dropLocked unlinks an entry from the map, the text index and the LRU
+// list and marks it dead. Idempotent.
 func (c *planCache) dropLocked(e *planEntry) {
 	if cur, ok := c.entries[e.key]; ok && cur == e {
 		delete(c.entries, e.key)
 	}
+	c.dropTextLocked(e)
 	if e.elem != nil {
 		c.lru.Remove(e.elem)
 		e.elem = nil

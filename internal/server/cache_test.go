@@ -1,6 +1,12 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"math"
+	"net/http"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -245,5 +251,238 @@ func TestCacheBuildErrorNotCached(t *testing.T) {
 	}
 	if st.cacheMisses.Load() != 2 {
 		t.Fatalf("misses = %d, want 2 (failure not cached)", st.cacheMisses.Load())
+	}
+}
+
+// multiprefixBody returns a /v1/multiprefix sum body over labels in
+// [0, m) and the multiprefix core.Serial computes for it.
+func multiprefixBody(t *testing.T, labels []int, m int, values []int64) ([]byte, []int64) {
+	t.Helper()
+	body, err := json.Marshal(req("sum", "", labels, m, values))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := core.Serial(core.AddInt64, values, labels, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body, want.Multi
+}
+
+// postMulti posts a raw /v1/multiprefix body and checks that the 200
+// carries want.
+func (x *testServer) postMulti(body []byte, want []int64) error {
+	resp, err := http.Post(x.ts.URL+"/v1/multiprefix", "application/json", bytes.NewReader(body))
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	var got computeResponse
+	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+		return err
+	}
+	if resp.StatusCode != http.StatusOK || !reflect.DeepEqual(got.Multi, want) {
+		return fmt.Errorf("status %d, multi %v, want %v", resp.StatusCode, got.Multi, want)
+	}
+	return nil
+}
+
+// labelText returns the labels array of a canonical compute body as the
+// text index keys it.
+func labelText(t *testing.T, body []byte) []byte {
+	t.Helper()
+	var r computeRequest
+	if err := decodeCompute(body, &r, math.MaxInt); err != nil || r.labelText == nil {
+		t.Fatalf("not a canonical body with labels: %v", err)
+	}
+	return r.labelText
+}
+
+// TestTextIndexCollision forges a text-index collision, B's text key
+// naming A's entry, with texts of one length that differ in one byte. A
+// request with B's labels must miss, build B's own plan and answer for
+// B; from then on the index finds B's plan by B's text.
+func TestTextIndexCollision(t *testing.T) {
+	x := newTestServer(t, Options{})
+	labelsA, values := refInputs(256, 8)
+	labelsB := append([]int(nil), labelsA...)
+	labelsB[100] = (labelsB[100] + 1) % 8
+	bodyA, wantA := multiprefixBody(t, labelsA, 8, values)
+	bodyB, wantB := multiprefixBody(t, labelsB, 8, values)
+	if len(bodyA) != len(bodyB) || reflect.DeepEqual(wantA, wantB) {
+		t.Fatal("A and B must differ in answer, not in length")
+	}
+	if err := x.postMulti(bodyA, wantA); err != nil {
+		t.Fatal(err)
+	}
+	c := x.s.cache
+	c.mu.Lock()
+	eA := c.lru.Front().Value.(*planEntry)
+	c.texts[c.textKey("auto", core.AddInt64.Name, 8, labelText(t, bodyB))] = eA
+	c.mu.Unlock()
+
+	for i := 0; i < 2; i++ {
+		if err := x.postMulti(bodyB, wantB); err != nil {
+			t.Fatalf("B, post %d: %v", i+1, err)
+		}
+	}
+	if st := x.s.Stats(); st.LabelTextHits != 1 || st.CacheMisses != 2 || st.CachePlans != 2 {
+		t.Fatalf("text hits %d, misses %d, plans %d; want 1, 2, 2", st.LabelTextHits, st.CacheMisses, st.CachePlans)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, e := range c.texts {
+		if e == eA {
+			t.Fatal("B's text still names A's entry")
+		}
+	}
+}
+
+// TestTextIndexEvictionAndClose asserts that eviction and closeAll take
+// an entry's text out of the index, so that the next request with
+// those labels misses and rebuilds.
+func TestTextIndexEvictionAndClose(t *testing.T) {
+	x := newTestServer(t, Options{PlanCacheCap: 1})
+	labels, values := refInputs(128, 8)
+	bodyA, wantA := multiprefixBody(t, labels, 8, values)
+	bodyB, wantB := multiprefixBody(t, testLabels(128, 8, 1), 8, values)
+	for _, step := range []struct {
+		body             []byte
+		want             []int64
+		textHits, misses uint64
+	}{
+		{bodyA, wantA, 0, 1},
+		{bodyA, wantA, 1, 1},
+		{bodyB, wantB, 1, 2}, // evicts A
+		{bodyA, wantA, 1, 3},
+		{bodyA, wantA, 2, 3},
+	} {
+		if err := x.postMulti(step.body, step.want); err != nil {
+			t.Fatal(err)
+		}
+		if st := x.s.Stats(); st.LabelTextHits != step.textHits || st.CacheMisses != step.misses {
+			t.Fatalf("text hits %d, misses %d; want %d, %d", st.LabelTextHits, st.CacheMisses, step.textHits, step.misses)
+		}
+	}
+	if got := len(x.s.cache.texts); got != 1 {
+		t.Fatalf("%d texts indexed for 1 plan", got)
+	}
+
+	x.s.cache.closeAll()
+	if got := len(x.s.cache.texts); got != 0 {
+		t.Fatalf("closeAll left %d texts indexed", got)
+	}
+	if err := x.postMulti(bodyA, wantA); err != nil {
+		t.Fatal(err)
+	}
+	if st := x.s.Stats(); st.LabelTextHits != 2 || st.CacheMisses != 4 {
+		t.Fatalf("after closeAll: text hits %d, misses %d; want 2, 4", st.LabelTextHits, st.CacheMisses)
+	}
+}
+
+// TestTextIndexOneEntry sends one label vector as a compact body, as a
+// whitespace variant and to /v1/update: three texts, or none, for one
+// plan. All resolve to the one cached entry, and the index holds the
+// latest text.
+func TestTextIndexOneEntry(t *testing.T) {
+	x := newTestServer(t, Options{})
+	labels, values := refInputs(128, 8)
+	compact, want := multiprefixBody(t, labels, 8, values)
+	spaced, err := json.MarshalIndent(req("sum", "", labels, 8, values), "", " ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, body := range [][]byte{compact, compact, spaced, spaced, compact} {
+		if err := x.postMulti(body, want); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if resp := x.post(t, "/v1/update", map[string]any{"op": "sum", "m": 8, "labels": labels, "values": values}, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("update: status %d", resp.StatusCode)
+	}
+	st := x.s.Stats()
+	if st.CachePlans != 1 || st.CacheMisses != 1 || st.CacheHits != 5 || st.LabelTextHits != 2 {
+		t.Fatalf("plans %d, misses %d, hits %d, text hits %d; want 1, 1, 5, 2",
+			st.CachePlans, st.CacheMisses, st.CacheHits, st.LabelTextHits)
+	}
+	if got := len(x.s.cache.texts); got != 1 {
+		t.Fatalf("%d texts indexed for 1 plan", got)
+	}
+}
+
+// TestTextIndexIdentity sends one labels text under two operators, two
+// backends and two label spaces: four plans, each found by the text
+// only under its own identity, so that none serves another's answers.
+func TestTextIndexIdentity(t *testing.T) {
+	x := newTestServer(t, Options{})
+	labels, values := refInputs(128, 8)
+	for round := 0; round < 2; round++ {
+		for _, id := range []struct {
+			op, backend string
+			m           int
+		}{{"sum", "", 8}, {"max", "", 8}, {"sum", "serial", 8}, {"sum", "", 9}} {
+			body, err := json.Marshal(req(id.op, id.backend, labels, id.m, values))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := core.Serial(ops[id.op], values, labels, id.m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := x.postMulti(body, want.Multi); err != nil {
+				t.Fatalf("%+v: %v", id, err)
+			}
+		}
+	}
+	if st := x.s.Stats(); st.CachePlans != 4 || st.CacheMisses != 4 || st.LabelTextHits != 4 {
+		t.Fatalf("plans %d, misses %d, text hits %d; want 4, 4, 4", st.CachePlans, st.CacheMisses, st.LabelTextHits)
+	}
+}
+
+// TestTextIndexConcurrent sends three label vectors, each in two
+// encodings, from several clients at once through a two-plan cache, so
+// that lookups, text stores and evictions race; every answer must be
+// the serial one.
+func TestTextIndexConcurrent(t *testing.T) {
+	x := newTestServer(t, Options{PlanCacheCap: 2})
+	_, values := refInputs(128, 8)
+	var bodies [][]byte
+	var wants [][]int64
+	for salt := 0; salt < 3; salt++ {
+		labels := testLabels(128, 8, salt)
+		body, want := multiprefixBody(t, labels, 8, values)
+		spaced, err := json.MarshalIndent(req("sum", "", labels, 8, values), "", " ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies = append(bodies, body, spaced)
+		wants = append(wants, want, want)
+	}
+	const clients, rounds = 4, 24
+	var wg sync.WaitGroup
+	for g := 0; g < clients; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				k := (g + i*(g+1)) % len(bodies)
+				if err := x.postMulti(bodies[k], wants[k]); err != nil {
+					t.Errorf("client %d, request %d: %v", g, i, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	// Whatever survived is consistent: a live entry under its own key,
+	// holding a text that parses to its labels.
+	c := x.s.cache
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for k, e := range c.texts {
+		r := computeRequest{labelText: e.text}
+		if e.dead || e.textKey != k || parseLabelText(e.text, &r, math.MaxInt) != nil || !reflect.DeepEqual(r.Labels, e.labels) {
+			t.Fatalf("text index entry %+v inconsistent", k)
+		}
 	}
 }

@@ -58,6 +58,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("mp_fused_members_total", "Request vectors served by fused rounds.", snap.FusedMembers)
 	counter("mp_split_rounds_total", "Ladder transitions from fused to split-and-rerun.", snap.SplitRounds)
 	counter("mp_plan_cache_hits_total", "Plan cache hits.", snap.CacheHits)
+	counter("mp_plan_cache_text_hits_total", "Plan cache hits found by the labels array's wire bytes, without parsing it.", snap.LabelTextHits)
 	counter("mp_plan_cache_misses_total", "Plan cache misses (builds).", snap.CacheMisses)
 	counter("mp_plan_cache_evictions_total", "Plans evicted from the cache.", snap.CacheEvictions)
 	counter("mp_chaos_panics_total", "Requests armed with a chaos panic hook.", snap.ChaosPanics)

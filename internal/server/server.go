@@ -130,6 +130,7 @@ type stats struct {
 	fusedMembers     atomic.Uint64
 	splitRounds      atomic.Uint64
 	cacheHits        atomic.Uint64
+	textHits         atomic.Uint64
 	cacheMisses      atomic.Uint64
 	cacheEvictions   atomic.Uint64
 	chaosPanics      atomic.Uint64
@@ -160,6 +161,9 @@ type StatsSnapshot struct {
 	FusedMembers     uint64 `json:"fused_members"`
 	SplitRounds      uint64 `json:"split_rounds"`
 	CacheHits        uint64 `json:"cache_hits"`
+	// LabelTextHits counts the cache hits found by the labels array's
+	// wire bytes, without parsing it (a subset of CacheHits).
+	LabelTextHits    uint64 `json:"label_text_hits"`
 	CacheMisses      uint64 `json:"cache_misses"`
 	CacheEvictions   uint64 `json:"cache_evictions"`
 	CachePlans       int    `json:"cache_plans"`
@@ -261,6 +265,7 @@ func (s *Server) Stats() StatsSnapshot {
 		FusedMembers:     s.st.fusedMembers.Load(),
 		SplitRounds:      s.st.splitRounds.Load(),
 		CacheHits:        s.st.cacheHits.Load(),
+		LabelTextHits:    s.st.textHits.Load(),
 		CacheMisses:      s.st.cacheMisses.Load(),
 		CacheEvictions:   s.st.cacheEvictions.Load(),
 		CachePlans:       s.cache.plans(),
@@ -281,7 +286,8 @@ func (s *Server) Stats() StatsSnapshot {
 // handleCompute builds the handler for one of the four compute
 // endpoints. The request pipeline: drain gate -> admission -> decode
 // and validate -> deadline -> plan cache -> chaos arm -> coalescer ->
-// wait -> respond.
+// wait -> respond. A canonical body's plan is looked up by the bytes
+// of its labels array first, and only a miss parses them.
 func (s *Server) handleCompute(reduce, batchEP bool) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		s.st.requests.Add(1)
@@ -298,11 +304,36 @@ func (s *Server) handleCompute(reduce, batchEP bool) http.HandlerFunc {
 		}
 		defer release()
 
-		var req computeRequest
-		if !s.decodeJSON(w, r, &req) {
+		var (
+			req   computeRequest
+			entry *planEntry // pinned by the text index or by acquire
+		)
+		wb, ok := s.readRequest(w, r)
+		if !ok {
 			return
 		}
-		op, backendName, ok := s.resolvePlanIdent(w, req.Op, req.Backend, req.Labels, req.M)
+		defer func() {
+			if wb != nil {
+				putWireBuf(wb)
+			}
+			if entry != nil {
+				s.cache.release(entry)
+			}
+		}()
+		err := decodeCompute(wb.b, &req, s.opts.MaxN)
+		var tk textKey
+		if err == nil && req.labelText != nil {
+			if entry, tk = s.findText(&req); entry != nil {
+				req.Labels, req.labelText = entry.labels, nil
+			} else {
+				err = parseLabelText(wb.b, &req, s.opts.MaxN)
+			}
+		}
+		if err != nil {
+			s.badJSON(w, err)
+			return
+		}
+		op, backendName, ok := s.resolvePlanIdent(w, req.Op, req.Backend, max(len(req.Labels), req.overN), req.M)
 		if !ok {
 			return
 		}
@@ -331,13 +362,21 @@ func (s *Server) handleCompute(reduce, batchEP bool) http.HandlerFunc {
 		defer cancel()
 		deadline, _ := ctx.Deadline()
 
-		entry, err := s.cache.acquire(backendName, op, req.Labels, req.M)
-		if err != nil {
-			status, kind := classify(err)
-			s.writeError(w, status, kind, err.Error())
-			return
+		if entry == nil {
+			if entry, err = s.cache.acquire(backendName, op, req.Labels, req.M); err != nil {
+				status, kind := classify(err)
+				s.writeError(w, status, kind, err.Error())
+				return
+			}
+			if req.labelText != nil {
+				s.cache.storeText(entry, tk, req.labelText)
+			}
 		}
-		defer s.cache.release(entry)
+		// The label text was the last alias of the body: hand its
+		// buffer back before the wait, for this response's encoding.
+		req.labelText = nil
+		putWireBuf(wb)
+		wb = nil
 
 		cctx, hook := s.armChaos(ctx, n)
 		dstLen := n
@@ -394,6 +433,25 @@ func (s *Server) handleCompute(reduce, batchEP bool) http.HandlerFunc {
 		s.st.ok.Add(1)
 		writeCompute(w, &resp)
 	}
+}
+
+// findText looks req's labels text up in the plan cache's text index
+// under the plan identity req names. It returns the pinned entry on a
+// hit, and otherwise the key to index the text under once the plan is
+// pinned. A request naming an operator or backend the service does not
+// serve is not looked up: it fails validation once its labels have
+// parsed, as it did before the index.
+func (s *Server) findText(req *computeRequest) (*planEntry, textKey) {
+	op, ok := ops[req.Op]
+	backendName := req.Backend
+	if backendName == "" {
+		backendName = s.opts.Backend
+	}
+	if !ok || !serviceBackends[backendName] {
+		return nil, textKey{}
+	}
+	k := s.cache.textKey(backendName, op.Name, req.M, req.labelText)
+	return s.cache.acquireText(k, req.labelText), k
 }
 
 // armChaos applies the server's chaos configuration to one request:

@@ -61,9 +61,10 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) (release func(), 
 }
 
 // resolvePlanIdent validates the plan identity every endpoint shares —
-// operator, backend, problem shape — writing the typed error itself on
-// failure. It returns the resolved operator and backend name.
-func (s *Server) resolvePlanIdent(w http.ResponseWriter, opName, backendName string, labels []int, m int) (core.Op[int64], string, bool) {
+// operator, backend, problem shape (n labels, label space m) — writing
+// the typed error itself on failure. It returns the resolved operator
+// and backend name.
+func (s *Server) resolvePlanIdent(w http.ResponseWriter, opName, backendName string, n, m int) (core.Op[int64], string, bool) {
 	op, ok := ops[opName]
 	if !ok {
 		s.writeError(w, http.StatusBadRequest, kindBadInput, fmt.Sprintf("unknown op %q", opName))
@@ -77,7 +78,7 @@ func (s *Server) resolvePlanIdent(w http.ResponseWriter, opName, backendName str
 			fmt.Sprintf("backend %q is not served (want auto, serial, sorted, sharded, chunked, parallel or spinetree)", backendName))
 		return core.Op[int64]{}, "", false
 	}
-	if n := len(labels); n > s.opts.MaxN {
+	if n > s.opts.MaxN {
 		s.writeError(w, http.StatusBadRequest, kindBadInput,
 			fmt.Sprintf("n=%d exceeds limit %d", n, s.opts.MaxN))
 		return core.Op[int64]{}, "", false
@@ -142,7 +143,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeJSON(w, r, &req) {
 		return
 	}
-	op, backendName, ok := s.resolvePlanIdent(w, req.Op, req.Backend, req.Labels, req.M)
+	op, backendName, ok := s.resolvePlanIdent(w, req.Op, req.Backend, len(req.Labels), req.M)
 	if !ok {
 		return
 	}
@@ -239,7 +240,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeJSON(w, r, &req) {
 		return
 	}
-	op, backendName, ok := s.resolvePlanIdent(w, req.Op, req.Backend, req.Labels, req.M)
+	op, backendName, ok := s.resolvePlanIdent(w, req.Op, req.Backend, len(req.Labels), req.M)
 	if !ok {
 		return
 	}

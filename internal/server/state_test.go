@@ -256,6 +256,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	for _, want := range []string{
 		"mp_requests_total 2",
 		"mp_plan_cache_misses_total 1",
+		"mp_plan_cache_text_hits_total 0",
 		"mp_update_requests_total 1",
 		"mp_query_requests_total 1",
 		"mp_updates_applied_total 1",

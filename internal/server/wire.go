@@ -18,7 +18,9 @@ import (
 // multiprefix itself, so canonical compute bodies take a single-pass
 // scanner instead. json.Unmarshal stays the reference: every body the scanner
 // does not accept goes to it, and FuzzComputeDecodeParity holds the
-// scanner to its results.
+// scanner to its results. The scanner leaves the labels array as text,
+// because a warm request's plan is found by those bytes alone (see the
+// plan cache's text index) and its labels are never parsed.
 
 // maxPooledBuf caps the wire buffers kept for reuse. A buffer that grew
 // past it for one large body is dropped, so the pool never pins memory
@@ -63,44 +65,77 @@ func readBody(b []byte, r io.Reader) ([]byte, error) {
 	}
 }
 
-// decodeJSON reads the whole size-bounded request body and decodes it
-// into v, writing the typed error itself on failure: 413 when the body
-// exceeds MaxBody, 400 when it is not exactly one JSON value of v's
-// shape.
-func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+// readRequest reads the whole size-bounded request body into a pooled
+// buffer, writing the typed error itself on failure: 413 when the body
+// exceeds MaxBody, 400 when it cannot be read. The caller returns the
+// buffer with putWireBuf once nothing it decoded aliases it.
+func (s *Server) readRequest(w http.ResponseWriter, r *http.Request) (*wireBuf, bool) {
 	wb := getWireBuf()
-	defer putWireBuf(wb)
 	var err error
 	wb.b, err = readBody(wb.b, http.MaxBytesReader(w, r.Body, s.opts.MaxBody))
-	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			s.writeError(w, http.StatusRequestEntityTooLarge, kindTooLarge,
-				fmt.Sprintf("body exceeds %d bytes", s.opts.MaxBody))
-			return false
-		}
-		s.writeError(w, http.StatusBadRequest, kindBadInput, "reading body: "+err.Error())
+	if err == nil {
+		return wb, true
+	}
+	putWireBuf(wb)
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) {
+		s.writeError(w, http.StatusRequestEntityTooLarge, kindTooLarge,
+			fmt.Sprintf("body exceeds %d bytes", s.opts.MaxBody))
+		return nil, false
+	}
+	s.writeError(w, http.StatusBadRequest, kindBadInput, "reading body: "+err.Error())
+	return nil, false
+}
+
+// decodeJSON reads the request body and decodes it into v with
+// json.Unmarshal, writing the typed error itself on failure: 413 or 400
+// as readRequest, and 400 when the body is not exactly one JSON value
+// of v's shape.
+func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+	wb, ok := s.readRequest(w, r)
+	if !ok {
 		return false
 	}
-	if err := decodeBody(wb.b, v); err != nil {
-		s.writeError(w, http.StatusBadRequest, kindBadInput, "malformed JSON: "+err.Error())
+	defer putWireBuf(wb)
+	if err := json.Unmarshal(wb.b, v); err != nil {
+		s.badJSON(w, err)
 		return false
 	}
 	return true
 }
 
-// decodeBody decodes one JSON body into v, which must point to a zero
-// value. A *computeRequest in the canonical shape takes the scanner;
-// any other body, or a compute body the scanner gives up on, goes to
-// json.Unmarshal on a zero value.
-func decodeBody(data []byte, v any) error {
-	if req, ok := v.(*computeRequest); ok {
-		if scanCompute(data, req) {
-			return nil
-		}
-		*req = computeRequest{}
+// badJSON writes the 400 for a body that does not decode.
+func (s *Server) badJSON(w http.ResponseWriter, err error) {
+	s.writeError(w, http.StatusBadRequest, kindBadInput, "malformed JSON: "+err.Error())
+}
+
+// decodeCompute decodes a compute body into req, which must be zero. A
+// canonical body takes the scanner, which leaves the labels array
+// unparsed in req.labelText so that the plan cache can look it up by
+// its bytes; parseLabelText parses it. The scanner stores no array
+// longer than maxN (see scanInts). Any other body goes to
+// json.Unmarshal, which decodes every array whole, as before.
+func decodeCompute(data []byte, req *computeRequest, maxN int) error {
+	if scanCompute(data, req, maxN) {
+		return nil
 	}
-	return json.Unmarshal(data, v)
+	*req = computeRequest{}
+	return json.Unmarshal(data, req)
+}
+
+// parseLabelText parses the labels text decodeCompute left in req into
+// req.Labels and keeps the text. A text the scanner cannot parse sends
+// the whole body to json.Unmarshal, as any body the scanner refuses,
+// and req.labelText ends nil.
+func parseLabelText(data []byte, req *computeRequest, maxN int) error {
+	s := wireScanner{d: req.labelText, maxLen: maxN}
+	if labels, ok := scanInts[int](&s); ok && s.i == len(s.d) {
+		req.Labels = labels
+		req.overN = max(req.overN, s.over)
+		return nil
+	}
+	*req = computeRequest{}
+	return json.Unmarshal(data, req)
 }
 
 // One bit per computeRequest JSON key, so that the scanner can refuse a
@@ -122,9 +157,11 @@ const (
 // without escapes or control bytes; integers without fraction or
 // exponent that fit their field; arrays of those; and nothing but
 // whitespace after the object. For every such body json.Unmarshal
-// yields the same struct. On false req may hold partial fields.
-func scanCompute(data []byte, req *computeRequest) bool {
-	s := wireScanner{d: data}
+// yields the same struct once parseLabelText has parsed the labels,
+// which the scanner leaves as text: the bytes from the array's '[' to
+// its first ']', aliasing data. On false req may hold partial fields.
+func scanCompute(data []byte, req *computeRequest, maxN int) bool {
+	s := wireScanner{d: data, maxLen: maxN}
 	if !s.consume('{') {
 		return false
 	}
@@ -147,7 +184,7 @@ func scanCompute(data []byte, req *computeRequest) bool {
 			req.M, ok = scanInt[int](&s)
 		case "labels":
 			bit = keyLabels
-			req.Labels, ok = scanInts[int](&s)
+			req.labelText, ok = s.arrayText()
 		case "values":
 			bit = keyValues
 			req.Values, ok = scanInts[int64](&s)
@@ -177,6 +214,7 @@ func scanCompute(data []byte, req *computeRequest) bool {
 			s.i++
 		case '}':
 			s.i++
+			req.overN = s.over
 			return s.end()
 		default:
 			return false
@@ -184,10 +222,13 @@ func scanCompute(data []byte, req *computeRequest) bool {
 	}
 }
 
-// wireScanner walks a JSON body; i is the next unread byte.
+// wireScanner walks a JSON body; i is the next unread byte. scanInts
+// stores no array longer than maxLen, and over is the length of the
+// longest one it refused to store.
 type wireScanner struct {
-	d []byte
-	i int
+	d            []byte
+	i            int
+	maxLen, over int
 }
 
 // next skips whitespace and returns the next byte, or 0 at the end.
@@ -300,33 +341,60 @@ func scanInt[T int | int64](s *wireScanner) (T, bool) {
 	return T(v), true
 }
 
-// scanInts scans an array of integers that fit T into a slice presized
-// by the array's comma count. An empty array yields an empty, non-nil
-// slice, as it does from json.Unmarshal.
-func scanInts[T int | int64](s *wireScanner) ([]T, bool) {
-	if !s.consume('[') {
+// arrayText returns an array's bytes from its '[' to the first ']'
+// without parsing them; they alias the body. For an array of integers
+// that is the whole array.
+func (s *wireScanner) arrayText() ([]byte, bool) {
+	if s.next() != '[' {
 		return nil, false
 	}
 	end := bytes.IndexByte(s.d[s.i:], ']')
 	if end < 0 {
 		return nil, false
 	}
-	out := make([]T, 0, bytes.Count(s.d[s.i:s.i+end], []byte{','})+1)
+	b := s.d[s.i : s.i+end+1]
+	s.i += end + 1
+	return b, true
+}
+
+// scanInts scans an array of integers that fit T into a slice presized
+// by the array's comma count. An array whose comma count puts it over
+// maxLen is still scanned, so that a malformed one is refused as such,
+// but nothing is allocated for it: it yields a nil slice and raises
+// over to its length. An empty array yields an empty, non-nil slice, as
+// it does from json.Unmarshal.
+func scanInts[T int | int64](s *wireScanner) ([]T, bool) {
+	if !s.consume('[') {
+		return nil, false
+	}
 	if s.next() == ']' {
 		s.i++
-		return out, true
+		return []T{}, true
 	}
-	for {
+	end := bytes.IndexByte(s.d[s.i:], ']')
+	if end < 0 {
+		return nil, false
+	}
+	var out []T
+	if c := bytes.Count(s.d[s.i:s.i+end], []byte{','}) + 1; c <= s.maxLen {
+		out = make([]T, 0, c)
+	}
+	for n := 1; ; n++ {
 		v, ok := scanInt[T](s)
 		if !ok {
 			return nil, false
 		}
-		out = append(out, v)
+		if out != nil {
+			out = append(out, v)
+		}
 		switch s.next() {
 		case ',':
 			s.i++
 		case ']':
 			s.i++
+			if out == nil {
+				s.over = max(s.over, n)
+			}
 			return out, true
 		default:
 			return nil, false
