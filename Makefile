@@ -2,8 +2,8 @@
 # verify command: everything tier-1 runs (build + tests) plus vet, the
 # race detector on the concurrent packages, and a short fuzz smoke of
 # the root fuzz targets plus the backend plan/sorted/batch parity
-# targets, the server's wire-decoder parity target and its
-# body-to-response target.
+# targets, the server's wire-decoder parity target, its integer-codec
+# target and its body-to-response target.
 
 GO ?= go
 FUZZTIME ?= 5s
@@ -58,6 +58,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzIncrementalParity$$' -fuzztime $(FUZZTIME) ./internal/backend
 	$(GO) test -run '^$$' -fuzz '^FuzzShardedParity$$' -fuzztime $(FUZZTIME) ./internal/backend
 	$(GO) test -run '^$$' -fuzz '^FuzzComputeDecodeParity$$' -fuzztime $(FUZZTIME) ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzIntCodec$$' -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzServeCompute$$' -fuzztime $(FUZZTIME) ./internal/server
 
 # Tier-1+: the full robustness gate: lint (vet + the mplint analyzer

@@ -80,6 +80,18 @@ type computeRequest struct {
 	overN int
 }
 
+// longest is the length of r's longest array, a batch counting its
+// vectors as elements: what the n-limit applies to. It counts the arrays
+// the scanner refused to store through overN, and every array of a body
+// json.Unmarshal decoded.
+func (r *computeRequest) longest() int {
+	n := max(len(r.Labels), len(r.Values), len(r.Batch), r.overN)
+	for _, v := range r.Batch {
+		n = max(n, len(v))
+	}
+	return n
+}
+
 // pointUpdate is one resident-value replacement in an updateRequest.
 type pointUpdate struct {
 	// I is the element index in [0, n).

@@ -333,7 +333,7 @@ func (s *Server) handleCompute(reduce, batchEP bool) http.HandlerFunc {
 			s.badJSON(w, err)
 			return
 		}
-		op, backendName, ok := s.resolvePlanIdent(w, req.Op, req.Backend, max(len(req.Labels), req.overN), req.M)
+		op, backendName, ok := s.resolvePlanIdent(w, req.Op, req.Backend, req.longest(), req.M)
 		if !ok {
 			return
 		}
@@ -431,7 +431,7 @@ func (s *Server) handleCompute(reduce, batchEP bool) http.HandlerFunc {
 			resp.Fallback = "serial"
 		}
 		s.st.ok.Add(1)
-		writeCompute(w, &resp)
+		writeWire(w, &resp, appendCompute)
 	}
 }
 
@@ -504,7 +504,7 @@ func (s *Server) respondBatch(w http.ResponseWriter, backendName, opName string,
 		resp.Results[i] = item
 	}
 	s.st.ok.Add(1)
-	writeJSON(w, http.StatusOK, resp)
+	writeWire(w, &resp, appendBatch)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

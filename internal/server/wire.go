@@ -2,12 +2,15 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 )
@@ -223,12 +226,14 @@ func scanCompute(data []byte, req *computeRequest, maxN int) bool {
 }
 
 // wireScanner walks a JSON body; i is the next unread byte. scanInts
-// stores no array longer than maxLen, and over is the length of the
-// longest one it refused to store.
+// and batch store no array longer than maxLen, and over is the length
+// of the longest one they refused to store. While drop is set, scanInts
+// stores nothing: batch sets it for the vectors of an over-long batch.
 type wireScanner struct {
 	d            []byte
 	i            int
 	maxLen, over int
+	drop         bool
 }
 
 // next skips whitespace and returns the next byte, or 0 at the end.
@@ -357,12 +362,32 @@ func (s *wireScanner) arrayText() ([]byte, bool) {
 	return b, true
 }
 
+// The SWAR ("SIMD within a register") constants of the integer codec:
+// each holds one value in every byte lane of a 64-bit word.
+const (
+	swarZeros = 0x3030303030303030 // '0'
+	swarLow7  = 0x7f7f7f7f7f7f7f7f // all but a lane's top bit
+	swarOver9 = 0x7676767676767676 // carries into a lane's top bit from 10 up
+	swarTops  = 0x8080808080808080 // a lane's top bit
+)
+
 // scanInts scans an array of integers that fit T into a slice presized
 // by the array's comma count. An array whose comma count puts it over
-// maxLen is still scanned, so that a malformed one is refused as such,
-// but nothing is allocated for it: it yields a nil slice and raises
-// over to its length. An empty array yields an empty, non-nil slice, as
-// it does from json.Unmarshal.
+// maxLen, or any array while drop is set, is still scanned, so that a
+// malformed one is refused as such, but nothing is allocated for it: it
+// yields a nil slice, and one over maxLen raises over to its length. An
+// empty array yields an empty, non-nil slice, as it does from
+// json.Unmarshal.
+//
+// An element of one to seven digits, optionally signed, that ends inside
+// the 8-byte word after its sign takes the SWAR fast path: a byte mask
+// finds the digit run, three multiply-shift steps convert it, and the
+// sign is applied without a branch. Every other element goes to scanInt:
+// whitespace, a leading zero, eight digits or more, one with fewer than
+// nine bytes left, anything malformed, and the element after one that
+// took eight bytes or more, so that an array of long integers costs what
+// scanInt alone costs. The fast path takes only text scanInt reads as
+// the same value, so json.Unmarshal stays the reference for both.
 func scanInts[T int | int64](s *wireScanner) ([]T, bool) {
 	if !s.consume('[') {
 		return nil, false
@@ -376,33 +401,75 @@ func scanInts[T int | int64](s *wireScanner) ([]T, bool) {
 		return nil, false
 	}
 	var out []T
-	if c := bytes.Count(s.d[s.i:s.i+end], []byte{','}) + 1; c <= s.maxLen {
+	c := bytes.Count(s.d[s.i:s.i+end], []byte{','}) + 1
+	if c <= s.maxLen && !s.drop {
 		out = make([]T, 0, c)
 	}
+	// i stands for s.i between scanInt calls, so that the word each
+	// element loads depends on nothing but the previous one's length.
+	d, i := s.d, s.i
+	long := false
 	for n := 1; ; n++ {
-		v, ok := scanInt[T](s)
+		var v T
+		ok := false
+		if !long && len(d)-i > 8 {
+			neg := 0
+			if d[i] == '-' {
+				neg = 1
+			}
+			x := binary.LittleEndian.Uint64(d[i+neg:]) ^ swarZeros
+			nd := bits.TrailingZeros64(((x&swarLow7)+swarOver9|x)&swarTops) >> 3
+			if ok = uint(nd-1) < 7 && (x&0xff != 0 || nd == 1); ok {
+				v = T((int64(parseDigits(x, nd)) ^ -int64(neg)) + int64(neg))
+				i += neg + nd
+			}
+		}
 		if !ok {
-			return nil, false
+			s.i = i
+			if v, ok = scanInt[T](s); !ok {
+				return nil, false
+			}
+			i, long = s.i, s.i-i >= 8
 		}
 		if out != nil {
 			out = append(out, v)
 		}
+		if i < len(d) && d[i] == ',' {
+			i++
+			continue
+		}
+		s.i = i
 		switch s.next() {
 		case ',':
 			s.i++
 		case ']':
 			s.i++
-			if out == nil {
+			if c > s.maxLen {
 				s.over = max(s.over, n)
 			}
 			return out, true
 		default:
 			return nil, false
 		}
+		i = s.i
 	}
 }
 
-// batch scans an array of int64 arrays.
+// parseDigits returns the value of the nd (1 to 7) decimal digits in the
+// low bytes of x, the first and most significant in the lowest, each
+// byte less '0'. Shifting them to the top of the word leaves leading
+// zeros below; each step then joins neighbouring lanes, 1+1, 2+2 and
+// 4+4 digits, by one multiply and one shift.
+func parseDigits(x uint64, nd int) uint64 {
+	x <<= (64 - 8*nd) & 63
+	x = (x * (1 + 10<<8) >> 8) & 0x00ff00ff00ff00ff
+	x = (x * (1 + 100<<16) >> 16) & 0x0000ffff0000ffff
+	return x * (1 + 10000<<32) >> 32
+}
+
+// batch scans an array of int64 arrays. It counts the vectors as
+// scanInts counts elements: past maxLen it stores none of them, still
+// scanning the rest, and raises over to the vector count.
 func (s *wireScanner) batch() ([][]int64, bool) {
 	if !s.consume('[') {
 		return nil, false
@@ -412,17 +479,26 @@ func (s *wireScanner) batch() ([][]int64, bool) {
 		s.i++
 		return out, true
 	}
-	for {
+	for n := 1; ; n++ {
+		if s.drop = n > s.maxLen; s.drop {
+			out = nil
+		}
 		v, ok := scanInts[int64](s)
 		if !ok {
 			return nil, false
 		}
-		out = append(out, v)
+		if !s.drop {
+			out = append(out, v)
+		}
 		switch s.next() {
 		case ',':
 			s.i++
 		case ']':
 			s.i++
+			if s.drop {
+				s.drop = false
+				s.over = max(s.over, n)
+			}
 			return out, true
 		default:
 			return nil, false
@@ -430,12 +506,12 @@ func (s *wireScanner) batch() ([][]int64, bool) {
 	}
 }
 
-// writeCompute sends a single-vector compute response, append-encoded
+// writeWire sends a compute response as a 200, append-encoded by enc
 // into a pooled buffer and sent with its Content-Length.
-func writeCompute(w http.ResponseWriter, resp *computeResponse) {
+func writeWire[R any](w http.ResponseWriter, resp *R, enc func([]byte, *R) []byte) {
 	wb := getWireBuf()
 	defer putWireBuf(wb)
-	wb.b = appendCompute(wb.b, resp)
+	wb.b = enc(wb.b, resp)
 	h := w.Header()
 	h.Set("Content-Type", "application/json")
 	h.Set("Content-Length", strconv.Itoa(len(wb.b)))
@@ -471,15 +547,129 @@ func appendCompute(b []byte, r *computeResponse) []byte {
 	return append(b, "}\n"...)
 }
 
-func appendInts(b []byte, v []int64) []byte {
-	b = append(b, '[')
-	for i, x := range v {
-		if i > 0 {
-			b = append(b, ',')
+// appendBatch appends r's JSON encoding to b: byte for byte what
+// json.Encoder.Encode writes for it, trailing newline included.
+func appendBatch(b []byte, r *batchResponse) []byte {
+	b = append(b, `{"backend":`...)
+	b = appendString(b, r.Backend)
+	b = append(b, `,"op":`...)
+	b = appendString(b, r.Op)
+	b = append(b, `,"n":`...)
+	b = strconv.AppendInt(b, int64(r.N), 10)
+	b = append(b, `,"m":`...)
+	b = strconv.AppendInt(b, int64(r.M), 10)
+	b = append(b, `,"results":`...)
+	if r.Results == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i := range r.Results {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendItem(b, &r.Results[i])
 		}
-		b = strconv.AppendInt(b, x, 10)
+		b = append(b, ']')
 	}
-	return append(b, ']')
+	b = append(b, `,"failed":`...)
+	b = strconv.AppendInt(b, int64(r.Failed), 10)
+	return append(b, "}\n"...)
+}
+
+// appendItem appends one batch item's JSON object, leaving out the
+// fields its struct tags mark omitempty when they are empty.
+func appendItem(b []byte, it *batchItem) []byte {
+	b = append(b, '{')
+	open := len(b)
+	if len(it.Multi) > 0 {
+		b = appendInts(append(b, `"multi":`...), it.Multi)
+	}
+	if len(it.Reductions) > 0 {
+		b = appendInts(appendKey(b, open, `"reductions":`), it.Reductions)
+	}
+	if it.Coalesced != 0 {
+		b = strconv.AppendInt(appendKey(b, open, `"coalesced":`), int64(it.Coalesced), 10)
+	}
+	if it.Fallback != "" {
+		b = appendString(appendKey(b, open, `"fallback":`), it.Fallback)
+	}
+	if e := it.Error; e != nil {
+		b = append(appendKey(b, open, `"error":`), `{"kind":`...)
+		b = appendString(b, e.Kind)
+		b = appendString(append(b, `,"message":`...), e.Message)
+		b = append(b, '}')
+	}
+	return append(b, '}')
+}
+
+// appendKey appends key, after a comma unless it is the first field of
+// the object whose fields start at open.
+func appendKey(b []byte, open int, key string) []byte {
+	if len(b) > open {
+		b = append(b, ',')
+	}
+	return append(b, key...)
+}
+
+// intsChunk is how many integers appendInts formats per growth of its
+// buffer, and maxIntText the most bytes one of them takes with its
+// comma: len("-9223372036854775808,").
+const (
+	intsChunk  = 512
+	maxIntText = 21
+)
+
+// appendInts appends v as a JSON array, byte for byte as json.Encoder
+// writes it. The buffer grows once per chunk of integers, by their
+// longest possible text, which leaves room for every 8-byte store. A
+// magnitude below 10^8 is formatted by formatDigits and written by one
+// store; a larger one goes to strconv.
+func appendInts(b []byte, v []int64) []byte {
+	if len(v) == 0 {
+		return append(b, "[]"...)
+	}
+	b = append(b, '[')
+	for len(v) > 0 {
+		c := v[:min(len(v), intsChunk)]
+		v = v[len(c):]
+		b = slices.Grow(b, len(c)*maxIntText)
+		n := len(b)
+		b = b[:cap(b)]
+		for _, x := range c {
+			sign := x >> 63 // -1 when x is negative, else 0
+			u := uint64((x ^ sign) - sign)
+			b[n] = '-'
+			n -= int(sign)
+			if u >= 1e8 {
+				n = len(strconv.AppendUint(b[:n], u, 10))
+				b[n] = ','
+				n++
+				continue
+			}
+			d := formatDigits(u)
+			lz := min(bits.TrailingZeros64(d)>>3, 7) // leading zeros, keeping one digit
+			binary.LittleEndian.PutUint64(b[n:], (d|swarZeros)>>(8*lz&63))
+			n += 8 - lz
+			b[n] = ','
+			n++
+		}
+		b = b[:n]
+	}
+	b[len(b)-1] = ']'
+	return b
+}
+
+// formatDigits returns the eight decimal digits of u < 10^8 in the byte
+// lanes of one word, the most significant in the lowest, each as its
+// value: one little-endian store of the word, each lane plus '0', writes
+// them in order. Each step splits every lane in two, 4+4, 2+2 and 1+1
+// digits, dividing by a multiply and a shift.
+func formatDigits(u uint64) uint64 {
+	x := u/10000 | (u%10000)<<32
+	q := (x * 10486 >> 20) & 0x0000007f0000007f // each lane / 100, exact below 10^4
+	x = q | (x-q*100)<<16
+	q = (x * 103 >> 10) & 0x000f000f000f000f // each lane / 10, exact below 100
+	return q | (x-q*10)<<8
 }
 
 // appendString appends s as a JSON string. Printable ASCII that needs no

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -94,6 +95,41 @@ var decodeSeeds = []string{
 	`{"batch":[1]}`,
 	`{"op":1}`,
 	`{"m":"2"}`,
+	// Batches with more vectors than a limit of 2, one vector over it too.
+	`{"batch":[[1],[2],[3]]}`,
+	`{"batch":[[1],[2,3,4],[5],[]]}`,
+}
+
+// intTexts are integer array elements at the edges of the codec's 8-byte
+// word: every width from 1 to 20 digits with either sign, each repeated
+// so that the first copies have the word's nine bytes ahead of them,
+// zeros the reference refuses, a lone sign, and whitespace on either
+// side of a comma.
+var intTexts = func() []string {
+	var t []string
+	for w := 1; w <= 20; w++ {
+		d := "12345678901234567890"[:w]
+		t = append(t, d+","+d+","+d, "-"+d+",-"+d+",-"+d)
+	}
+	return append(t,
+		"-0,-0,-0,-0", "00,1,2,3,4,5", "1,00", "-01,1,2,3,4,5", "1,-01", "-,1,2,3,4,5", "1,-",
+		"1 ,2, 3 , 4\t,\n5,\r6,7,8,9", " 1234567 ,7654321 , -1234567",
+		"9999999,10000000,99999999,100000000,-9999999,-10000000",
+		"1234567.5,1", "1234567e1,1", "1234567x,1", "1234567,]")
+}()
+
+// edgeBodies are compute bodies whose last integers end 1 to 9 bytes
+// before the end of the text they are scanned from (the body, or the
+// labels text, which ends at its ']'), where the codec's word no longer
+// fits.
+func edgeBodies() []string {
+	var b []string
+	for pad := 0; pad <= 7; pad++ {
+		sp := strings.Repeat(" ", pad)
+		b = append(b, `{"values":[1,1234567]}`+sp, `{"values":[-1234567,-7]}`+sp,
+			`{"labels":[1234567,1`+sp+`]}`, `{"batch":[[1234567,7`+sp+`]]}`)
+	}
+	return b
 }
 
 // decodeFull decodes a compute body as the handler does when the text
@@ -116,33 +152,84 @@ func FuzzComputeDecodeParity(f *testing.F) {
 	for _, seed := range decodeSeeds {
 		f.Add([]byte(seed))
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var got, want computeRequest
-		gotErr := decodeFull(data, &got, math.MaxInt)
-		wantErr := json.Unmarshal(data, &want)
-		if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
-			t.Fatalf("%q: error %v, json.Unmarshal %v", data, gotErr, wantErr)
+	for _, t := range intTexts {
+		f.Add([]byte(`{"labels":[` + t + `],"values":[` + t + `],"batch":[[` + t + `]]}`))
+	}
+	for _, seed := range edgeBodies() {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(checkDecodeParity)
+}
+
+// checkDecodeParity fails t unless data decodes as json.Unmarshal
+// decodes it, with no length limit and with a limit of 2.
+func checkDecodeParity(t *testing.T, data []byte) {
+	var got, want computeRequest
+	gotErr := decodeFull(data, &got, math.MaxInt)
+	wantErr := json.Unmarshal(data, &want)
+	if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+		t.Fatalf("%q: error %v, json.Unmarshal %v", data, gotErr, wantErr)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%q: decoded %+v, json.Unmarshal %+v", data, got, want)
+	}
+	// Under a length limit the scanner stores no longer array, but
+	// decodes everything else alike; a body it refuses goes to
+	// json.Unmarshal unlimited.
+	const limit = 2
+	var lim computeRequest
+	limErr := decodeFull(data, &lim, limit)
+	if (limErr == nil) != (wantErr == nil) || (limErr != nil && limErr.Error() != wantErr.Error()) {
+		t.Fatalf("%q: limited error %v, json.Unmarshal %v", data, limErr, wantErr)
+	}
+	if capped := capArrays(want, limit); !reflect.DeepEqual(lim, want) && !reflect.DeepEqual(lim, capped) {
+		t.Fatalf("%q: limited decode %+v, want %+v or %+v", data, lim, want, capped)
+	}
+}
+
+// FuzzIntCodec holds both integer loops of the codec to their references
+// at the edges of the 8-byte word. appendInts must write what
+// strconv.AppendInt joined by commas writes, for x shifted right by
+// every count, so every width of x from 1 to 19 digits, with either
+// sign, repeated past one chunk of the encoder. The decoder must agree
+// with json.Unmarshal on text placed as the elements of a values,
+// labels and batch array.
+func FuzzIntCodec(f *testing.F) {
+	for i, t := range intTexts {
+		f.Add([]byte(t), int64(i)*0x0123456789abcdef)
+	}
+	for _, x := range []int64{0, 1, -1, 9999999, 10000000, 99999999, 100000000, math.MaxInt64, math.MinInt64} {
+		f.Add([]byte("1"), x)
+	}
+	f.Fuzz(func(t *testing.T, text []byte, x int64) {
+		var v []int64
+		for len(v) <= intsChunk {
+			for sh := range 64 {
+				v = append(v, x>>sh, -(x >> sh))
+			}
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%q: decoded %+v, json.Unmarshal %+v", data, got, want)
+		want := []byte{'['}
+		for i, y := range v {
+			if i > 0 {
+				want = append(want, ',')
+			}
+			want = strconv.AppendInt(want, y, 10)
 		}
-		// Under a length limit the scanner stores no longer array, but
-		// decodes everything else alike; a body it refuses goes to
-		// json.Unmarshal unlimited.
-		const limit = 2
-		var lim computeRequest
-		limErr := decodeFull(data, &lim, limit)
-		if (limErr == nil) != (wantErr == nil) || (limErr != nil && limErr.Error() != wantErr.Error()) {
-			t.Fatalf("%q: limited error %v, json.Unmarshal %v", data, limErr, wantErr)
+		want = append(want, ']')
+		if got := appendInts(nil, v); !bytes.Equal(got, want) {
+			t.Fatalf("appendInts of x=%d\n got %s\nwant %s", x, got, want)
 		}
-		if capped := capArrays(want, limit); !reflect.DeepEqual(lim, want) && !reflect.DeepEqual(lim, capped) {
-			t.Fatalf("%q: limited decode %+v, want %+v or %+v", data, lim, want, capped)
+		for _, array := range [][2]string{{`{"values":[`, `]}`}, {`{"labels":[`, `]}`}, {`{"batch":[[`, `]]}`}} {
+			body := append([]byte(array[0]), text...)
+			checkDecodeParity(t, append(body, array[1]...))
 		}
 	})
 }
 
 // capArrays is r as a decoder limited to limit elements per array
 // reports it: every longer array nil, and overN the longest one's length.
+// A batch counts its vectors as an array's elements: past limit of them
+// it is nil, while each vector's own length still raises overN.
 func capArrays(r computeRequest, limit int) computeRequest {
 	capped := func(n int) bool {
 		if n > limit {
@@ -165,16 +252,31 @@ func capArrays(r computeRequest, limit int) computeRequest {
 			}
 		}
 		r.Batch = b
+		if capped(len(b)) {
+			r.Batch = nil
+		}
 	}
 	return r
 }
 
-// FuzzServeCompute posts arbitrary bytes to /v1/multiprefix twice on one
-// Server: the first post of a canonical body parses its labels, the
+// computeRoutes are the four compute endpoints.
+var computeRoutes = []struct {
+	path          string
+	reduce, batch bool
+}{
+	{"/v1/multiprefix", false, false},
+	{"/v1/multireduce", true, false},
+	{"/v1/multiprefix/batch", false, true},
+	{"/v1/multireduce/batch", true, true},
+}
+
+// FuzzServeCompute posts arbitrary bytes to each compute route twice on
+// one Server: the first post of a canonical body parses its labels, the
 // second finds its plan by the labels text. Both answers must be what
-// referenceAnswer says: a 200 whose multi is core.Serial's, or the same
-// typed 4xx. Never a 5xx, except the typed 504 of a deadline the body
-// itself set.
+// referenceAnswer says: a 200 whose multi or reductions, per vector on
+// the batch routes, are core.Serial's, or the same typed 4xx. Never a
+// 5xx, except the typed 504 of a deadline the body itself set, which on
+// a batch route is a per-vector error instead.
 func FuzzServeCompute(f *testing.F) {
 	f.Add(wireBody(f, 48, 16))
 	for _, seed := range decodeSeeds {
@@ -194,74 +296,154 @@ func FuzzServeCompute(f *testing.F) {
 		`{"op":"sum","m":4,"labels":[` + strings.Repeat("1,", 64) + `1],"values":[1]}`,
 		`{"op":"sum","m":4,"labels":[1],"values":[` + strings.Repeat("1,", 64) + `1]}`,
 		`{"op":"sum","backend":"gpu","m":4,"labels":[` + strings.Repeat("1,", 64) + `1]}`,
+		`{"op":"max","m":3,"labels":[0,1,2,1],"batch":[[1,2,3,4],[-5,6,-7,8]]}`,
+		`{"op":"sum","m":3,"labels":[0,1,2,1],"batch":[[1,2,3,4],[5,6,7]]}`,
+		`{"op":"sum","m":2,"labels":[1],"values":[1],"batch":[` + strings.Repeat("[1],", 64) + `[1]]}`,
+		`{"op":"sum","m":2,"labels":[1],"values":[1],"batch":[[` + strings.Repeat("1,", 64) + `1]]}`,
+		`{"op":"sum","m":2,"labels":[1],"values":[1],"x":0,"batch":[` + strings.Repeat("[1],", 64) + `[1]]}`,
+		`{"op":"xor","m":2,"labels":[1,0],"values":[3,5],"batch":[],"extra":0}`,
 	} {
 		f.Add([]byte(seed))
 	}
 	s := New(Options{MaxN: 64, MaxM: 64, Workers: 2, CoalesceWindow: -1, PlanCacheCap: 8})
 	f.Cleanup(s.Close)
 	f.Fuzz(func(t *testing.T, body []byte) {
-		want, multi, deadlineMS := referenceAnswer(s, body)
-		for post := 1; post <= 2; post++ {
-			rec := httptest.NewRecorder()
-			s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/multiprefix", bytes.NewReader(body)))
-			got := fmt.Sprintf("%d/", rec.Code)
-			if rec.Code == http.StatusOK {
-				var resp computeResponse
-				if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-					t.Fatalf("%q: 200 body %q: %v", body, rec.Body.Bytes(), err)
+		for _, rt := range computeRoutes {
+			want := referenceAnswer(s, body, rt.reduce, rt.batch)
+			for post := 1; post <= 2; post++ {
+				rec := httptest.NewRecorder()
+				s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, rt.path, bytes.NewReader(body)))
+				got := fmt.Sprintf("%d/", rec.Code)
+				if rec.Code != http.StatusOK {
+					var er errorResponse
+					if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil || er.Error.Kind == "" {
+						t.Fatalf("%q %s: status %d with untyped body %q", body, rt.path, rec.Code, rec.Body.Bytes())
+					}
+					got += er.Error.Kind
+				} else if err := want.check(rec.Body.Bytes(), rt.reduce, rt.batch); err != nil {
+					t.Fatalf("%q %s: post %d: %v", body, rt.path, post, err)
 				}
-				if len(resp.Multi) != len(multi) || (len(multi) > 0 && !reflect.DeepEqual(resp.Multi, multi)) {
-					t.Fatalf("%q: post %d multi %v, core.Serial %v", body, post, resp.Multi, multi)
+				if got != want.status && !(got == "504/"+kindDeadline && want.deadline && !rt.batch) {
+					t.Fatalf("%q %s: post %d got %s, want %s (%s)", body, rt.path, post, got, want.status, rec.Body.Bytes())
 				}
-			} else {
-				var er errorResponse
-				if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil || er.Error.Kind == "" {
-					t.Fatalf("%q: status %d with untyped body %q", body, rec.Code, rec.Body.Bytes())
-				}
-				got += er.Error.Kind
-			}
-			if got != want && !(want == "200/" && got == "504/"+kindDeadline && deadlineMS > 0) {
-				t.Fatalf("%q: post %d got %s, want %s (%s)", body, post, got, want, rec.Body.Bytes())
 			}
 		}
 	})
 }
 
-// referenceAnswer is the status and error kind s must give a compute
-// body: it is decoded by json.Unmarshal and checked in the handler's
-// order (operator, backend, n, m, value count), then by the plan
-// build's validation, which core.Serial shares. A request that passes
-// gets "200/" and core.Serial's multiprefix.
-func referenceAnswer(s *Server, body []byte) (want string, multi []int64, deadlineMS int64) {
-	const bad = "400/" + kindBadInput
+// answer is what a compute route must reply to one body.
+type answer struct {
+	// status is "200/", or the status and error kind of a refusal.
+	status string
+	// outs are core.Serial's answers for the vectors of a 200: each a
+	// multiprefix or, on a reduce route, a reduction vector.
+	outs [][]int64
+	// vecErr is the error kind every vector of a 200 carries instead of
+	// its answer: version_conflict for a pinned request, since nothing
+	// moves a plan past version 0 here.
+	vecErr string
+	// deadline reports that the body set a deadline, which may expire
+	// first: a 504 on a single-vector route, a per-vector error on a
+	// batch route.
+	deadline bool
+}
+
+// referenceAnswer is the answer s must give a compute body on the route
+// that reduce and batch name: the body is decoded by json.Unmarshal and
+// checked in the handler's order (operator, backend, the n-limit on
+// every array, m, the vectors), then by the plan build's validation,
+// which core.Serial shares.
+func referenceAnswer(s *Server, body []byte, reduce, batch bool) answer {
+	bad := answer{status: "400/" + kindBadInput}
 	var r computeRequest
 	if err := json.Unmarshal(body, &r); err != nil {
-		return bad, nil, 0
+		return bad
 	}
 	op, ok := ops[r.Op]
 	backendName := r.Backend
 	if backendName == "" {
 		backendName = s.opts.Backend
 	}
+	vectors := [][]int64{r.Values}
+	if batch {
+		vectors = r.Batch
+	}
 	switch {
 	case !ok:
-		return bad, nil, 0
+		return bad
 	case !serviceBackends[backendName]:
-		return "400/" + kindUnknownBack, nil, 0
-	case len(r.Labels) > s.opts.MaxN || r.M > s.opts.MaxM || len(r.Values) != len(r.Labels):
-		return bad, nil, 0
+		return answer{status: "400/" + kindUnknownBack}
+	case r.longest() > s.opts.MaxN || r.M > s.opts.MaxM || len(vectors) == 0:
+		return bad
 	}
-	res, err := core.Serial(op, r.Values, r.Labels, r.M)
-	if err != nil {
-		return bad, nil, 0
+	a := answer{status: "200/", deadline: r.DeadlineMS > 0}
+	for _, v := range vectors {
+		if len(v) != len(r.Labels) {
+			return bad
+		}
+		res, err := core.Serial(op, v, r.Labels, r.M)
+		if err != nil {
+			return bad
+		}
+		if reduce {
+			a.outs = append(a.outs, res.Reductions)
+		} else {
+			a.outs = append(a.outs, res.Multi)
+		}
 	}
-	return "200/", res.Multi, r.DeadlineMS
+	if r.PinVersion != 0 {
+		if !batch {
+			a.status = "409/" + kindVersionConflict
+		}
+		a.vecErr = kindVersionConflict
+	}
+	return a
 }
 
-// TestOverLimitAllocs posts arrays of 2^20 elements to a server with
-// MaxN 1024 and bounds what each request allocates beyond reading its
-// body: the decoder counts an over-long array's commas and stores none
-// of it, and the request gets the typed n-limit 400.
+// check checks a compute route's 200 body against the answer: one
+// vector on the single-vector routes, one per result on the batch
+// routes.
+func (a answer) check(body []byte, reduce, batch bool) error {
+	var items []batchItem
+	if batch {
+		var resp batchResponse
+		if err := json.Unmarshal(body, &resp); err != nil {
+			return fmt.Errorf("200 body %q: %v", body, err)
+		}
+		items = resp.Results
+	} else {
+		var resp computeResponse
+		if err := json.Unmarshal(body, &resp); err != nil {
+			return fmt.Errorf("200 body %q: %v", body, err)
+		}
+		items = []batchItem{{Multi: resp.Multi, Reductions: resp.Reductions}}
+	}
+	if len(items) != len(a.outs) {
+		return fmt.Errorf("%d results, want %d", len(items), len(a.outs))
+	}
+	for i, it := range items {
+		switch {
+		case it.Error != nil && (it.Error.Kind == a.vecErr || it.Error.Kind == kindDeadline && a.deadline):
+			continue
+		case it.Error != nil || a.vecErr != "":
+			return fmt.Errorf("result %d: %+v, want error kind %q", i, it, a.vecErr)
+		}
+		got, other := it.Multi, it.Reductions
+		if reduce {
+			got, other = other, got
+		}
+		if len(other) != 0 || len(got) != len(a.outs[i]) || (len(got) > 0 && !reflect.DeepEqual(got, a.outs[i])) {
+			return fmt.Errorf("result %d: %+v, core.Serial %v", i, it, a.outs[i])
+		}
+	}
+	return nil
+}
+
+// TestOverLimitAllocs posts arrays of 2^20 elements, and a batch of 2^20
+// vectors, to a server with MaxN 1024 and bounds what each request
+// allocates beyond reading its body: the decoder counts an over-long
+// array's elements and stores none of it, and the request gets the
+// typed n-limit 400.
 func TestOverLimitAllocs(t *testing.T) {
 	s := New(Options{MaxN: 1024})
 	defer s.Close()
@@ -270,6 +452,7 @@ func TestOverLimitAllocs(t *testing.T) {
 		{"labels", `{"op":"sum","m":4,"labels":` + long + `}`},
 		{"values", `{"op":"sum","m":4,"labels":[1],"values":` + long + `}`},
 		{"batch", `{"op":"sum","m":4,"labels":[1],"batch":[[1],` + long + `]}`},
+		{"vectors", `{"op":"sum","m":4,"labels":[1],"batch":[` + strings.Repeat("[1],", 1<<20-1) + `[1]]}`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			body := []byte(tc.body)
@@ -306,8 +489,8 @@ func totalAlloc(fn func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// TestComputeEncodeParity pins appendCompute byte for byte to what
-// json.Encoder writes for the same response.
+// TestComputeEncodeParity pins appendCompute and appendBatch byte for
+// byte to what json.Encoder writes for the same response.
 func TestComputeEncodeParity(t *testing.T) {
 	for _, r := range []computeResponse{
 		{Backend: "auto", Op: "sum", N: 3, M: 2, Multi: []int64{0, 5, -1}, Coalesced: 1},
@@ -326,6 +509,38 @@ func TestComputeEncodeParity(t *testing.T) {
 		}
 		if got := appendCompute(nil, &r); !bytes.Equal(got, want.Bytes()) {
 			t.Errorf("appendCompute(%+v)\n got %q\nwant %q", r, got, want.Bytes())
+		}
+	}
+	long := make([]int64, 3*intsChunk+5) // past the encoder's chunks
+	for i := range long {
+		long[i] = int64(i*i*i) - 1e8
+	}
+	for _, r := range []batchResponse{
+		{Backend: "auto", Op: "sum", N: 3, M: 2, Results: []batchItem{
+			{Multi: []int64{0, 5, -1}, Coalesced: 2},
+			{Error: &apiError{Kind: kindDeadline, Message: "context deadline exceeded"}},
+			{Multi: []int64{1, 2, 3}, Coalesced: 1, Fallback: "serial"},
+		}, Failed: 1},
+		{Backend: "sorted", Op: "max", N: 0, M: 4, Results: []batchItem{
+			{Reductions: []int64{math.MinInt64, math.MaxInt64, 0, 9}},
+			{Reductions: long},
+			{Multi: []int64{}, Reductions: []int64{}},
+			{Fallback: "serial"},
+			{},
+		}},
+		{Backend: "chunked", Op: "xor", Results: []batchItem{
+			{Error: &apiError{Kind: kindEnginePanic, Message: `engine "chunked" panicked: <a&b> "q\ \x00 é \xff`}},
+			{Error: &apiError{}},
+		}, Failed: 2},
+		{Backend: "<a&b>", Op: "\x7f", N: -1, M: math.MaxInt64, Results: []batchItem{}, Failed: -1},
+		{},
+	} {
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(r); err != nil {
+			t.Fatal(err)
+		}
+		if got := appendBatch(nil, &r); !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("appendBatch(%+v)\n got %q\nwant %q", r, got, want.Bytes())
 		}
 	}
 }
@@ -364,11 +579,38 @@ func TestWireAllocs(t *testing.T) {
 	}
 }
 
+// sweepDigits are the value widths of the codec benchmarks' digit-width
+// rows: inside the SWAR paths (1 to 7 digits decoded, below 10^8
+// encoded), at their edge, and on the strconv and scanInt fallbacks.
+var sweepDigits = []int{1, 4, 7, 8, 12, 19}
+
+// digitsValues returns n values of exactly digits decimal digits, half
+// of them negative.
+func digitsValues(n, digits int) []int64 {
+	rng := rand.New(rand.NewSource(int64(digits)))
+	lo, hi := int64(0), int64(9)
+	for range digits - 1 {
+		lo, hi = max(lo*10, 10), hi*10+9
+	}
+	if digits == 19 {
+		hi = math.MaxInt64
+	}
+	v := make([]int64, n)
+	for i := range v {
+		v[i] = lo + rng.Int63n(hi-lo+1)
+		if rng.Intn(2) == 0 {
+			v[i] = -v[i]
+		}
+	}
+	return v
+}
+
 // The codec benchmarks run at the service benchmark's shape, n=2^16 and
 // m=256, each beside encoding/json doing the same job. BenchmarkComputeDecode's
 // codec row parses the labels, as a text-index miss does; its text_hit
 // row decodes the rest of the body and finds the labels by their bytes
-// instead, as a warm request does.
+// instead, as a warm request does. The digits=w rows decode a body whose
+// values all have w digits, leaving its labels as text.
 func BenchmarkComputeDecode(b *testing.B) {
 	body := wireBody(b, 1<<16, 256)
 	b.Run("codec", func(b *testing.B) {
@@ -423,6 +665,23 @@ func BenchmarkComputeDecode(b *testing.B) {
 			}
 		}
 	})
+	for _, digits := range sweepDigits {
+		req := computeRequest{Op: "sum", M: 256, Labels: make([]int, 1<<16), Values: digitsValues(1<<16, digits)}
+		body, err := json.Marshal(req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("digits=%d", digits), func(b *testing.B) {
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			for b.Loop() {
+				req = computeRequest{}
+				if err := decodeCompute(body, &req, math.MaxInt); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 func BenchmarkComputeEncode(b *testing.B) {
@@ -452,4 +711,15 @@ func BenchmarkComputeEncode(b *testing.B) {
 			}
 		}
 	})
+	for _, digits := range sweepDigits {
+		resp := computeResponse{Backend: "auto", Op: "sum", N: 1 << 16, M: 256, Multi: digitsValues(1<<16, digits), Coalesced: 1}
+		out := appendCompute(nil, &resp)
+		b.Run(fmt.Sprintf("digits=%d", digits), func(b *testing.B) {
+			b.SetBytes(int64(len(out)))
+			b.ReportAllocs()
+			for b.Loop() {
+				out = appendCompute(out[:0], &resp)
+			}
+		})
+	}
 }
