@@ -90,10 +90,10 @@ shard-smoke:
 bench:
 	$(GO) test -bench . -benchtime 1x ./...
 
-# One iteration of every benchmark: compile + run smoke, not a
-# measurement.
+# One iteration of every benchmark in every package: compile + run
+# smoke, not a measurement.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x .
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # Regenerate the committed engine-performance snapshot.
 bench-json:

@@ -24,8 +24,9 @@ type Backend[T any] = backend.Backend[T]
 // A Plan is also a stateful resource: Bind installs a resident value
 // vector, after which Update mutates single points and
 // QueryPrefix/ReduceLabel/Snapshot answer against the maintained
-// state — O(log n) per point for invertible fast ops (int64/float64
-// sum) via per-label Fenwick accumulators, full re-evaluation
+// state — O(log L) per point, L the point's class length, for
+// invertible fast ops (int64/float64 sum) via one Fenwick tree per
+// label class, full re-evaluation
 // otherwise. Version reports the monotonically increasing state
 // identity that Bind and Update advance.
 type Plan[T any] = backend.Plan[T]

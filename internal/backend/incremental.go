@@ -11,16 +11,22 @@ import (
 // *bind* a resident value vector and then serve point updates and
 // point queries against it far cheaper than re-running the whole
 // pipeline. The label structure the plan already computed at build
-// time — the counting-sort permutation and per-label run bounds — is
-// exactly what makes a per-label prefix a difference of two whole-
-// array prefixes over the sorted order, so a single Fenwick tree per
-// plan maintains every label at once:
+// time — the counting-sort permutation and per-label run bounds — lays
+// each label class out as one contiguous run of the sorted order, and
+// each run holds that class's own Fenwick tree: the paper's "spinetree
+// per label class", with a Fenwick tree in the spinetree's place. All
+// the trees share one n-entry array, class c's tree being
+// ftree[istart[c]:istart[c+1]]. With P_c(k) the sum of the first k
+// values of class c in sorted order, and element i at offset off_i of
+// its class c,
 //
-//	multi[i]  = prefix(ipos[i]) - prefix(istart[label[i]])
-//	red[c]    = prefix(istart[c+1]) - prefix(istart[c])
+//	multi[i] = P_c(off_i)
+//	red[c]   = P_c(len_c)
 //
-// Update(i, v) is then one O(log n) tree walk, QueryPrefix and
-// ReduceLabel two each.
+// so QueryPrefix and ReduceLabel are one walk over their class's tree,
+// O(log len_c), and Update(i, v) is one walk that stops at the class's
+// end. Each element's class and offset sit in one 8-byte record
+// (classPos), so a call reads one record, not the label vector.
 //
 // # Maintenance tiers
 //
@@ -30,12 +36,14 @@ import (
 //   - int64 sum: always (two's-complement addition is associative
 //     mod 2^64, overflow included);
 //   - float64 sum: only inside the exact envelope — every resident
-//     value an integer-valued float with |v| <= 2^52/n (see
-//     core.FenwickFloat64Bound). The moment a bound or updated value
-//     leaves the envelope the plan *drifts*: it permanently (until the
-//     next Bind) serves from the full re-run tier, because float64
-//     addition is not reassociable and per-operation exactness checks
-//     cannot guarantee bit-identity with the serial order.
+//     value an integer-valued float with |v| <= 2^52/L, L the largest
+//     class (see core.FenwickFloat64Bound): a tree, like every engine's
+//     recompute, only ever sums values of one class. The moment a bound
+//     or updated value leaves the envelope the plan *drifts*: it
+//     permanently (until the next Bind) serves from the full re-run
+//     tier, because float64 addition is not reassociable and
+//     per-operation exactness checks cannot guarantee bit-identity
+//     with the serial order.
 //   - everything else (max, min, prod, generic ops): non-invertible —
 //     updates just dirty the resident vector and queries re-run the
 //     plan's own engine, refreshing the snapshot.
@@ -56,12 +64,15 @@ import (
 // storage separate from the run scratch, so interleaved Run/RunBatch
 // traffic on other value vectors does not corrupt resident answers.
 // Version() increments on every Bind and Update and is atomic: the
-// service layer pins and compares it without taking the evaluation
-// lock (see backend.Key for the cache-key-vs-version contract).
+// service layer reads it without taking the evaluation lock (see
+// backend.Key for the cache-key-vs-version contract). A conditional
+// mutation pins it through Call.Pin, which BindCall and UpdateCall
+// check under p.mu, so two mutations pinned to one version cannot
+// both apply.
 //
 // The re-run tier executes through the plan's own engine (p.run), so
 // per-call contexts, fault hooks and the auto plan's serial fallback
-// all keep working; the O(log n) tier performs pure arithmetic and is
+// all keep working; the Fenwick tier performs pure arithmetic and is
 // not fault-injectable.
 
 // incMode is a bound plan's maintenance tier, fixed by the operator
@@ -78,12 +89,32 @@ const (
 	incFloat64
 )
 
+// classPos is an element's place in the Fenwick tier: its label class
+// and its offset in the class's run of the sorted order.
+type classPos struct {
+	class, off int32
+}
+
 // ErrNotBound is returned by the stateful entry points (Update,
 // QueryPrefix, ReduceLabel, Snapshot) when the plan has no resident
 // value vector. It wraps core.ErrBadInput: retrying elsewhere cannot
 // help — the caller must Bind first (and must re-Bind after a cache
 // eviction closed the plan, which discards resident state).
 var ErrNotBound = fmt.Errorf("%w: plan has no resident values (call Bind first)", core.ErrBadInput)
+
+// VersionConflictError rejects a pinned mutation (Call.Pin) on a plan
+// whose state version is not the pinned one. The mutation changed
+// nothing. It is terminal: a retry meets the same version.
+type VersionConflictError struct {
+	// Pin is the version the call was conditional on.
+	Pin uint64
+	// Version is the plan's version when the call took the plan lock.
+	Version uint64
+}
+
+func (e *VersionConflictError) Error() string {
+	return fmt.Sprintf("plan version conflict: plan is at version %d, pinned %d", e.Version, e.Pin)
+}
 
 // IncStats is a point-in-time snapshot of a plan's incremental
 // counters, for observability (the service's /metrics endpoint).
@@ -102,14 +133,14 @@ type IncStats struct {
 	Binds uint64
 	// Updates counts accepted point updates.
 	Updates uint64
-	// FenwickUpdates counts updates applied as O(log n) tree deltas.
+	// FenwickUpdates counts updates applied as class-tree deltas.
 	FenwickUpdates uint64
-	// FenwickQueries counts queries answered from the tree in O(log n).
+	// FenwickQueries counts queries answered from a class tree.
 	FenwickQueries uint64
 	// SnapshotQueries counts queries answered O(1) from a clean
 	// snapshot (including after a re-run refresh).
 	SnapshotQueries uint64
-	// Rebuilds counts O(n) Fenwick rebuilds.
+	// Rebuilds counts O(n) rebuilds of the class trees.
 	Rebuilds uint64
 	// Reruns counts full engine re-runs refreshing the snapshot.
 	Reruns uint64
@@ -154,17 +185,23 @@ func (p *Plan[T]) IncStats() IncStats {
 
 // Bind installs values as the plan's resident value vector (copied),
 // refreshes the snapshot through the plan's engine and (re)builds the
-// Fenwick accumulator. A successful Bind leaves every query O(1); a
-// failed one (cancellation, engine fault) leaves the plan unbound.
+// class trees. A successful Bind leaves every query O(1); a failed one
+// (cancellation, engine fault) leaves the plan unbound, one version on.
 // Binding replaces any previous resident state and clears float64
 // drift.
 func (p *Plan[T]) Bind(values []T) error { return p.BindCall(Call{}, values) }
 
 // BindCall is Bind under per-call overrides (the refresh runs on the
-// plan's engine, so contexts and fault hooks apply).
+// plan's engine, so contexts and fault hooks apply). With c.Pin set
+// it binds only if the plan is at exactly that version, and otherwise
+// returns a *VersionConflictError without touching the plan; a pinned
+// bind that fails later has still moved the plan to version c.Pin+1.
 func (p *Plan[T]) BindCall(c Call, values []T) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if err := p.checkPin(c.Pin); err != nil {
+		return err
+	}
 	defer func(old core.Config) { p.cfg = old }(p.override(c))
 	return p.bindLocked(values)
 }
@@ -205,7 +242,8 @@ func (p *Plan[T]) bindLocked(values []T) error {
 // prepareIncremental is the one-time (first Bind) setup: resident and
 // snapshot storage, the maintenance tier, and — for the Fenwick tiers
 // — the sorted index (reusing the sorted plan's own permutation when
-// present), its inverse, the tree and the calibrated burst.
+// present), each element's class position, the class trees' shared
+// array, the envelope of the largest class and the calibrated burst.
 //
 //mp:locked
 func (p *Plan[T]) prepareIncremental() {
@@ -226,12 +264,17 @@ func (p *Plan[T]) prepareIncremental() {
 		p.istart = make([]int32, p.m+1)
 		core.BuildSortedIndexInto(p.iperm, p.istart, p.labels)
 	}
-	p.ipos = make([]int32, p.n)
-	for k, i := range p.iperm {
-		p.ipos[i] = int32(k)
+	p.iloc = make([]classPos, p.n)
+	largest := 0
+	for c := range p.m {
+		lo, hi := p.istart[c], p.istart[c+1]
+		for k := lo; k < hi; k++ {
+			p.iloc[p.iperm[k]] = classPos{class: int32(c), off: k - lo}
+		}
+		largest = max(largest, int(hi-lo))
 	}
 	p.ftree = make([]T, p.n)
-	p.fbound = core.FenwickFloat64Bound(p.n)
+	p.fbound = core.FenwickFloat64Bound(largest)
 	p.burst = core.AutoUpdateBurst(p.n, p.cfg)
 }
 
@@ -251,14 +294,30 @@ func incModeFor[T any](op core.Op[T]) incMode {
 	return incNone
 }
 
-// Update replaces the resident value at index i. O(log n) on the
-// Fenwick tiers (O(1) beyond the burst threshold), O(1) dirty-mark on
-// the re-run tier. Every accepted update bumps Version.
+// Update replaces the resident value at index i. O(log len_c) on the
+// Fenwick tiers, c being i's class (O(1) beyond the burst threshold),
+// O(1) dirty-mark on the re-run tier. Every accepted update bumps
+// Version.
 //
 //mp:hotpath
 func (p *Plan[T]) Update(i int, v T) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	return p.update(i, v)
+}
+
+// UpdateCall is Update under per-call overrides. Only c.Pin applies,
+// as an update never runs the engine: with it set, the update applies
+// only if the plan is at exactly that version, and otherwise returns a
+// *VersionConflictError without touching the plan.
+//
+//mp:hotpath
+func (p *Plan[T]) UpdateCall(c Call, i int, v T) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if err := p.checkPin(c.Pin); err != nil {
+		return err
+	}
 	return p.update(i, v)
 }
 
@@ -278,8 +337,10 @@ func (p *Plan[T]) update(i int, v T) error {
 		nv := any(v).(int64)
 		old := vals[i]
 		vals[i] = nv
-		if p.imode == incInt64 {
-			p.applyInt64(i, nv-old)
+		if p.imode == incInt64 && p.admitDelta() {
+			loc := p.iloc[i]
+			tr := any(p.ftree).([]int64)[p.istart[loc.class]:p.istart[loc.class+1]]
+			core.FenwickAddInt64(tr, int(loc.off), nv-old)
 		}
 	case []float64:
 		nv := any(v).(float64)
@@ -290,8 +351,10 @@ func (p *Plan[T]) update(i int, v T) error {
 				p.fdrift = true
 				p.inc.Drifts++
 			}
-			if !p.fdrift {
-				p.applyFloat64(i, nv-old)
+			if !p.fdrift && p.admitDelta() {
+				loc := p.iloc[i]
+				tr := any(p.ftree).([]float64)[p.istart[loc.class]:p.istart[loc.class+1]]
+				core.FenwickAddFloat64(tr, int(loc.off), nv-old)
 			}
 		}
 	default:
@@ -301,43 +364,29 @@ func (p *Plan[T]) update(i int, v T) error {
 	return nil
 }
 
-// applyInt64 folds one delta into the tree, or trips the burst
-// fallback once per-update maintenance stops paying for itself.
+// admitDelta reports whether one update's delta goes into the class
+// trees, counting it if so, and trips the burst fallback once
+// per-update maintenance stops paying for itself.
 //
 //mp:hotpath
 //mp:locked
-func (p *Plan[T]) applyInt64(i int, delta int64) {
+func (p *Plan[T]) admitDelta() bool {
 	if p.fstale {
-		return
+		return false
 	}
 	if p.pending >= p.burst {
 		p.fstale = true
-		return
+		return false
 	}
-	core.FenwickAddInt64(any(p.ftree).([]int64), int(p.ipos[i]), delta)
 	p.pending++
 	p.inc.FenwickUpdates++
-}
-
-//mp:hotpath
-//mp:locked
-func (p *Plan[T]) applyFloat64(i int, delta float64) {
-	if p.fstale {
-		return
-	}
-	if p.pending >= p.burst {
-		p.fstale = true
-		return
-	}
-	core.FenwickAddFloat64(any(p.ftree).([]float64), int(p.ipos[i]), delta)
-	p.pending++
-	p.inc.FenwickUpdates++
+	return true
 }
 
 // QueryPrefix returns the multiprefix value at index i over the
 // resident values — the combine of all earlier same-label values —
 // bit-identical to a full recompute. O(1) from a clean snapshot,
-// O(log n) from the Fenwick tree, O(n) refresh otherwise.
+// O(log len_c) from i's class tree, O(n) refresh otherwise.
 //
 //mp:hotpath
 func (p *Plan[T]) QueryPrefix(i int) (T, error) {
@@ -374,16 +423,13 @@ func (p *Plan[T]) queryPrefix(i int) (T, error) {
 	if p.fenwickLive() {
 		p.pending = 0
 		p.inc.FenwickQueries++
-		c := p.labels[i]
+		loc := p.iloc[i]
+		lo, hi := p.istart[loc.class], p.istart[loc.class+1]
 		switch tr := any(p.ftree).(type) {
 		case []int64:
-			lo := core.FenwickPrefixInt64(tr, int(p.istart[c]))
-			hi := core.FenwickPrefixInt64(tr, int(p.ipos[i]))
-			return any(hi - lo).(T), nil
+			return any(core.FenwickPrefixInt64(tr[lo:hi], int(loc.off))).(T), nil
 		case []float64:
-			lo := core.FenwickPrefixFloat64(tr, int(p.istart[c]))
-			hi := core.FenwickPrefixFloat64(tr, int(p.ipos[i]))
-			return any(hi - lo).(T), nil
+			return any(core.FenwickPrefixFloat64(tr[lo:hi], int(loc.off))).(T), nil
 		}
 	}
 	if err := p.refreshLocked(); err != nil {
@@ -431,15 +477,12 @@ func (p *Plan[T]) reduceLabel(c int) (T, error) {
 	if p.fenwickLive() {
 		p.pending = 0
 		p.inc.FenwickQueries++
+		lo, hi := p.istart[c], p.istart[c+1]
 		switch tr := any(p.ftree).(type) {
 		case []int64:
-			lo := core.FenwickPrefixInt64(tr, int(p.istart[c]))
-			hi := core.FenwickPrefixInt64(tr, int(p.istart[c+1]))
-			return any(hi - lo).(T), nil
+			return any(core.FenwickPrefixInt64(tr[lo:hi], int(hi-lo))).(T), nil
 		case []float64:
-			lo := core.FenwickPrefixFloat64(tr, int(p.istart[c]))
-			hi := core.FenwickPrefixFloat64(tr, int(p.istart[c+1]))
-			return any(hi - lo).(T), nil
+			return any(core.FenwickPrefixFloat64(tr[lo:hi], int(hi-lo))).(T), nil
 		}
 	}
 	if err := p.refreshLocked(); err != nil {
@@ -481,8 +524,8 @@ func (p *Plan[T]) SnapshotCall(c Call, multi, red []T) (uint64, error) {
 	return p.version.Load(), nil
 }
 
-// fenwickLive reports whether the O(log n) tier can answer: a Fenwick
-// tier that has not drifted and whose tree still tracks the values.
+// fenwickLive reports whether the tree tier can answer: a Fenwick
+// tier that has not drifted and whose trees still track the values.
 //
 //mp:locked
 func (p *Plan[T]) fenwickLive() bool {
@@ -510,20 +553,42 @@ func (p *Plan[T]) refreshLocked() error {
 	return nil
 }
 
-// rebuildLocked regathers the tree from the resident values — the
-// O(n) amortization target of the burst threshold.
+// rebuildLocked regathers every class tree from the resident values,
+// class by class — the O(n) amortization target of the burst
+// threshold.
 //
 //mp:locked
 func (p *Plan[T]) rebuildLocked() {
 	switch tr := any(p.ftree).(type) {
 	case []int64:
-		core.FenwickGatherBuildInt64(tr, any(p.vals).([]int64), p.iperm)
+		vals := any(p.vals).([]int64)
+		for c := range p.m {
+			lo, hi := p.istart[c], p.istart[c+1]
+			core.FenwickGatherBuildInt64(tr[lo:hi], vals, p.iperm[lo:hi])
+		}
 	case []float64:
-		core.FenwickGatherBuildFloat64(tr, any(p.vals).([]float64), p.iperm)
+		vals := any(p.vals).([]float64)
+		for c := range p.m {
+			lo, hi := p.istart[c], p.istart[c+1]
+			core.FenwickGatherBuildFloat64(tr[lo:hi], vals, p.iperm[lo:hi])
+		}
 	}
 	p.fstale = false
 	p.pending = 0
 	p.inc.Rebuilds++
+}
+
+// checkPin enforces a mutation's Call.Pin. Callers hold p.mu, so no
+// other mutation can land between the check and the write.
+//
+//mp:locked
+func (p *Plan[T]) checkPin(pin uint64) error {
+	if pin != 0 {
+		if cur := p.version.Load(); cur != pin {
+			return &VersionConflictError{Pin: pin, Version: cur}
+		}
+	}
+	return nil
 }
 
 //mp:locked

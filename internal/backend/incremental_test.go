@@ -3,6 +3,7 @@ package backend
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -326,6 +327,230 @@ func TestIncrementalBurstFallback(t *testing.T) {
 	}
 }
 
+// TestIncrementalClassEdges pins the per-class trees at their edges:
+// classes of length 0, 1, 2, 3 and around the power-of-two boundaries
+// 8 and 64, interleaved in element order so that no class is
+// contiguous before the counting sort. The first and last element of
+// every class is updated, to values at the int64 extremes so that the
+// sums of classes with two or more elements wrap, and each update is
+// checked through the class's tree before the full
+// QueryPrefix/ReduceLabel/Snapshot sweep.
+func TestIncrementalClassEdges(t *testing.T) {
+	lens := []int{0, 1, 2, 3, 7, 8, 9, 63, 64, 65}
+	m := len(lens)
+	var labels []int
+	for c, l := range lens {
+		for range l {
+			labels = append(labels, c)
+		}
+	}
+	rng := rand.New(rand.NewSource(29))
+	rng.Shuffle(len(labels), func(a, b int) { labels[a], labels[b] = labels[b], labels[a] })
+	n := len(labels)
+	values := make([]int64, n)
+	for i := range values {
+		values[i] = rng.Int63n(2001) - 1000
+	}
+	// first/last element of each class, in element order
+	first, last := make([]int, m), make([]int, m)
+	for c := range first {
+		first[c], last[c] = -1, -1
+	}
+	for i, c := range labels {
+		if first[c] < 0 {
+			first[c] = i
+		}
+		last[c] = i
+	}
+	for _, name := range []string{"serial", "sorted", "chunked", "auto"} {
+		p := incPlan(t, name, core.AddInt64, labels, m, backendCfg(name))
+		if err := p.Bind(values); err != nil {
+			t.Fatalf("%s: Bind: %v", name, err)
+		}
+		cur := append([]int64(nil), values...)
+		updates := 0
+		for c := range m {
+			if lens[c] == 0 {
+				continue
+			}
+			for k, i := range []int{first[c], last[c]} {
+				v := int64(math.MaxInt64 - c)
+				if k == 1 {
+					v = int64(math.MinInt64 + c)
+				}
+				if err := p.Update(i, v); err != nil {
+					t.Fatalf("%s: Update(%d): %v", name, i, err)
+				}
+				cur[i] = v
+				updates++
+				want, err := core.Serial(core.AddInt64, cur, labels, m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, q := range []int{first[c], last[c]} {
+					got, err := p.QueryPrefix(q)
+					if err != nil {
+						t.Fatalf("%s: QueryPrefix(%d): %v", name, q, err)
+					}
+					if got != want.Multi[q] {
+						t.Fatalf("%s: class %d (len %d): QueryPrefix(%d) = %d, want %d", name, c, lens[c], q, got, want.Multi[q])
+					}
+				}
+				got, err := p.ReduceLabel(c)
+				if err != nil {
+					t.Fatalf("%s: ReduceLabel(%d): %v", name, c, err)
+				}
+				if got != want.Reductions[c] {
+					t.Fatalf("%s: class %d (len %d): ReduceLabel = %d, want %d", name, c, lens[c], got, want.Reductions[c])
+				}
+			}
+		}
+		checkIncParity(t, name, p, core.AddInt64, cur, labels, m)
+		st := p.IncStats()
+		if st.Mode != "fenwick-int64" || st.FenwickUpdates != uint64(updates) || st.FenwickQueries == 0 {
+			t.Fatalf("%s: stats = %+v, want every update and the point checks on the class trees", name, st)
+		}
+	}
+}
+
+// TestIncrementalFloat64ClassEnvelope pins the float64 envelope to the
+// largest class, not to n: a plan whose largest class (length L) holds
+// only values of magnitude ⌊2^52/L⌋ — far above 2^52/n — stays on the
+// Fenwick tier and bit-identical to the serial recompute, and one
+// integer above that value drifts.
+func TestIncrementalFloat64ClassEnvelope(t *testing.T) {
+	// label big holds L elements, every other label small ones
+	const m, L, small, big = 16, 40, 5, 0
+	var labels []int
+	for range L {
+		labels = append(labels, big)
+	}
+	for c := 1; c < m; c++ {
+		for range small {
+			labels = append(labels, c)
+		}
+	}
+	rng := rand.New(rand.NewSource(31))
+	rng.Shuffle(len(labels), func(a, b int) { labels[a], labels[b] = labels[b], labels[a] })
+	n := len(labels)
+	bound := math.Floor(math.Ldexp(1, 52) / L)
+	if bound <= math.Ldexp(1, 52)/float64(n) {
+		t.Fatalf("test shape does not separate the class envelope from the n envelope")
+	}
+	vals := make([]float64, n)
+	var inBig []int
+	for i, c := range labels {
+		if c == big {
+			vals[i] = bound
+			if len(inBig)%3 == 0 {
+				vals[i] = -bound
+			}
+			inBig = append(inBig, i)
+		} else {
+			vals[i] = float64(rng.Intn(2001) - 1000)
+		}
+	}
+	checkBits := func(name string, p *Plan[float64], cur []float64) {
+		t.Helper()
+		want, err := core.Serial(core.AddFloat64, cur, labels, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range cur {
+			got, err := p.QueryPrefix(i)
+			if err != nil {
+				t.Fatalf("%s: QueryPrefix(%d): %v", name, i, err)
+			}
+			if math.Float64bits(got) != math.Float64bits(want.Multi[i]) {
+				t.Fatalf("%s: QueryPrefix(%d) = %v, want bit-identical %v", name, i, got, want.Multi[i])
+			}
+		}
+		for c := range m {
+			got, err := p.ReduceLabel(c)
+			if err != nil {
+				t.Fatalf("%s: ReduceLabel(%d): %v", name, c, err)
+			}
+			if math.Float64bits(got) != math.Float64bits(want.Reductions[c]) {
+				t.Fatalf("%s: ReduceLabel(%d) = %v, want bit-identical %v", name, c, got, want.Reductions[c])
+			}
+		}
+	}
+	for _, name := range []string{"serial", "sorted", "chunked", "auto"} {
+		p := incPlan(t, name, core.AddFloat64, labels, m, backendCfg(name))
+		if err := p.Bind(vals); err != nil {
+			t.Fatalf("%s: Bind: %v", name, err)
+		}
+		cur := append([]float64(nil), vals...)
+		// Flip signs inside the big class: every update stays at ±bound.
+		for k, i := range inBig[:8] {
+			v := -cur[i]
+			if err := p.Update(i, v); err != nil {
+				t.Fatalf("%s: Update: %v", name, err)
+			}
+			cur[i] = v
+			if k%2 == 1 {
+				checkBits(name, p, cur)
+			}
+		}
+		st := p.IncStats()
+		if st.Mode != "fenwick-float64" || st.Drifts != 0 || st.FenwickQueries == 0 {
+			t.Fatalf("%s: stats = %+v, want undrifted fenwick-float64 answering from the trees", name, st)
+		}
+		// One integer above the bound leaves the envelope.
+		if err := p.Update(inBig[0], bound+1); err != nil {
+			t.Fatalf("%s: Update: %v", name, err)
+		}
+		cur[inBig[0]] = bound + 1
+		if st := p.IncStats(); st.Mode != "rerun" || st.Drifts != 1 {
+			t.Fatalf("%s: after bound+1: stats = %+v, want rerun with 1 drift", name, st)
+		}
+		checkBits(name, p, cur)
+	}
+}
+
+// TestIncrementalPinConflict pins the conditional mutations: of two
+// UpdateCall (or BindCall) calls pinned to one version only the first
+// applies; the second fails with a terminal *VersionConflictError and
+// leaves the resident state and the version untouched.
+func TestIncrementalPinConflict(t *testing.T) {
+	const n, m = 32, 4
+	values, labels, _ := refInput(19, n, m)
+	p := incPlan(t, "sorted", core.AddInt64, labels, m, backendCfg("sorted"))
+	if err := p.BindCall(Call{Pin: 5}, values); !errors.As(err, new(*VersionConflictError)) {
+		t.Fatalf("Bind pinned to a version the plan is not at: %v", err)
+	}
+	if p.Bound() || p.Version() != 0 {
+		t.Fatalf("rejected Bind touched the plan: bound %v version %d", p.Bound(), p.Version())
+	}
+	if err := p.Bind(values); err != nil {
+		t.Fatal(err)
+	}
+	pin := p.Version()
+	if err := p.UpdateCall(Call{Pin: pin}, 3, 1000); err != nil {
+		t.Fatalf("first pinned update: %v", err)
+	}
+	err := p.UpdateCall(Call{Pin: pin}, 3, -1000)
+	var vc *VersionConflictError
+	if !errors.As(err, &vc) || vc.Pin != pin || vc.Version != pin+1 {
+		t.Fatalf("second pinned update: %v, want a conflict at version %d", err, pin+1)
+	}
+	if !Terminal(err) {
+		t.Fatalf("version conflict is not terminal: %v", err)
+	}
+	if v := p.Version(); v != pin+1 {
+		t.Fatalf("version after the rejected update = %d, want %d", v, pin+1)
+	}
+	if err := p.BindCall(Call{Pin: pin}, values); !errors.As(err, &vc) {
+		t.Fatalf("stale pinned Bind: %v", err)
+	}
+	cur := append([]int64(nil), values...)
+	cur[3] = 1000
+	checkIncParity(t, "sorted", p, core.AddInt64, cur, labels, m)
+	if st := p.IncStats(); st.Updates != 1 || st.Binds != 1 {
+		t.Fatalf("stats = %+v, want the one pinned update and the one Bind", st)
+	}
+}
+
 // TestIncrementalVersionNotKey pins the invalidation contract (see
 // backend.Key): Update and Bind bump Version, but the cache key — the
 // construction input — is unchanged, so the service cache entry stays
@@ -572,8 +797,9 @@ func TestConcurrentUpdateQueryRun(t *testing.T) {
 }
 
 // TestUpdateZeroAllocs pins the warm-path allocation contract of the
-// stateful hotpaths: Update, QueryPrefix, QueryPrefixCall, ReduceLabel
-// and ReduceLabelCall on a bound plan allocate nothing.
+// stateful hotpaths: Update, UpdateCall (pinned to the current
+// version), QueryPrefix, QueryPrefixCall, ReduceLabel and
+// ReduceLabelCall on a bound plan allocate nothing.
 func TestUpdateZeroAllocs(t *testing.T) {
 	const n, m = 1 << 10, 32
 	values, labels, _ := refInput(17, n, m)
@@ -588,6 +814,9 @@ func TestUpdateZeroAllocs(t *testing.T) {
 		k++
 		if err := p.Update(i, int64(i)); err != nil {
 			t.Fatalf("Update: %v", err)
+		}
+		if err := p.UpdateCall(Call{Pin: p.Version()}, i, int64(i)+1); err != nil {
+			t.Fatalf("UpdateCall: %v", err)
 		}
 		v, err := p.QueryPrefix(i)
 		if err != nil {
@@ -620,24 +849,38 @@ func TestUpdateZeroAllocs(t *testing.T) {
 // on every registered backend and cross-checks each answer against a
 // full serial recompute, including the float64 envelope/drift split on
 // the serial backend (where the re-run tier is the serial order itself,
-// so answers stay bit-identical even after drift).
+// so answers stay bit-identical even after drift). Shapes run from one
+// class over every element to more labels than elements, so empty and
+// singleton classes occur; one int64 value in eight sits at an int64
+// extreme, so the class sums wrap.
 func FuzzIncrementalParity(f *testing.F) {
-	f.Add(int64(1), []byte{0, 1, 2, 3, 200, 17, 91, 4, 5, 6})
-	f.Add(int64(42), []byte{255, 254, 253, 0, 0, 0, 128, 64, 32, 16, 8, 4, 2, 1})
-	f.Add(int64(7), []byte("incremental-multiprefix"))
-	f.Fuzz(func(t *testing.T, seed int64, stream []byte) {
+	f.Add(int64(1), uint8(9), uint8(3), []byte{0, 1, 2, 3, 200, 17, 91, 4, 5, 6})
+	f.Add(int64(42), uint8(47), uint8(7), []byte{255, 254, 253, 0, 0, 0, 128, 64, 32, 16, 8, 4, 2, 1})
+	f.Add(int64(7), uint8(30), uint8(5), []byte("incremental-multiprefix"))
+	f.Add(int64(3), uint8(159), uint8(0), []byte("one class spans the whole tree"))  // m = 1
+	f.Add(int64(5), uint8(63), uint8(63), []byte("as many labels as elements, n=m")) // m = n
+	f.Fuzz(func(t *testing.T, seed int64, nb, mb uint8, stream []byte) {
 		if len(stream) > 96 {
 			stream = stream[:96]
 		}
 		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(48)
-		m := 1 + rng.Intn(8)
+		n := 1 + int(nb)%160
+		m := 1 + int(mb)%(n+8)
+		extreme := func(r int) int64 {
+			if r&1 == 0 {
+				return math.MinInt64
+			}
+			return math.MaxInt64
+		}
 		labels := make([]int, n)
 		ivals := make([]int64, n)
 		fvals := make([]float64, n)
 		for i := range labels {
 			labels[i] = rng.Intn(m)
 			ivals[i] = int64(rng.Intn(200) - 100)
+			if rng.Intn(8) == 0 {
+				ivals[i] = extreme(rng.Intn(2))
+			}
 			fvals[i] = float64(rng.Intn(200) - 100)
 		}
 
@@ -679,13 +922,16 @@ func FuzzIncrementalParity(f *testing.F) {
 		for step, b := range stream {
 			i := int(b) % n
 			v := int64(int8(b ^ byte(seed)))
+			fv := float64(v)
+			if b&7 == 7 {
+				v = extreme(int(b >> 3))
+			}
 			for _, ip := range iplans {
 				if err := ip.p.Update(i, v); err != nil {
 					t.Fatalf("%s: Update: %v", ip.name, err)
 				}
 			}
 			icur[i] = v
-			fv := float64(v)
 			if b%16 == 0 {
 				fv += 0.5 // outside the exact envelope: must trip drift
 			}
@@ -758,3 +1004,78 @@ func FuzzIncrementalParity(f *testing.F) {
 		}
 	})
 }
+
+// BenchmarkIncremental times the Fenwick tier per call on a bound
+// sorted int64 plan: Update, QueryPrefix and ReduceLabel, indices drawn
+// from a fixed random pool. m=1 is one class spanning the tree, m=n
+// all singletons. The Update row runs one QueryPrefix every half burst
+// (inside the timing: stopping the timer costs far more), so the trees
+// never go stale; the query rows run on a dirty snapshot, so they read
+// the trees, not the snapshot.
+func BenchmarkIncremental(b *testing.B) {
+	shapes := []struct{ n, m int }{{1 << 14, 1}, {1 << 14, 256}, {1 << 14, 1 << 14}, {1 << 20, 256}}
+	const pool = 4096
+	for _, sh := range shapes {
+		values, labels, _ := refInput(1, sh.n, sh.m)
+		be, err := Open[int64]("sorted")
+		if err != nil {
+			b.Fatal(err)
+		}
+		p, err := be.Plan(core.AddInt64, labels, sh.m, core.Config{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := p.Bind(values); err != nil {
+			b.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(2))
+		idx := make([]int, pool)
+		lab := make([]int, pool)
+		for k := range idx {
+			idx[k] = rng.Intn(sh.n)
+			lab[k] = rng.Intn(sh.m)
+		}
+		every := max(1, p.IncStats().Burst/2)
+		name := func(row string) string { return fmt.Sprintf("n=%d/m=%d/%s", sh.n, sh.m, row) }
+		b.Run(name("Update"), func(b *testing.B) {
+			for k := range b.N {
+				if k%every == every-1 {
+					if _, err := p.QueryPrefix(idx[k%pool]); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if err := p.Update(idx[k%pool], int64(k)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		if err := p.Update(0, 1); err != nil { // dirty the snapshot
+			b.Fatal(err)
+		}
+		b.Run(name("QueryPrefix"), func(b *testing.B) {
+			for k := range b.N {
+				v, err := p.QueryPrefix(idx[k%pool])
+				if err != nil {
+					b.Fatal(err)
+				}
+				incSink += v
+			}
+		})
+		b.Run(name("ReduceLabel"), func(b *testing.B) {
+			for k := range b.N {
+				v, err := p.ReduceLabel(lab[k%pool])
+				if err != nil {
+					b.Fatal(err)
+				}
+				incSink += v
+			}
+		})
+		if st := p.IncStats(); st.Reruns != 1 || st.Mode != "fenwick-int64" {
+			b.Fatalf("n=%d m=%d: stats = %+v, want the Bind's run only", sh.n, sh.m, st)
+		}
+		p.Close()
+	}
+}
+
+// incSink keeps BenchmarkIncremental's query results live.
+var incSink int64

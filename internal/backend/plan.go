@@ -78,8 +78,9 @@ const (
 //
 // A Plan is also a stateful, versioned resource: Bind installs a
 // resident value vector and Update/QueryPrefix/ReduceLabel maintain
-// and query it incrementally — O(log n) Fenwick deltas for invertible
-// fast sums, dirty-set + full re-run otherwise (see incremental.go).
+// and query it incrementally — deltas on one Fenwick tree per label
+// class for invertible fast sums, dirty-set + full re-run otherwise
+// (see incremental.go).
 // The stateful entry points hold the same lock, scalar results are
 // returned by value and Snapshot copies into caller storage, so
 // mixed Run/Update/Query traffic never observes torn state.
@@ -194,15 +195,15 @@ type Plan[T any] struct {
 	//mp:guarded-by mu
 	istart []int32 // per-label run bounds, len m+1 (aliases sstart)
 	//mp:guarded-by mu
-	ipos []int32 // inverse permutation: sorted position of element i
+	iloc []classPos // element i's label class and offset in its run
 	//mp:guarded-by mu
-	ftree []T // Fenwick tree over vals in sorted order
+	ftree []T // one Fenwick tree per class, class c's at istart[c]:istart[c+1]
 	//mp:guarded-by mu
 	fstale bool // tree stopped tracking vals (update burst)
 	//mp:guarded-by mu
 	fdrift bool // float64 left the exact envelope (sticky until Bind)
 	//mp:guarded-by mu
-	fbound float64 // float64 exact-envelope bound (2^52/n)
+	fbound float64 // float64 exact-envelope bound (2^52 / largest class)
 	//mp:guarded-by mu
 	burst int // calibrated update-vs-rerun crossover
 	//mp:guarded-by mu
@@ -428,16 +429,20 @@ func (p *Plan[T]) checkRun(values []T) error {
 
 // terminalErr reports whether err must pass through instead of
 // degrading to serial: invalid input and cancellation, exactly as the
-// one-shot Auto/Fallback machinery classifies them.
+// one-shot Auto/Fallback machinery classifies them, and a pinned
+// mutation's version conflict.
 func terminalErr(err error) bool {
+	var vc *VersionConflictError
 	return errors.Is(err, core.ErrBadInput) ||
 		errors.Is(err, context.Canceled) ||
-		errors.Is(err, context.DeadlineExceeded)
+		errors.Is(err, context.DeadlineExceeded) ||
+		errors.As(err, &vc)
 }
 
 // Terminal reports whether err must not be retried on another
-// backend: invalid input (a retry computes the same rejection) and
-// cancellation (a retry defeats the cancellation). The service
+// backend: invalid input (a retry computes the same rejection),
+// cancellation (a retry defeats the cancellation) and a version
+// conflict (a retry meets the same version). The service
 // layer's degradation ladder uses the same classification as the
 // in-plan auto fallback.
 func Terminal(err error) bool { return terminalErr(err) }
@@ -457,6 +462,12 @@ type Call struct {
 	// Hook overrides Config.FaultHook for this call — per-request
 	// fault injection (the service's chaos mode).
 	Hook core.FaultHook
+	// Pin, when nonzero, makes a mutation (BindCall, UpdateCall)
+	// conditional: it applies only if the plan is at exactly this
+	// version (see Plan.Version) when it takes the plan lock, and
+	// otherwise fails with a *VersionConflictError and changes
+	// nothing. Evaluations and queries ignore it.
+	Pin uint64
 }
 
 // override installs the call's knobs into the plan config and returns

@@ -3,14 +3,17 @@ package core
 import "math"
 
 // This file is the accumulator layer of the incremental multiprefix
-// (DESIGN.md §14): per-plan Fenwick (binary-indexed) trees over the
-// counting-sort order of the labels, so a stateful Plan can maintain
-// point updates in O(log n) instead of re-running the whole O(n)
-// pipeline. The idea follows Brodnik et al.'s prefix-sum-under-update
-// line of work (PAPERS.md): prefix state is cheap to *maintain* when
-// the operator is invertible, and the sorted permutation the engine
-// already builds at plan time makes every per-label prefix a
-// difference of two whole-array prefixes.
+// (DESIGN.md §14): Fenwick (binary-indexed) trees, one per label
+// class, so a stateful Plan can maintain point updates in O(log L), L
+// the class length, instead of re-running the whole O(n) pipeline. The
+// idea follows Brodnik et al.'s prefix-sum-under-update line of work
+// (PAPERS.md): prefix state is cheap to *maintain* when the operator
+// is invertible. The counting-sort order the engine already builds at
+// plan time lays each class out as one contiguous run, and the backend
+// keeps each class's tree in that run of one shared array; a per-label
+// prefix is then a single walk over a class's tree. The kernels here
+// know nothing of classes: the backend hands each one a class's
+// subslice, and the slice length bounds every walk.
 //
 // The kernels are monomorphic (int64 / float64) like the fast-op
 // kernels in fastpath.go: the backend dispatches with the
@@ -28,13 +31,14 @@ import "math"
 // checks are insufficient: a serial left-to-right sum can round where
 // the tree's dyadic association happens to stay exact, so "every tree
 // add was exact" does not imply "equal to recompute". The usable
-// guarantee is an envelope: if every resident value is an integer-
-// valued float with |v| <= 2^52/n, then every partial sum of any
-// subset, in any association order, is an integer of magnitude
-// <= 2^52 — exactly representable, hence order-independent, hence
-// bit-identical to the serial recompute. FenwickFloat64Bound derives
-// the envelope; the backend drops to the full re-run tier the moment
-// a resident value leaves it.
+// guarantee is an envelope: if every value a tree holds is an integer-
+// valued float with |v| <= 2^52/L, L the tree's length, then every
+// partial sum of any subset, in any association order, is an integer
+// of magnitude <= 2^52 — exactly representable, hence order-
+// independent, hence bit-identical to the serial recompute, which sums
+// each class on its own as well. FenwickFloat64Bound derives the
+// envelope; the backend sizes it by its largest class and drops to
+// the full re-run tier the moment a resident value leaves it.
 
 // FenwickBuildInt64 builds the Fenwick tree over vals into tree (both
 // len n) in O(n): tree[k] covers vals[k-lowbit(k+1)+1 .. k].
@@ -141,10 +145,11 @@ func FenwickPrefixFloat64(tree []float64, k int) float64 {
 }
 
 // FenwickFloat64Bound returns the per-value magnitude bound of the
-// exact float64 envelope for n resident values: while every value is
-// integer-valued with |v| <= bound, every partial sum of every subset
-// is an integer of magnitude <= 2^52 in any association order, so
-// Fenwick answers are bit-identical to the serial recompute.
+// exact float64 envelope for sums of at most n values (a class tree
+// of length n): while every value is integer-valued with
+// |v| <= bound, every partial sum of every subset is an integer of
+// magnitude <= 2^52 in any association order, so Fenwick answers are
+// bit-identical to the serial recompute.
 func FenwickFloat64Bound(n int) float64 {
 	if n < 1 {
 		n = 1

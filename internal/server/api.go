@@ -116,7 +116,10 @@ type updateRequest struct {
 	Updates []pointUpdate `json:"updates,omitempty"`
 	// PinVersion, when nonzero, makes the request conditional: it is
 	// rejected with version_conflict unless the plan is at exactly this
-	// version when the update begins (optimistic concurrency).
+	// version when the update begins (optimistic concurrency). The
+	// plan checks the pin under its own lock at the request's first
+	// mutation, so of two requests pinned to one version at most one
+	// applies.
 	PinVersion uint64 `json:"pin_version,omitempty"`
 	DeadlineMS int64  `json:"deadline_ms,omitempty"`
 }
@@ -256,20 +259,17 @@ const (
 	kindNotBound = "not_bound"
 )
 
-// errVersionConflict is the pipeline's optimistic-concurrency
-// rejection: the plan's version moved past the request's pin.
-var errVersionConflict = errors.New("plan version conflict")
-
 // classify maps an engine or pipeline error to its HTTP status and
 // typed kind — the single place the degradation ladder's outcomes
 // turn into wire semantics.
 func classify(err error) (int, string) {
 	var ub *backend.UnknownBackendError
+	var vc *backend.VersionConflictError
 	var pe *core.EnginePanicError
 	switch {
 	case errors.As(err, &ub):
 		return http.StatusBadRequest, kindUnknownBack
-	case errors.Is(err, errVersionConflict):
+	case errors.As(err, &vc):
 		return http.StatusConflict, kindVersionConflict
 	case errors.Is(err, backend.ErrNotBound):
 		// Checked before the general ErrBadInput class it wraps: the

@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"time"
 
@@ -149,7 +148,7 @@ func (s *Server) execute(e *planEntry, reduce bool, pin uint64, batch []*pending
 	}
 	if pin != 0 {
 		if cur := e.plan.Version(); cur != pin {
-			err := fmt.Errorf("%w: plan is at version %d, request pinned %d", errVersionConflict, cur, pin)
+			err := &backend.VersionConflictError{Pin: pin, Version: cur}
 			s.st.versionConflicts.Add(uint64(len(live)))
 			for _, it := range live {
 				it.done <- outcome{err: err}

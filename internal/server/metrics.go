@@ -72,8 +72,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 	counter("mp_plan_binds_total", "Resident vector binds across live plans.", inc.Binds)
 	counter("mp_plan_updates_total", "Point updates accepted across live plans.", inc.Updates)
-	counter("mp_plan_fenwick_updates_total", "Updates applied as O(log n) Fenwick deltas.", inc.FenwickUpdates)
-	counter("mp_plan_fenwick_queries_total", "Queries answered from the Fenwick tree.", inc.FenwickQueries)
+	counter("mp_plan_fenwick_updates_total", "Updates applied as Fenwick deltas on a class tree.", inc.FenwickUpdates)
+	counter("mp_plan_fenwick_queries_total", "Queries answered from a class's Fenwick tree.", inc.FenwickQueries)
 	counter("mp_plan_snapshot_queries_total", "Queries answered from a clean snapshot.", inc.SnapshotQueries)
 	counter("mp_plan_rebuilds_total", "O(n) Fenwick rebuilds across live plans.", inc.Rebuilds)
 	counter("mp_plan_reruns_total", "Full engine re-runs refreshing resident state.", inc.Reruns)

@@ -166,23 +166,33 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	plan := entry.plan
 	cctx, hook := s.armChaos(ctx, n)
 
-	if s.pinConflict(w, plan, req.PinVersion) {
-		return
-	}
+	// The pin rides on the request's first mutation, where the plan
+	// checks it under its own lock; a request that mutates nothing
+	// only compares it.
+	pin := req.PinVersion
 	bound := false
 	if req.Values != nil {
-		err := plan.BindCall(backend.Call{Ctx: cctx, Hook: hook}, req.Values)
+		err := plan.BindCall(backend.Call{Ctx: cctx, Hook: hook, Pin: pin}, req.Values)
 		if err != nil && hook != nil && !backend.Terminal(err) {
 			// Hook-free retry on the same plan: the resident state the
-			// request is installing can live nowhere else.
+			// request is installing can live nowhere else. The failed
+			// bind passed its pin and moved the plan one version on, so
+			// a pinned retry pins that version: it still applies only
+			// if nothing else mutated the plan in between.
 			s.notePanic(err)
-			err = plan.BindCall(backend.Call{Ctx: cctx}, req.Values)
+			if pin != 0 {
+				pin++
+			}
+			err = plan.BindCall(backend.Call{Ctx: cctx, Pin: pin}, req.Values)
 		}
 		if err != nil {
 			s.failStateful(w, err)
 			return
 		}
 		bound = true
+		pin = 0
+	} else if len(req.Updates) == 0 && s.pinConflict(w, plan, pin) {
+		return
 	} else if !plan.Bound() {
 		s.st.notBound.Add(1)
 		s.writeError(w, http.StatusConflict, kindNotBound,
@@ -199,11 +209,12 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		}
-		if err := plan.Update(u.I, u.V); err != nil {
+		if err := plan.UpdateCall(backend.Call{Pin: pin}, u.I, u.V); err != nil {
 			s.st.updatesApplied.Add(uint64(applied))
 			s.failStateful(w, fmt.Errorf("update %d: %w", k, err))
 			return
 		}
+		pin = 0
 		applied++
 	}
 	s.st.updatesApplied.Add(uint64(applied))
@@ -348,6 +359,9 @@ func (s *Server) failStateful(w http.ResponseWriter, err error) {
 	}
 	s.countMemberErr(err)
 	status, kind := classify(err)
+	if kind == kindVersionConflict {
+		s.st.versionConflicts.Add(1)
+	}
 	if status == http.StatusServiceUnavailable {
 		s.retryAfter(w)
 	}

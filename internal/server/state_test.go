@@ -1,8 +1,11 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -232,6 +235,25 @@ func TestStatefulChaosRetriesHookFree(t *testing.T) {
 	if st := x.s.Stats(); st.EnginePanics == 0 {
 		t.Fatalf("chaos never fired: %+v", st)
 	}
+	// A pinned re-bind heals the same way: a bind that panics has moved
+	// the plan one version on, and the hook-free retry pins that
+	// version, so it must not conflict with its own first attempt.
+	panics := x.s.Stats().EnginePanics
+	rebind := map[string]any{
+		"op": "max", "backend": "sorted", "m": m, "labels": labels, "values": values,
+		"pin_version": q.Version,
+	}
+	if resp := x.post(t, "/v1/update", rebind, &up); resp.StatusCode != http.StatusOK {
+		t.Fatalf("pinned chaos re-bind: status %d", resp.StatusCode)
+	}
+	healed := x.s.Stats().EnginePanics - panics
+	if want := q.Version + 1 + healed; up.Version != want {
+		t.Fatalf("pinned re-bind left version %d, want %d (%d panics healed)", up.Version, want, healed)
+	}
+	var e errorResponse
+	if resp := x.post(t, "/v1/update", rebind, &e); resp.StatusCode != http.StatusConflict || e.Error.Kind != kindVersionConflict {
+		t.Fatalf("stale pinned re-bind: status %d kind %q", resp.StatusCode, e.Error.Kind)
+	}
 }
 
 func TestMetricsEndpoint(t *testing.T) {
@@ -415,5 +437,99 @@ func TestConcurrentUpdateRunEvict(t *testing.T) {
 		if q.Multi[i] != want.Multi[i] {
 			t.Fatalf("final multi[%d] = %d, want %d", i, q.Multi[i], want.Multi[i])
 		}
+	}
+}
+
+// TestPinnedUpdateSingleWinner races pinned updates: each round, four
+// clients post an update pinned to the version the previous round's
+// winner left, through the in-process handler. The plan checks the pin
+// under its own lock, so exactly one update wins each round; every
+// loser gets 409 version_conflict and changes nothing.
+func TestPinnedUpdateSingleWinner(t *testing.T) {
+	s := New(Options{})
+	t.Cleanup(s.Close)
+	h := s.Handler()
+	const n, m, clients, rounds = 32, 4, 4, 300
+	labels, values := refInputs(n, m)
+	post := func(body map[string]any) (int, []byte) {
+		b, err := json.Marshal(body)
+		if err != nil {
+			t.Error(err)
+			return 0, nil
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/update", bytes.NewReader(b)))
+		return rec.Code, rec.Body.Bytes()
+	}
+	code, body := post(map[string]any{"op": "sum", "m": m, "labels": labels, "values": values})
+	var up updateResponse
+	if code != http.StatusOK || json.Unmarshal(body, &up) != nil {
+		t.Fatalf("bind: status %d body %s", code, body)
+	}
+	cur := append([]int64(nil), values...)
+	version := up.Version
+	for r := 0; r < rounds; r++ {
+		start := make(chan struct{})
+		codes := make([]int, clients)
+		bodies := make([][]byte, clients)
+		var wg sync.WaitGroup
+		for g := range clients {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				codes[g], bodies[g] = post(map[string]any{
+					"op": "sum", "m": m, "labels": labels, "pin_version": version,
+					"updates": []map[string]any{{"i": g, "v": r*clients + g}},
+				})
+			}()
+		}
+		close(start)
+		wg.Wait()
+		winner := -1
+		for g := range clients {
+			switch codes[g] {
+			case http.StatusOK:
+				if winner >= 0 {
+					t.Fatalf("round %d: clients %d and %d both applied an update pinned to version %d", r, winner, g, version)
+				}
+				winner = g
+				if json.Unmarshal(bodies[g], &up) != nil || up.Version != version+1 {
+					t.Fatalf("round %d: winner body %s, want version %d", r, bodies[g], version+1)
+				}
+			case http.StatusConflict:
+				var e errorResponse
+				if json.Unmarshal(bodies[g], &e) != nil || e.Error.Kind != kindVersionConflict {
+					t.Fatalf("round %d: loser body %s, want version_conflict", r, bodies[g])
+				}
+			default:
+				t.Fatalf("round %d: status %d body %s", r, codes[g], bodies[g])
+			}
+		}
+		if winner < 0 {
+			t.Fatalf("round %d: no update pinned to version %d applied", r, version)
+		}
+		cur[winner] = int64(r*clients + winner)
+		version++
+	}
+	// The resident state holds exactly the winners' values.
+	rec := httptest.NewRecorder()
+	b, _ := json.Marshal(map[string]any{"op": "sum", "m": m, "labels": labels, "full": true, "pin_version": version})
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/query", bytes.NewReader(b)))
+	var q queryResponse
+	if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &q) != nil {
+		t.Fatalf("final query: status %d body %s", rec.Code, rec.Body.Bytes())
+	}
+	want, err := core.Serial(core.AddInt64, cur, labels, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want.Multi {
+		if q.Multi[i] != want.Multi[i] {
+			t.Fatalf("final multi[%d] = %d, want %d", i, q.Multi[i], want.Multi[i])
+		}
+	}
+	if st := s.Stats(); st.VersionConflicts != uint64(rounds*(clients-1)) {
+		t.Fatalf("version conflicts = %d, want %d", st.VersionConflicts, rounds*(clients-1))
 	}
 }
