@@ -59,7 +59,6 @@ func main() {
 		maxM         = flag.Int("max-m", 0, "max label-space size per request (0 = 2^18)")
 		deadline     = flag.Duration("deadline", 0, "default per-request compute deadline (0 = 2s)")
 		maxDeadline  = flag.Duration("max-deadline", 0, "cap on client-requested deadlines (0 = 30s)")
-		window       = flag.Duration("coalesce-window", 0, "batch-coalescing collection window (0 = 200us, negative = no wait)")
 		batchCap     = flag.Int("batch-cap", 0, "max request vectors fused into one engine round (0 = 16)")
 		planCache    = flag.Int("plan-cache", 0, "plan cache capacity, LRU beyond it (0 = 64)")
 		retryAfter   = flag.Duration("retry-after", 0, "Retry-After hint on 429/503 (0 = 1s)")
@@ -80,7 +79,6 @@ func main() {
 		MaxM:            *maxM,
 		DefaultDeadline: *deadline,
 		MaxDeadline:     *maxDeadline,
-		CoalesceWindow:  *window,
 		BatchCap:        *batchCap,
 		PlanCacheCap:    *planCache,
 		RetryAfter:      *retryAfter,

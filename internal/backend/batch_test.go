@@ -124,6 +124,110 @@ func TestBatchWorkerMatrix(t *testing.T) {
 	}
 }
 
+// TestBatchDstOverwrite pins the full-overwrite contract of batch
+// destinations, which lets a caller reuse dst slices without clearing
+// them: RunBatch, ReduceBatch, RunEach and ReduceEach write every
+// element of every dst, so dsts filled with a sentinel get the same
+// answers as zeroed ones, and both match per-vector serial. It covers
+// every service backend with sum and with max (whose identity is not
+// zero) over shapes with absent labels, m > n and n = 1.
+func TestBatchDstOverwrite(t *testing.T) {
+	const k = 3
+	const sentinel = int64(0x5a5a5a5a5a5a5a5a)
+	rng := rand.New(rand.NewSource(97))
+	randLabels := func(n, m, stride int) []int {
+		labels := make([]int, n)
+		for i := range labels {
+			labels[i] = rng.Intn(m/stride) * stride
+		}
+		return labels
+	}
+	shapes := []struct {
+		name   string
+		labels []int
+		m      int
+	}{
+		{"mixed", randLabels(1500, 24, 1), 24},
+		{"odd labels absent", randLabels(300, 16, 2), 16},
+		{"one run, others absent", make([]int, 1023), 5},
+		{"m>n", randLabels(5, 40, 1), 40},
+		{"n=1", []int{0}, 1},
+		{"n=1 m>n", []int{2}, 4},
+	}
+	forms := []struct {
+		name  string
+		multi bool
+		run   func(p *Plan[int64], dsts, srcs [][]int64) error
+	}{
+		{"RunBatch", true, func(p *Plan[int64], d, s [][]int64) error { return p.RunBatch(d, s) }},
+		{"ReduceBatch", false, func(p *Plan[int64], d, s [][]int64) error { return p.ReduceBatch(d, s) }},
+		{"RunEach", true, func(p *Plan[int64], d, s [][]int64) error { return errors.Join(p.RunEach(nil, d, s)...) }},
+		{"ReduceEach", false, func(p *Plan[int64], d, s [][]int64) error { return errors.Join(p.ReduceEach(nil, d, s)...) }},
+	}
+	fill := func(width int, v int64) [][]int64 {
+		dsts := make([][]int64, k)
+		for j := range dsts {
+			dsts[j] = make([]int64, width)
+			for i := range dsts[j] {
+				dsts[j][i] = v
+			}
+		}
+		return dsts
+	}
+	for _, name := range []string{"auto", "serial", "sorted", "sharded", "chunked", "parallel", "spinetree"} {
+		be, err := Open[int64](name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, op := range []core.Op[int64]{core.AddInt64, core.MaxInt64} {
+			for _, sh := range shapes {
+				n := len(sh.labels)
+				srcs := make([][]int64, k)
+				wants := make([]core.Result[int64], k)
+				for j := range srcs {
+					srcs[j] = make([]int64, n)
+					for i := range srcs[j] {
+						srcs[j][i] = int64(rng.Intn(200) - 100)
+					}
+					if wants[j], err = core.Serial(op, srcs[j], sh.labels, sh.m); err != nil {
+						t.Fatal(err)
+					}
+				}
+				plan, err := be.Plan(op, sh.labels, sh.m, core.Config{Workers: 4})
+				if err != nil {
+					t.Fatalf("%s/%s: %v", name, sh.name, err)
+				}
+				for _, f := range forms {
+					width := sh.m
+					if f.multi {
+						width = n
+					}
+					zeroed, marked := fill(width, 0), fill(width, sentinel)
+					if err := f.run(plan, zeroed, srcs); err != nil {
+						t.Fatalf("%s/%s/%s/%s zeroed: %v", name, op.Name, sh.name, f.name, err)
+					}
+					if err := f.run(plan, marked, srcs); err != nil {
+						t.Fatalf("%s/%s/%s/%s marked: %v", name, op.Name, sh.name, f.name, err)
+					}
+					for j := range srcs {
+						want := wants[j].Reductions
+						if f.multi {
+							want = wants[j].Multi
+						}
+						for i := range want {
+							if marked[j][i] != zeroed[j][i] || zeroed[j][i] != want[i] {
+								t.Fatalf("%s/%s/%s/%s vector %d [%d]: marked dst %d, zeroed %d, serial %d",
+									name, op.Name, sh.name, f.name, j, i, marked[j][i], zeroed[j][i], want[i])
+							}
+						}
+					}
+				}
+				plan.Close()
+			}
+		}
+	}
+}
+
 // TestRunBatchZeroAllocs asserts the batch perf property: a warm plan
 // evaluates a whole batch with zero heap allocations on the fused
 // paths (serial, sorted serial and team, chunked team).

@@ -43,72 +43,96 @@ type groupKey struct {
 	pin    uint64
 }
 
+// group is a coalescing group while one of its rounds runs: vectors
+// that arrive meanwhile queue in items for the rounds after it.
 type group struct {
 	entry *planEntry
 	items []*pending
 }
 
 // coalescer merges concurrent requests that share a cached plan into
-// fused RunBatch/ReduceBatch rounds. Each group runs a short
-// collection window, takes up to BatchCap queued vectors, and
-// executes them as one team round — the paper's batching insight
-// (amortize the fixed per-round cost over many vectors) applied
-// across requests. A group's runner goroutine exists only while the
-// group has traffic; an empty collection ends it.
+// fused RunBatch/ReduceBatch rounds by group commit. A request whose
+// group has no round running runs one at once, on its own goroutine;
+// requests that arrive during a round queue, and the finishing round
+// hands them to a runner goroutine that executes them in rounds of up
+// to BatchCap vectors. This is the paper's batching insight (amortize
+// the fixed per-round cost over many vectors) applied across
+// requests, with the batch size set by load alone: an idle group runs
+// each request alone and at once, a busy one fuses whatever queued
+// during its previous round. A group exists only while one of its
+// rounds runs; the round that finds its queue empty deletes it.
 type coalescer struct {
 	s      *Server
 	mu     sync.Mutex
 	groups map[groupKey]*group
-	wg     sync.WaitGroup
+	wg     sync.WaitGroup // counts runner goroutines
 }
 
 func newCoalescer(s *Server) *coalescer {
 	return &coalescer{s: s, groups: make(map[groupKey]*group)}
 }
 
-// submit queues one vector. The caller must hold a pin on entry until
-// it has received on it.done — that pin is what keeps entry.plan's
-// team alive while the group uses it.
-func (c *coalescer) submit(entry *planEntry, reduce bool, pin uint64, it *pending) {
+// submit hands one request's vectors to their group: it queues them
+// behind a running round, or else runs the group's first round on the
+// caller's goroutine, so a request that fits in one round has every
+// outcome delivered when submit returns. The caller must hold a pin
+// on entry until it has received on every item's done — that pin is
+// what keeps entry.plan's team alive while the group uses it.
+func (c *coalescer) submit(entry *planEntry, reduce bool, pin uint64, items ...*pending) {
 	k := groupKey{plan: entry.plan, reduce: reduce, pin: pin}
 	c.mu.Lock()
-	g := c.groups[k]
-	if g == nil {
-		g = &group{entry: entry}
-		c.groups[k] = g
-		c.wg.Add(1)
-		go c.run(k, g)
+	if g := c.groups[k]; g != nil {
+		g.items = append(g.items, items...)
+		c.mu.Unlock()
+		return
 	}
-	g.items = append(g.items, it)
+	g := &group{entry: entry, items: items}
+	c.groups[k] = g
+	batch := c.takeLocked(g)
 	c.mu.Unlock()
+
+	c.s.execute(entry, reduce, pin, batch)
+	if batch = c.next(k, g); batch != nil {
+		c.wg.Add(1)
+		go c.run(k, g, batch)
+	}
 }
 
 // wait blocks until every group runner has exited. Callers stop
 // submitting first (drain + server shutdown), so this terminates.
 func (c *coalescer) wait() { c.wg.Wait() }
 
-func (c *coalescer) run(k groupKey, g *group) {
+// run is a group's runner: it executes batch, then the group's queued
+// vectors round by round until the queue is empty.
+func (c *coalescer) run(k groupKey, g *group, batch []*pending) {
 	defer c.wg.Done()
-	for {
-		if w := c.s.opts.CoalesceWindow; w > 0 {
-			time.Sleep(w)
-		}
-		c.mu.Lock()
-		batch := g.items
-		if len(batch) == 0 {
-			delete(c.groups, k)
-			c.mu.Unlock()
-			return
-		}
-		if limit := c.s.opts.BatchCap; len(batch) > limit {
-			g.items = batch[limit:]
-			batch = batch[:limit:limit]
-		} else {
-			g.items = nil
-		}
-		c.mu.Unlock()
+	for ; batch != nil; batch = c.next(k, g) {
 		c.s.execute(g.entry, k.reduce, k.pin, batch)
 	}
+}
+
+// next takes the group's next round from its queue or, when nothing
+// is queued, deletes the group and returns nil.
+func (c *coalescer) next(k groupKey, g *group) []*pending {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(g.items) == 0 {
+		delete(c.groups, k)
+		return nil
+	}
+	return c.takeLocked(g)
+}
+
+// takeLocked removes up to BatchCap vectors from the head of the
+// group's queue and returns them. Callers hold c.mu.
+func (c *coalescer) takeLocked(g *group) []*pending {
+	batch := g.items
+	if limit := c.s.opts.BatchCap; len(batch) > limit {
+		g.items = batch[limit:]
+		return batch[:limit:limit]
+	}
+	g.items = nil
+	return batch
 }
 
 // execute runs one fused batch through the degradation ladder:

@@ -33,11 +33,6 @@ type Options struct {
 	// DefaultDeadline applies when a request sets no deadline_ms;
 	// MaxDeadline clamps what a request may ask for.
 	DefaultDeadline, MaxDeadline time.Duration
-	// CoalesceWindow is how long a batch group collects concurrent
-	// requests before running a fused round. 0 selects the default;
-	// negative disables the wait (each collection takes whatever is
-	// queued right now).
-	CoalesceWindow time.Duration
 	// BatchCap bounds the vectors fused into one round.
 	BatchCap int
 	// PlanCacheCap bounds the plan cache (LRU beyond it).
@@ -88,12 +83,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxDeadline <= 0 {
 		o.MaxDeadline = 30 * time.Second
-	}
-	if o.CoalesceWindow == 0 {
-		o.CoalesceWindow = 200 * time.Microsecond
-	}
-	if o.CoalesceWindow < 0 {
-		o.CoalesceWindow = 0
 	}
 	if o.BatchCap <= 0 {
 		o.BatchCap = 16
@@ -393,8 +382,10 @@ func (s *Server) handleCompute(reduce, batchEP bool) http.HandlerFunc {
 				deadline: deadline,
 				done:     make(chan outcome, 1),
 			}
-			s.coal.submit(entry, reduce, req.PinVersion, items[i])
 		}
+		// One submission keeps the request's vectors together: on an
+		// idle plan they run as one round on this goroutine.
+		s.coal.submit(entry, reduce, req.PinVersion, items...)
 		outs := make([]outcome, len(items))
 		for i, it := range items {
 			outs[i] = <-it.done

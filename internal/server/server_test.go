@@ -139,6 +139,9 @@ func TestBatchEndpoints(t *testing.T) {
 		}
 		reduce := strings.Contains(ep, "multireduce")
 		for k, item := range resp.Results {
+			if item.Coalesced != len(batch) {
+				t.Fatalf("%s item %d: coalesced %d, want the batch's %d vectors in one round", ep, k, item.Coalesced, len(batch))
+			}
 			want, _ := core.Serial(core.AddInt64, batch[k], labels, 9)
 			got, ref := item.Multi, want.Multi
 			if reduce {
@@ -382,54 +385,47 @@ func TestChaosCancel(t *testing.T) {
 	}
 }
 
-// TestCoalescing fires many concurrent requests on one plan and
-// asserts they (a) all answer correctly and (b) at least one fused
-// round carried more than one request vector.
+// TestCoalescing holds a round on a plan, fires concurrent requests at
+// the same plan and asserts they (a) all answer correctly and (b) ran
+// as one fused round once the held round finished: requests that
+// arrive while a round runs fuse into the next one.
 func TestCoalescing(t *testing.T) {
-	x := newTestServer(t, Options{Backend: "sorted", CoalesceWindow: 2 * time.Millisecond, BatchCap: 32, MaxInFlight: 64})
+	const burst = 16
+	x := newTestServer(t, Options{Backend: "sorted", BatchCap: 32, MaxInFlight: 64})
 	labels, values := refInputs(2048, 13)
 	want, _ := core.Serial(core.AddInt64, values, labels, 13)
+	e := pinPlan(t, x.s, "sorted", labels, 13)
+	release := holdRound(t, x.s, e, true, values)
 
-	// Warm the plan cache so the burst shares one plan immediately.
-	var warm computeResponse
-	if hr := x.post(t, "/v1/multireduce", req("sum", "", labels, 13, values), &warm); hr.StatusCode != 200 {
-		t.Fatalf("warm status %d", hr.StatusCode)
-	}
-
-	for attempt := 0; attempt < 20; attempt++ {
-		const burst = 16
-		var wg sync.WaitGroup
-		coalesced := make([]int, burst)
-		for g := 0; g < burst; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				var resp computeResponse
-				hr := x.post(t, "/v1/multireduce", req("sum", "", labels, 13, values), &resp)
-				if hr.StatusCode != http.StatusOK {
-					t.Errorf("goroutine %d: status %d", g, hr.StatusCode)
+	var wg sync.WaitGroup
+	coalesced := make([]int, burst)
+	for g := 0; g < burst; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var resp computeResponse
+			hr := x.post(t, "/v1/multireduce", req("sum", "", labels, 13, values), &resp)
+			if hr.StatusCode != http.StatusOK {
+				t.Errorf("goroutine %d: status %d", g, hr.StatusCode)
+				return
+			}
+			for k := range want.Reductions {
+				if resp.Reductions[k] != want.Reductions[k] {
+					t.Errorf("goroutine %d: reductions[%d] = %d, want %d", g, k, resp.Reductions[k], want.Reductions[k])
 					return
 				}
-				for k := range want.Reductions {
-					if resp.Reductions[k] != want.Reductions[k] {
-						t.Errorf("goroutine %d: reductions[%d] = %d, want %d", g, k, resp.Reductions[k], want.Reductions[k])
-						return
-					}
-				}
-				coalesced[g] = resp.Coalesced
-			}(g)
-		}
-		wg.Wait()
-		if t.Failed() {
-			return
-		}
-		for _, c := range coalesced {
-			if c > 1 {
-				return // observed a fused round with co-batched requests
 			}
+			coalesced[g] = resp.Coalesced
+		}(g)
+	}
+	waitQueued(t, x.s, e, true, burst)
+	release()
+	wg.Wait()
+	for g, c := range coalesced {
+		if c != burst {
+			t.Fatalf("goroutine %d: coalesced %d, want all %d queued requests in one round", g, c, burst)
 		}
 	}
-	t.Fatal("no request ever coalesced with another across 20 concurrent bursts")
 }
 
 // TestStatsEndpoint sanity-checks the counter snapshot wire shape.

@@ -22,8 +22,8 @@ import (
 //   - chaos panics are absorbed by the degradation ladder (200 +
 //     fallback, still correct) and chaos cancels surface as typed
 //     503/canceled only,
-//   - a drain in the middle of in-flight traffic drops zero admitted
-//     requests,
+//   - a drain while admitted requests are queued behind a running
+//     round drops none of them,
 //   - the server leaks no goroutines once closed.
 func TestChaosSoakAndDrain(t *testing.T) {
 	if testing.Short() {
@@ -36,7 +36,6 @@ func TestChaosSoakAndDrain(t *testing.T) {
 		ChaosPanicEvery:  97,
 		ChaosCancelEvery: 131,
 		ChaosSeed:        7,
-		CoalesceWindow:   500 * time.Microsecond,
 		MaxInFlight:      256,
 	})
 	ts := httptest.NewServer(s.Handler())
@@ -175,42 +174,52 @@ func TestChaosSoakAndDrain(t *testing.T) {
 	if fbCount == 0 || st.SerialFallbacks == 0 {
 		t.Fatalf("panics never reached the serial rung: fb %d, stats %+v", fbCount, st)
 	}
-	if st.FusedRounds == 0 || st.FusedMembers <= st.FusedRounds {
-		t.Fatalf("soak never coalesced: rounds %d members %d", st.FusedRounds, st.FusedMembers)
-	}
 
-	// Drain with traffic still in flight: every admitted request must
-	// complete; requests arriving after the flip get typed 503s.
+	// Drain with traffic queued in the coalescer: every admitted
+	// request must complete. A round of shape 0 is held running, so
+	// the requests queue behind it and fuse into one round after the
+	// flip; that round also makes the soak cover fusion for certain,
+	// which its own traffic does only when requests happen to overlap.
+	e, err := s.cache.acquire("chunked", core.AddInt64, shapes[0].labels, shapes[0].m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	release := holdRound(t, s, e, false, shapes[0].values)
 	inFlight := 8
 	results := make(chan int, inFlight)
 	var dwg sync.WaitGroup
 	for g := 0; g < inFlight; g++ {
 		dwg.Add(1)
-		go func(g int) {
+		go func() {
 			defer dwg.Done()
-			resp, err := ts.Client().Post(ts.URL+"/v1/multiprefix", "application/json", bytes.NewReader(bodies[g%len(bodies)]))
+			resp, err := ts.Client().Post(ts.URL+"/v1/multiprefix", "application/json", bytes.NewReader(bodies[0]))
 			if err != nil {
 				results <- -1
 				return
 			}
 			defer resp.Body.Close()
 			results <- resp.StatusCode
-		}(g)
+		}()
 	}
-	waitAdmitted(t, s, 1)
+	waitQueued(t, s, e, false, inFlight)
 	s.Drain()
+	release()
 	dwg.Wait()
 	close(results)
 	for code := range results {
-		// 200 (admitted before the flip, possibly chaos-fallback), 503
-		// (draining or a chaos cancel): both are served answers. -1 or
-		// anything else means a dropped request.
+		// 200 (possibly chaos-fallback) or 503 (a chaos cancel): both
+		// are served answers. -1 or anything else means a dropped
+		// request.
 		if code != http.StatusOK && code != http.StatusServiceUnavailable {
 			t.Fatalf("request dropped during drain: status %d", code)
 		}
 	}
+	if st := s.Stats(); st.FusedMembers <= st.FusedRounds {
+		t.Fatalf("soak never coalesced: rounds %d members %d", st.FusedRounds, st.FusedMembers)
+	}
 
 	ts.Close()
+	s.cache.release(e)
 	s.Close()
 
 	// Goroutine accounting: the coalescer runners and plan teams are
@@ -231,32 +240,18 @@ func TestChaosSoakAndDrain(t *testing.T) {
 	}
 }
 
-// waitAdmitted blocks until at least want requests are past admission
-// (and therefore guaranteed to be served across a drain).
-func waitAdmitted(t *testing.T, s *Server, want int64) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for s.st.inFlight.Load() < want {
-		if time.Now().After(deadline) {
-			t.Fatal("no request was admitted within 5s")
-		}
-		time.Sleep(50 * time.Microsecond)
-	}
-}
-
 // TestDrainZeroDrop is the focused lifecycle variant (runs in -short):
 // requests admitted before Drain complete with correct answers even
-// though the flip happens while they are queued in the coalescer.
+// though the flip happens while they are queued in the coalescer, and
+// a request arriving after the flip is refused typed.
 func TestDrainZeroDrop(t *testing.T) {
-	s := New(Options{CoalesceWindow: 5 * time.Millisecond, MaxInFlight: 64})
-	ts := httptest.NewServer(s.Handler())
-	defer func() { ts.Close(); s.Close() }()
-
-	labels, values := refInputs(4096, 16)
-	want, _ := core.Serial(core.AddInt64, values, labels, 16)
-	body, _ := json.Marshal(map[string]any{"op": "sum", "m": 16, "labels": labels, "values": values})
-
 	const inFlight = 6
+	s, e, values, want := coalInputs(t, Options{Backend: "chunked", MaxInFlight: 64}, "chunked", 4096, 16)
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	body, _ := json.Marshal(map[string]any{"op": "sum", "m": 16, "labels": e.labels, "values": values})
+	release := holdRound(t, s, e, true, values)
+
 	var wg sync.WaitGroup
 	codes := make([]int, inFlight)
 	resps := make([]computeResponse, inFlight)
@@ -274,26 +269,30 @@ func TestDrainZeroDrop(t *testing.T) {
 			_ = json.NewDecoder(resp.Body).Decode(&resps[g])
 		}(g)
 	}
-	waitAdmitted(t, s, 1)
+	waitQueued(t, s, e, true, inFlight)
 	s.Drain()
+	resp, err := ts.Client().Post(ts.URL+"/v1/multireduce", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("request after the flip: status %d, want 503", resp.StatusCode)
+	}
+	release()
 	wg.Wait()
 
-	served := 0
 	for g, code := range codes {
-		switch code {
-		case http.StatusOK:
-			served++
-			for k := range want.Reductions {
-				if resps[g].Reductions[k] != want.Reductions[k] {
-					t.Fatalf("request %d: wrong answer across drain", g)
-				}
-			}
-		case http.StatusServiceUnavailable: // arrived after the flip
-		default:
-			t.Fatalf("request %d dropped: status %d", g, code)
+		if code != http.StatusOK {
+			t.Fatalf("queued request %d dropped across drain: status %d", g, code)
 		}
-	}
-	if served == 0 {
-		t.Fatal("drain flipped before any request was admitted; widen the sleep")
+		for k := range want.Reductions {
+			if resps[g].Reductions[k] != want.Reductions[k] {
+				t.Fatalf("request %d: wrong answer across drain", g)
+			}
+		}
+		if resps[g].Coalesced != inFlight {
+			t.Fatalf("request %d: coalesced %d, want the %d queued requests in one round", g, resps[g].Coalesced, inFlight)
+		}
 	}
 }

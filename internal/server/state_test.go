@@ -359,7 +359,7 @@ func TestWarmPersistRoundTrip(t *testing.T) {
 // response must be a success or a typed 409 (eviction legitimately
 // discards resident state mid-stream).
 func TestConcurrentUpdateRunEvict(t *testing.T) {
-	x := newTestServer(t, Options{PlanCacheCap: 2, CoalesceWindow: -1})
+	x := newTestServer(t, Options{PlanCacheCap: 2})
 	const n, m = 64, 4
 	hot, values := refInputs(n, m)
 	var wg sync.WaitGroup

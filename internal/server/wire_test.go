@@ -305,7 +305,7 @@ func FuzzServeCompute(f *testing.F) {
 	} {
 		f.Add([]byte(seed))
 	}
-	s := New(Options{MaxN: 64, MaxM: 64, Workers: 2, CoalesceWindow: -1, PlanCacheCap: 8})
+	s := New(Options{MaxN: 64, MaxM: 64, Workers: 2, PlanCacheCap: 8})
 	f.Cleanup(s.Close)
 	f.Fuzz(func(t *testing.T, body []byte) {
 		for _, rt := range computeRoutes {
