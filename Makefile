@@ -38,11 +38,13 @@ race:
 # re-run under the race detector with fresh scheduling (-count=2) — a
 # small size matrix lives in the tests themselves (worker counts 1..8
 # × the carry-edge label shapes) — the plan cache's label-text index
-# under concurrent lookups, stores and evictions, and the coalescer's
-# group commit (inline rounds, queues behind a held round, drain).
+# under concurrent lookups, stores and evictions, the coalescer's
+# group commit (inline rounds, queues behind a held round, drain), and
+# the reuse of pooled request vectors (batch calls write no destination
+# once they return; early exits hand vectors back only once unused).
 race-matrix:
 	$(GO) test -race -count=2 -run 'Sorted|Sharded|Batch|Chunk|Plan|Update|Incremental|PanicInjection|PooledEngines' ./internal/backend ./internal/core
-	$(GO) test -race -count=2 -run 'Update|Query|Warm|Metrics|Eviction|Stateful|TextIndex|ServeCompute|OverLimit|Coalesc|Drain|Batch|SoloRound' ./internal/server
+	$(GO) test -race -count=2 -run 'Update|Query|Warm|Metrics|Eviction|Stateful|TextIndex|ServeCompute|OverLimit|Coalesc|Drain|Batch|SoloRound|VectorReuse' ./internal/server
 
 # Each fuzz target runs briefly from its seed corpus plus FUZZTIME of
 # random inputs; failures minimize and persist under testdata/fuzz.

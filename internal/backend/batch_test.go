@@ -510,3 +510,74 @@ func FuzzBatchParity(f *testing.F) {
 		}
 	})
 }
+
+// atCombine calls fire once, at the at-th combine of a call, counted
+// across the call's workers.
+type atCombine struct {
+	at    int64
+	count atomic.Int64
+	fire  func()
+}
+
+func (h *atCombine) Combine(string, int) {
+	if h.count.Add(1) == h.at {
+		h.fire()
+	}
+}
+func (h *atCombine) Barrier(string, int)          {}
+func (h *atCombine) SpineTest(_ int, s bool) bool { return s }
+
+// TestBatchNoLateWrites pins what lets the service hand a request's
+// vectors back to a pool once it has their outcome: RunBatchCall,
+// ReduceBatchCall and RunEach write no destination after they return,
+// whether the round succeeds, is cancelled midway or panics in the
+// engine. The test writes every destination element as soon as each
+// call returns, so a worker still writing shows as a race under -race.
+func TestBatchNoLateWrites(t *testing.T) {
+	const n, m, k = 6000, 37, 3
+	labels, srcs, multiDsts, redDsts := batchInput(rand.New(rand.NewSource(5)), n, m, k)
+	forms := []struct {
+		name string
+		dsts [][]int64
+		run  func(p *Plan[int64], c Call) error
+	}{
+		{"RunBatchCall", multiDsts, func(p *Plan[int64], c Call) error { return p.RunBatchCall(c, multiDsts, srcs) }},
+		{"ReduceBatchCall", redDsts, func(p *Plan[int64], c Call) error { return p.ReduceBatchCall(c, redDsts, srcs) }},
+		{"RunEach", multiDsts, func(p *Plan[int64], c Call) error {
+			return errors.Join(p.RunEach([]Call{c, c, c}, multiDsts, srcs)...)
+		}},
+	}
+	for _, name := range []string{"auto", "serial", "sorted", "sharded", "chunked", "parallel", "spinetree"} {
+		be, err := Open[int64](name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := be.Plan(core.AddInt64, labels, m, core.Config{Workers: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range forms {
+			for _, mode := range []string{"ok", "cancel", "panic"} {
+				ctx, cancel := context.WithCancel(context.Background())
+				c := Call{Ctx: ctx}
+				switch mode {
+				case "cancel":
+					c.Hook = &atCombine{at: n / 2, fire: cancel}
+				case "panic":
+					c.Hook = &atCombine{at: n / 2, fire: func() { panic("injected") }}
+				}
+				err := f.run(plan, c)
+				cancel()
+				for _, d := range f.dsts {
+					for i := range d {
+						d[i] = -1
+					}
+				}
+				if mode == "ok" && err != nil {
+					t.Fatalf("%s/%s: %v", name, f.name, err)
+				}
+			}
+		}
+		plan.Close()
+	}
+}

@@ -296,17 +296,26 @@ func (s *Server) handleCompute(reduce, batchEP bool) http.HandlerFunc {
 		var (
 			req   computeRequest
 			entry *planEntry // pinned by the text index or by acquire
+			items []*pending
 		)
 		wb, ok := s.readRequest(w, r)
 		if !ok {
 			return
 		}
+		// Every exit, once the response is written, hands back what the
+		// request took: its body's buffer, its plan pin, and its value
+		// and result vectors, which no engine touches once the handler
+		// has every vector's outcome.
 		defer func() {
 			if wb != nil {
 				putWireBuf(wb)
 			}
 			if entry != nil {
 				s.cache.release(entry)
+			}
+			req.putVectors()
+			for _, it := range items {
+				putVec(it.dst)
 			}
 		}()
 		err := decodeCompute(wb.b, &req, s.opts.MaxN)
@@ -372,11 +381,11 @@ func (s *Server) handleCompute(reduce, batchEP bool) http.HandlerFunc {
 		if reduce {
 			dstLen = req.M
 		}
-		items := make([]*pending, len(vectors))
+		items = make([]*pending, len(vectors))
 		for i, src := range vectors {
 			items[i] = &pending{
 				src:      src,
-				dst:      make([]int64, dstLen),
+				dst:      getVec(dstLen), // every service engine writes all of it
 				ctx:      cctx,
 				hook:     hook,
 				deadline: deadline,

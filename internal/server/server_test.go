@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -425,6 +427,135 @@ func TestCoalescing(t *testing.T) {
 		if c != burst {
 			t.Fatalf("goroutine %d: coalesced %d, want all %d queued requests in one round", g, c, burst)
 		}
+	}
+}
+
+// TestVectorReuse runs concurrent requests on several plans, each with
+// values of its own, among requests that end early once they have taken
+// vectors from the pool: a length mismatch (400), a pinned version
+// conflict (409), deadlines that expire while queued behind a held round
+// (504) and chaos panics the serial rung answers. A vector handed back
+// while an engine still used it, or handed back twice, would give one
+// request another's numbers: every 200 must carry core.Serial's answer,
+// and the race detector must stay quiet.
+func TestVectorReuse(t *testing.T) {
+	const workers, rounds = 4, 18
+	s := New(Options{Backend: "chunked", ChaosPanicEvery: 5, ChaosSeed: 11, MaxInFlight: 64})
+	defer s.Close()
+	post := func(path string, body any) (int, []byte) {
+		b, err := json.Marshal(body)
+		if err != nil {
+			panic(err)
+		}
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(b)))
+		return rec.Code, rec.Body.Bytes()
+	}
+	type shape struct {
+		labels []int
+		m      int
+	}
+	shapes := []shape{{testLabels(1500, 13, 1), 13}, {testLabels(2048, 64, 2), 64}, {testLabels(3000, 7, 3), 7}}
+
+	var wg sync.WaitGroup
+	for g := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for i := range rounds {
+				sh := shapes[rng.Intn(len(shapes))]
+				vecs := make([][]int64, 1+rng.Intn(3))
+				for k := range vecs {
+					vecs[k] = make([]int64, len(sh.labels))
+					for j := range vecs[k] {
+						vecs[k][j] = rng.Int63n(1<<20) - 1<<19
+					}
+				}
+				body := map[string]any{"op": "sum", "m": sh.m, "labels": sh.labels, "values": vecs[0]}
+				path, reduce, status := "/v1/multiprefix", false, http.StatusOK
+				switch kind := (g + i) % 6; kind {
+				case 1:
+					path, reduce = "/v1/multireduce", true
+				case 2, 3:
+					path, reduce = computeRoutes[kind].path, computeRoutes[kind].reduce
+					body["batch"], body["values"] = vecs, nil
+				case 4:
+					body["values"], status = vecs[0][1:], http.StatusBadRequest
+				case 5:
+					body["pin_version"], status = 1<<40, http.StatusConflict
+				}
+				code, resp := post(path, body)
+				if code != status {
+					t.Errorf("worker %d round %d %s: status %d, want %d: %s", g, i, path, code, status, resp)
+					return
+				}
+				if code != http.StatusOK {
+					continue
+				}
+				var items []batchItem
+				if body["batch"] != nil {
+					var br batchResponse
+					if err := json.Unmarshal(resp, &br); err != nil {
+						t.Error(err)
+						return
+					}
+					items = br.Results
+				} else {
+					var cr computeResponse
+					if err := json.Unmarshal(resp, &cr); err != nil {
+						t.Error(err)
+						return
+					}
+					items = []batchItem{{Multi: cr.Multi, Reductions: cr.Reductions}}
+				}
+				if len(items) > len(vecs) {
+					t.Errorf("worker %d round %d %s: %d results for %d vectors", g, i, path, len(items), len(vecs))
+					return
+				}
+				for k, it := range items {
+					want, err := core.Serial(core.AddInt64, vecs[k], sh.labels, sh.m)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					got, ref := it.Multi, want.Multi
+					if reduce {
+						got, ref = it.Reductions, want.Reductions
+					}
+					if it.Error != nil || !slices.Equal(got, ref) {
+						t.Errorf("worker %d round %d %s vector %d: %+v, not core.Serial's answer", g, i, path, k, it.Error)
+						return
+					}
+				}
+			}
+		}()
+	}
+
+	// Deadlines that expire while their requests queue behind a held
+	// round, on a plan of their own.
+	const queued = 4
+	labels, values := refInputs(1024, 5)
+	e := pinPlan(t, s, "chunked", labels, 5)
+	release := holdRound(t, s, e, false, values)
+	var dwg sync.WaitGroup
+	for range queued {
+		dwg.Add(1)
+		go func() {
+			defer dwg.Done()
+			body := map[string]any{"op": "sum", "m": 5, "labels": labels, "values": values, "deadline_ms": 20}
+			if code, resp := post("/v1/multiprefix", body); code != http.StatusGatewayTimeout {
+				t.Errorf("queued past its deadline: status %d, want 504: %s", code, resp)
+			}
+		}()
+	}
+	waitQueued(t, s, e, false, queued)
+	time.Sleep(30 * time.Millisecond) // the queued requests' deadlines pass
+	release()
+	dwg.Wait()
+	wg.Wait()
+	if st := s.Stats(); st.DeadlineExceeded < queued || st.VersionConflicts == 0 || st.BadInput == 0 {
+		t.Fatalf("early exits: deadline %d, version conflicts %d, bad input %d", st.DeadlineExceeded, st.VersionConflicts, st.BadInput)
 	}
 }
 

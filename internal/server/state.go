@@ -92,10 +92,15 @@ func (s *Server) resolvePlanIdent(w http.ResponseWriter, opName, backendName str
 }
 
 // requestCtx derives the per-request deadline context from the wire
-// deadline_ms, clamped to the server maximum.
+// deadline_ms, clamped to the server maximum. The clamp compares
+// milliseconds: converted first, a deadline_ms past 2^63 ns would wrap
+// negative and expire at once.
 func (s *Server) requestCtx(parent context.Context, deadlineMS int64) (context.Context, context.CancelFunc) {
 	d := s.opts.DefaultDeadline
-	if deadlineMS > 0 {
+	switch {
+	case deadlineMS > s.opts.MaxDeadline.Milliseconds():
+		d = s.opts.MaxDeadline
+	case deadlineMS > 0:
 		d = time.Duration(deadlineMS) * time.Millisecond
 	}
 	if d > s.opts.MaxDeadline {

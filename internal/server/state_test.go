@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -27,6 +28,36 @@ func (x *testServer) get(t *testing.T, path string) (int, string) {
 		t.Fatalf("read %s: %v", path, err)
 	}
 	return resp.StatusCode, string(body)
+}
+
+// TestHugeDeadlineClamped posts deadline_ms values whose nanosecond
+// count overflows time.Duration to a compute route, /v1/update and
+// /v1/query: each is clamped to MaxDeadline and answers 200, where a
+// product taken before the clamp wrapped negative and expired at once.
+func TestHugeDeadlineClamped(t *testing.T) {
+	x := newTestServer(t, Options{})
+	labels, values := refInputs(3, 2)
+	for _, ms := range []int64{1e13, math.MaxInt64} {
+		for _, tc := range []struct {
+			path string
+			body map[string]any
+		}{
+			{"/v1/multiprefix", map[string]any{"op": "sum", "m": 2, "labels": labels, "values": values, "deadline_ms": ms}},
+			{"/v1/update", map[string]any{"op": "sum", "m": 2, "labels": labels, "values": values, "deadline_ms": ms}},
+			{"/v1/query", map[string]any{"op": "sum", "m": 2, "labels": labels, "full": true, "deadline_ms": ms}},
+		} {
+			if tc.path == "/v1/query" { // bound without a deadline, so that the query alone is tested
+				bind := map[string]any{"op": "sum", "m": 2, "labels": labels, "values": values}
+				if resp := x.post(t, "/v1/update", bind, nil); resp.StatusCode != http.StatusOK {
+					t.Fatalf("bind: status %d", resp.StatusCode)
+				}
+			}
+			var er errorResponse
+			if resp := x.post(t, tc.path, tc.body, &er); resp.StatusCode != http.StatusOK {
+				t.Errorf("%s deadline_ms=%d: %d/%s %q, want 200", tc.path, ms, resp.StatusCode, er.Error.Kind, er.Error.Message)
+			}
+		}
+	}
 }
 
 func TestUpdateQueryEndpoints(t *testing.T) {

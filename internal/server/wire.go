@@ -47,6 +47,58 @@ func putWireBuf(wb *wireBuf) {
 	wirePool.Put(wb)
 }
 
+// maxVecClass is the largest size class of the vector pool: 2^19 int64s,
+// the wire buffers' 4 MiB cap. A longer vector is allocated and left to
+// the garbage collector.
+const maxVecClass = 19
+
+// vecPools holds the compute path's request vectors (decoded values and
+// result destinations) by size class: class k holds vectors whose
+// capacity is 2^k, or a larger capacity below 2^(k+1) for a vector that
+// json.Unmarshal made. vecBoxes holds the empty *[]int64 boxes that
+// carry a vector through a pool, so that neither getVec nor putVec
+// allocates once both are warm.
+var (
+	vecPools [maxVecClass + 1]sync.Pool
+	vecBoxes = sync.Pool{New: func() any { return new([]int64) }}
+)
+
+// getVec returns a vector of length n whose contents are unspecified:
+// the caller writes every element before reading any.
+func getVec(n int) []int64 {
+	k := bits.Len(uint(n - 1)) // the smallest class that holds n
+	if n == 0 || k > maxVecClass {
+		return make([]int64, n)
+	}
+	p, _ := vecPools[k].Get().(*[]int64)
+	if p == nil {
+		return make([]int64, n, 1<<k)
+	}
+	v := (*p)[:n]
+	*p = nil
+	vecBoxes.Put(p)
+	return v
+}
+
+// putVec hands v to the vector pool. Nothing may use v afterwards.
+func putVec(v []int64) {
+	c := cap(v)
+	if c == 0 || c > 1<<maxVecClass {
+		return
+	}
+	p := vecBoxes.Get().(*[]int64)
+	*p = v
+	vecPools[bits.Len(uint(c))-1].Put(p)
+}
+
+// putVectors hands r's value vectors to the vector pool.
+func (r *computeRequest) putVectors() {
+	putVec(r.Values)
+	for _, v := range r.Batch {
+		putVec(v)
+	}
+}
+
 // readBody appends everything r yields to b. b grows only as bytes
 // arrive, never from a length the client declared.
 func readBody(b []byte, r io.Reader) ([]byte, error) {
@@ -132,7 +184,8 @@ func decodeCompute(data []byte, req *computeRequest, maxN int) error {
 // and req.labelText ends nil.
 func parseLabelText(data []byte, req *computeRequest, maxN int) error {
 	s := wireScanner{d: req.labelText, maxLen: maxN}
-	if labels, ok := scanInts[int](&s); ok && s.i == len(s.d) {
+	// Labels are not pooled: a plan built from them may keep them.
+	if labels, ok := scanInts(&s, func(n int) []int { return make([]int, n) }); ok && s.i == len(s.d) {
 		req.Labels = labels
 		req.overN = max(req.overN, s.over)
 		return nil
@@ -190,7 +243,7 @@ func scanCompute(data []byte, req *computeRequest, maxN int) bool {
 			req.labelText, ok = s.arrayText()
 		case "values":
 			bit = keyValues
-			req.Values, ok = scanInts[int64](&s)
+			req.Values, ok = scanInts(&s, getVec)
 		case "batch":
 			bit = keyBatch
 			req.Batch, ok = s.batch()
@@ -312,33 +365,32 @@ func (s *wireScanner) name() (string, bool) {
 // scanInt scans one integer that fits T. Up to 19 digits are taken,
 // which covers every int64; longer literals are left to the reference
 // decoder. The caller rejects whatever follows that is not a separator,
-// so a fraction or exponent never passes as an integer.
+// so a fraction or exponent never passes as an integer. Digits are taken
+// two at a time, which halves the chain of multiply-adds, and the sign
+// is applied without a branch.
 func scanInt[T int | int64](s *wireScanner) (T, bool) {
 	s.next()
 	d, i := s.d, s.i
-	neg := i < len(d) && d[i] == '-'
-	if neg {
-		i++
+	neg := 0
+	if i < len(d) && d[i] == '-' {
+		neg = 1
 	}
+	i += neg
 	start := i
 	var mag uint64
-	for i < len(d) && d[i]-'0' <= 9 {
+	for i+1 < len(d) && d[i]-'0' <= 9 && d[i+1]-'0' <= 9 {
+		mag = mag*100 + uint64(d[i]-'0')*10 + uint64(d[i+1]-'0')
+		i += 2
+	}
+	if i < len(d) && d[i]-'0' <= 9 {
 		mag = mag*10 + uint64(d[i]-'0')
 		i++
 	}
 	nd := i - start
-	if nd == 0 || nd > 19 || (nd > 1 && d[start] == '0') {
+	if nd == 0 || nd > 19 || (nd > 1 && d[start] == '0') || mag > math.MaxInt64+uint64(neg) {
 		return 0, false
 	}
-	var v int64
-	switch {
-	case !neg && mag <= math.MaxInt64:
-		v = int64(mag)
-	case neg && mag <= 1<<63:
-		v = int64(-mag)
-	default:
-		return 0, false
-	}
+	v := int64(mag^-uint64(neg)) + int64(neg)
 	if int64(T(v)) != v {
 		return 0, false
 	}
@@ -365,30 +417,36 @@ func (s *wireScanner) arrayText() ([]byte, bool) {
 // The SWAR ("SIMD within a register") constants of the integer codec:
 // each holds one value in every byte lane of a 64-bit word.
 const (
-	swarZeros = 0x3030303030303030 // '0'
-	swarLow7  = 0x7f7f7f7f7f7f7f7f // all but a lane's top bit
-	swarOver9 = 0x7676767676767676 // carries into a lane's top bit from 10 up
-	swarTops  = 0x8080808080808080 // a lane's top bit
+	swarZeros  = 0x3030303030303030 // '0'
+	swarCommas = 0x2c2c2c2c2c2c2c2c // ','
+	swarLow7   = 0x7f7f7f7f7f7f7f7f // all but a lane's top bit
+	swarOver9  = 0x7676767676767676 // carries into a lane's top bit from 10 up
+	swarTops   = 0x8080808080808080 // a lane's top bit
+	// swarGather moves the top bits of the eight lanes, shifted down to
+	// each lane's bit 0, into the word's top byte, lane j to bit 56+j.
+	swarGather = 0x0102040810204080
 )
 
-// scanInts scans an array of integers that fit T into a slice presized
-// by the array's comma count. An array whose comma count puts it over
-// maxLen, or any array while drop is set, is still scanned, so that a
-// malformed one is refused as such, but nothing is allocated for it: it
-// yields a nil slice, and one over maxLen raises over to its length. An
-// empty array yields an empty, non-nil slice, as it does from
-// json.Unmarshal.
+// scanInts scans an array of integers that fit T into a slice from
+// alloc, of the array's comma count plus one elements. An array whose
+// count puts it over maxLen, or any array while drop is set, is still
+// scanned, so that a malformed one is refused as such, but nothing is
+// taken for it: it yields a nil slice, and one over maxLen raises over
+// to its length. An empty array yields an empty, non-nil slice, as it
+// does from json.Unmarshal.
 //
-// An element of one to seven digits, optionally signed, that ends inside
-// the 8-byte word after its sign takes the SWAR fast path: a byte mask
-// finds the digit run, three multiply-shift steps convert it, and the
-// sign is applied without a branch. Every other element goes to scanInt:
-// whitespace, a leading zero, eight digits or more, one with fewer than
-// nine bytes left, anything malformed, and the element after one that
-// took eight bytes or more, so that an array of long integers costs what
-// scanInt alone costs. The fast path takes only text scanInt reads as
-// the same value, so json.Unmarshal stays the reference for both.
-func scanInts[T int | int64](s *wireScanner) ([]T, bool) {
+// The pass walks the array in whole 64-byte blocks from its first
+// element and finds each element's end from its block's comma mask, so
+// that where an element starts depends on the mask alone, never on
+// parsing the element before it. A short element, an optional '-' and
+// one to seven digits without a leading zero, is parsed by shortInts
+// from the 8-byte word that ends at its comma. Any other element
+// (whitespace, a leading zero, eight digits or more, anything malformed)
+// goes to scanInt where it starts, and the pass resumes at its comma
+// once only whitespace is left before it. The elements after the last
+// whole block go to scanInt one by one. Both paths read the same text as
+// the same value, so json.Unmarshal stays the reference for either.
+func scanInts[T int | int64](s *wireScanner, alloc func(int) []T) ([]T, bool) {
 	if !s.consume('[') {
 		return nil, false
 	}
@@ -403,65 +461,126 @@ func scanInts[T int | int64](s *wireScanner) ([]T, bool) {
 	var out []T
 	c := bytes.Count(s.d[s.i:s.i+end], []byte{','}) + 1
 	if c <= s.maxLen && !s.drop {
-		out = make([]T, 0, c)
+		out = alloc(c)
 	}
-	// i stands for s.i between scanInt calls, so that the word each
-	// element loads depends on nothing but the previous one's length.
-	d, i := s.d, s.i
-	long := false
-	for n := 1; ; n++ {
-		var v T
-		ok := false
-		if !long && len(d)-i > 8 {
-			neg := 0
-			if d[i] == '-' {
-				neg = 1
-			}
-			x := binary.LittleEndian.Uint64(d[i+neg:]) ^ swarZeros
-			nd := bits.TrailingZeros64(((x&swarLow7)+swarOver9|x)&swarTops) >> 3
-			if ok = uint(nd-1) < 7 && (x&0xff != 0 || nd == 1); ok {
-				v = T((int64(parseDigits(x, nd)) ^ -int64(neg)) + int64(neg))
-				i += neg + nd
-			}
+	k := 0 // the elements scanned, which never pass c
+	d, start, closing := s.d, s.i, s.i+end
+	base, mask := start-64, uint64(0) // shortInts moves on to the first block
+	for {
+		if base, mask, start, k = shortInts(d, base, closing, mask, start, out, k); mask == 0 {
+			break
 		}
-		if !ok {
-			s.i = i
-			if v, ok = scanInt[T](s); !ok {
+		// The element that ends at the mask's first comma is not short,
+		// and neither is a next one of more than eight bytes, or of
+		// eight without a sign: scanInt takes each where it starts.
+		for {
+			comma := base + bits.TrailingZeros64(mask)
+			s.i = start
+			v, ok := scanInt[T](s)
+			if !ok || s.i != comma && s.next() != ',' {
 				return nil, false
 			}
-			i, long = s.i, s.i-i >= 8
+			if out != nil {
+				out[k] = v
+			}
+			k++
+			start = comma + 1
+			if mask &= mask - 1; mask == 0 {
+				break
+			}
+			if w := base + bits.TrailingZeros64(mask) - start; w < 8 || w == 8 && d[start] == '-' {
+				break
+			}
+		}
+	}
+	s.i = start
+	for {
+		v, ok := scanInt[T](s)
+		if !ok {
+			return nil, false
 		}
 		if out != nil {
-			out = append(out, v)
+			out[k] = v
 		}
-		if i < len(d) && d[i] == ',' {
-			i++
-			continue
-		}
-		s.i = i
+		k++
 		switch s.next() {
 		case ',':
 			s.i++
 		case ']':
 			s.i++
 			if c > s.maxLen {
-				s.over = max(s.over, n)
+				s.over = max(s.over, c)
 			}
 			return out, true
 		default:
 			return nil, false
 		}
-		i = s.i
 	}
 }
 
-// parseDigits returns the value of the nd (1 to 7) decimal digits in the
-// low bytes of x, the first and most significant in the lowest, each
-// byte less '0'. Shifting them to the top of the word leaves leading
-// zeros below; each step then joins neighbouring lanes, 1+1, 2+2 and
-// 4+4 digits, by one multiply and one shift.
-func parseDigits(x uint64, nd int) uint64 {
-	x <<= (64 - 8*nd) & 63
+// shortInts parses the elements that end at the commas mask marks in the
+// block at base, then at the commas of each whole block up to closing,
+// the first of them starting at start, into out from index k on,
+// storing nothing when out is nil. It stops at the first element that
+// is not an optional '-' and one to seven digits without a leading
+// zero, and returns its block, the mask from its comma on, where it
+// starts and the index it would take; past the last whole block the
+// mask it returns is zero.
+func shortInts[T int | int64](d []byte, base, closing int, mask uint64, start int, out []T, k int) (int, uint64, int, int) {
+	for {
+		for ; mask != 0; mask &= mask - 1 {
+			comma := base + bits.TrailingZeros64(mask)
+			neg := 0
+			if d[start] == '-' {
+				neg = 1
+			}
+			nd := comma - start - neg
+			if uint(nd-1) >= 7 || comma < 8 {
+				return base, mask, start, k
+			}
+			// The digits fill the word's top nd lanes, the first and most
+			// significant lowest; the lanes below them hold the sign and
+			// whatever text came before.
+			x := binary.LittleEndian.Uint64(d[comma-8:]) ^ swarZeros
+			sh := uint(64 - 8*nd)
+			nonDigit := ((x & swarLow7) + swarOver9 | x) & swarTops
+			if nonDigit>>sh != 0 || x>>sh&0xff == 0 && nd > 1 {
+				return base, mask, start, k
+			}
+			if out != nil {
+				out[k] = T((int64(parseDigits(x>>sh<<sh)) ^ -int64(neg)) + int64(neg))
+			}
+			k++
+			start = comma + 1
+		}
+		if base += 64; base+64 > closing {
+			return base, 0, start, k
+		}
+		mask = commaMask((*[64]byte)(d[base:]))
+	}
+}
+
+// commaMask returns the comma mask of a 64-byte block: bit j is set when
+// b[j] is a comma.
+func commaMask(b *[64]byte) uint64 {
+	return commaByte(b[0:8]) | commaByte(b[8:16])<<8 | commaByte(b[16:24])<<16 | commaByte(b[24:32])<<24 |
+		commaByte(b[32:40])<<32 | commaByte(b[40:48])<<40 | commaByte(b[48:56])<<48 | commaByte(b[56:64])<<56
+}
+
+// commaByte returns the comma mask of an 8-byte word. It marks the comma
+// lanes exactly (a lane's top bit survives the add only when the lane,
+// less ',', is not zero) and gathers their top bits into one byte.
+func commaByte(w []byte) uint64 {
+	x := binary.LittleEndian.Uint64(w) ^ swarCommas
+	return (^((x & swarLow7) + swarLow7 | x) & swarTops) >> 7 * swarGather >> 56
+}
+
+// parseDigits returns the value of the decimal digits in the top lanes
+// of x, the first and most significant in the lowest of them, each byte
+// less '0', with every lane below them zero. Each step joins
+// neighbouring lanes, 1+1, 2+2 and 4+4 digits, by one multiply and one
+// shift; the zero lanes below add leading zeros.
+func parseDigits(x uint64) uint64 {
 	x = (x * (1 + 10<<8) >> 8) & 0x00ff00ff00ff00ff
 	x = (x * (1 + 100<<16) >> 16) & 0x0000ffff0000ffff
 	return x * (1 + 10000<<32) >> 32
@@ -483,7 +602,7 @@ func (s *wireScanner) batch() ([][]int64, bool) {
 		if s.drop = n > s.maxLen; s.drop {
 			out = nil
 		}
-		v, ok := scanInts[int64](s)
+		v, ok := scanInts(s, getVec)
 		if !ok {
 			return nil, false
 		}
@@ -619,11 +738,22 @@ const (
 	maxIntText = 21
 )
 
+// digitWords holds the four ASCII digits of every i below 10^4, leading
+// zeros included, in the byte lanes of one word, the most significant in
+// the lowest: one little-endian store writes them in order. 40 KB.
+var digitWords = func() (t [10000]uint32) {
+	for i := range t {
+		t[i] = uint32(i/1000) | uint32(i/100%10)<<8 | uint32(i/10%10)<<16 | uint32(i%10)<<24 | swarZeros&0xffffffff
+	}
+	return t
+}()
+
 // appendInts appends v as a JSON array, byte for byte as json.Encoder
 // writes it. The buffer grows once per chunk of integers, by their
 // longest possible text, which leaves room for every 8-byte store. A
-// magnitude below 10^8 is formatted by formatDigits and written by one
-// store; a larger one goes to strconv.
+// magnitude below 10^8 is written by one store of the eight digits that
+// two digitWords lookups give, its leading zeros shifted out; a larger
+// one goes to strconv.
 func appendInts(b []byte, v []int64) []byte {
 	if len(v) == 0 {
 		return append(b, "[]"...)
@@ -646,9 +776,10 @@ func appendInts(b []byte, v []int64) []byte {
 				n++
 				continue
 			}
-			d := formatDigits(u)
-			lz := min(bits.TrailingZeros64(d)>>3, 7) // leading zeros, keeping one digit
-			binary.LittleEndian.PutUint64(b[n:], (d|swarZeros)>>(8*lz&63))
+			hi := u / 1e4
+			w := uint64(digitWords[hi]) | uint64(digitWords[u-hi*1e4])<<32
+			lz := min(bits.TrailingZeros64(w^swarZeros)>>3, 7) // leading zeros, keeping one digit
+			binary.LittleEndian.PutUint64(b[n:], w>>(8*lz&63))
 			n += 8 - lz
 			b[n] = ','
 			n++
@@ -657,19 +788,6 @@ func appendInts(b []byte, v []int64) []byte {
 	}
 	b[len(b)-1] = ']'
 	return b
-}
-
-// formatDigits returns the eight decimal digits of u < 10^8 in the byte
-// lanes of one word, the most significant in the lowest, each as its
-// value: one little-endian store of the word, each lane plus '0', writes
-// them in order. Each step splits every lane in two, 4+4, 2+2 and 1+1
-// digits, dividing by a multiply and a shift.
-func formatDigits(u uint64) uint64 {
-	x := u/10000 | (u%10000)<<32
-	q := (x * 10486 >> 20) & 0x0000007f0000007f // each lane / 100, exact below 10^4
-	x = q | (x-q*100)<<16
-	q = (x * 103 >> 10) & 0x000f000f000f000f // each lane / 10, exact below 100
-	return q | (x-q*10)<<8
 }
 
 // appendString appends s as a JSON string. Printable ASCII that needs no

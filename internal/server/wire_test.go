@@ -118,6 +118,44 @@ var intTexts = func() []string {
 		"1234567.5,1", "1234567e1,1", "1234567x,1", "1234567,]")
 }()
 
+// blockTexts are integer array texts at the edges of scanInts' 64-byte
+// blocks, which start at an array's first element: arrays of 63, 64, 65
+// and 128 bytes, and each element the pass hands to scanInt (eight
+// digits or more, whitespace-padded, a leading zero, -0, malformed) at
+// the first, a middle and the last position of a block, across a block
+// edge, and so that its comma, or its sign, is a block's last byte.
+var blockTexts = func() []string {
+	// pad returns g ≥ 2 bytes of short elements, each with its comma.
+	pad := func(g int) string {
+		if g%2 == 1 {
+			return "12," + strings.Repeat("1,", (g-3)/2)
+		}
+		return strings.Repeat("1,", g/2)
+	}
+	var t []string
+	for _, n := range []int{63, 64, 65, 128} {
+		t = append(t, pad(n-1)+"7", pad(n-2)+"-7")
+	}
+	const total = 160 // two whole blocks and a tail
+	for _, e := range []string{
+		"12345678", "-12345678", "1234567890123", "-9223372036854775808", "99999999999999999999",
+		" 12", "12 ", "\t-5\n", "007", "-01", "0", "-0", "-1234567", "1234567",
+		"1.5", "1e3", "-", "+1", "x", "",
+	} {
+		for _, off := range []int{0, 30, 62, 63, 64, 63 - len(e), 127 - len(e)} {
+			if off == 1 || off < 0 {
+				continue
+			}
+			b := e + "," + pad(total-off-len(e)-2) + "7"
+			if off > 0 {
+				b = pad(off) + b
+			}
+			t = append(t, b)
+		}
+	}
+	return t
+}()
+
 // edgeBodies are compute bodies whose last integers end 1 to 9 bytes
 // before the end of the text they are scanned from (the body, or the
 // labels text, which ends at its ']'), where the codec's word no longer
@@ -158,6 +196,9 @@ func FuzzComputeDecodeParity(f *testing.F) {
 	for _, seed := range edgeBodies() {
 		f.Add([]byte(seed))
 	}
+	for _, t := range blockTexts {
+		f.Add([]byte(`{"labels":[` + t + `],"values":[` + t + `],"batch":[[` + t + `],[` + t + `]]}`))
+	}
 	f.Fuzz(checkDecodeParity)
 }
 
@@ -188,14 +229,15 @@ func checkDecodeParity(t *testing.T, data []byte) {
 }
 
 // FuzzIntCodec holds both integer loops of the codec to their references
-// at the edges of the 8-byte word. appendInts must write what
+// at the edges of the 8-byte word and of the decoder's 64-byte block
+// (blockTexts). appendInts must write what
 // strconv.AppendInt joined by commas writes, for x shifted right by
 // every count, so every width of x from 1 to 19 digits, with either
 // sign, repeated past one chunk of the encoder. The decoder must agree
 // with json.Unmarshal on text placed as the elements of a values,
 // labels and batch array.
 func FuzzIntCodec(f *testing.F) {
-	for i, t := range intTexts {
+	for i, t := range append(intTexts, blockTexts...) {
 		f.Add([]byte(t), int64(i)*0x0123456789abcdef)
 	}
 	for _, x := range []int64{0, 1, -1, 9999999, 10000000, 99999999, 100000000, math.MaxInt64, math.MinInt64} {
@@ -489,6 +531,75 @@ func totalAlloc(fn func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
+// TestWarmComputeAllocs drives warm requests through Handler() on the
+// four compute routes and bounds the bytes each allocates: the body and
+// response buffers and every value and result vector come from pools,
+// so what is left does not grow with n and stays small at n=2^16.
+func TestWarmComputeAllocs(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("the race detector's sync.Pool drops vectors at random")
+	}
+	s := New(Options{})
+	defer s.Close()
+	const batch = 2
+	perRequest := func(path string, body []byte) uint64 {
+		serve := func() {
+			r, err := http.NewRequest(http.MethodPost, path, bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := httptest.NewRecorder()
+			rec.Body = nil // drops the body, so the count is the handler's alone
+			s.Handler().ServeHTTP(rec, r)
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s: status %d", path, rec.Code)
+			}
+		}
+		for range 3 { // builds the plan, indexes its labels and fills the pools
+			serve()
+		}
+		// The least of three runs: a garbage collection that empties the
+		// pools in the middle of one costs it the vectors it then makes.
+		best := uint64(math.MaxUint64)
+		for range 3 {
+			const reqs = 10
+			best = min(best, totalAlloc(func() {
+				for range reqs {
+					serve()
+				}
+			})/reqs)
+		}
+		return best
+	}
+	for _, rt := range computeRoutes {
+		got := map[int]uint64{}
+		for _, n := range []int{1 << 12, 1 << 16} {
+			body := wireBody(t, n, 256)
+			if rt.batch {
+				var r computeRequest
+				if err := json.Unmarshal(body, &r); err != nil {
+					t.Fatal(err)
+				}
+				for range batch {
+					r.Batch = append(r.Batch, r.Values)
+				}
+				r.Values = nil
+				var err error
+				if body, err = json.Marshal(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got[n] = perRequest(rt.path, body)
+		}
+		t.Logf("%s: %d B per request at n=2^12, %d B at n=2^16", rt.path, got[1<<12], got[1<<16])
+		// The response's Content-Length takes a digit more at n=2^16.
+		if got[1<<16] > got[1<<12]+8 || got[1<<16] > 16<<10 {
+			t.Errorf("%s: %d B per request at n=2^12, %d B at n=2^16; want no growth and at most 16 KiB",
+				rt.path, got[1<<12], got[1<<16])
+		}
+	}
+}
+
 // TestComputeEncodeParity pins appendCompute and appendBatch byte for
 // byte to what json.Encoder writes for the same response.
 func TestComputeEncodeParity(t *testing.T) {
@@ -546,8 +657,9 @@ func TestComputeEncodeParity(t *testing.T) {
 }
 
 // TestWireAllocs pins the codec's allocations: a warm encode makes
-// none, decoding a canonical body makes only its values slice, since
-// the labels stay text, and parsing that text makes the labels slice.
+// none, decoding a canonical body makes none once its values vector
+// comes back to the pool, since the labels stay text, and parsing that
+// text makes the labels slice.
 func TestWireAllocs(t *testing.T) {
 	body := wireBody(t, 4096, 256)
 	var req computeRequest
@@ -555,12 +667,13 @@ func TestWireAllocs(t *testing.T) {
 		t.Fatal("the scanner refused a canonical body")
 	}
 	if got := testing.AllocsPerRun(20, func() {
+		req.putVectors()
 		req = computeRequest{}
 		if err := decodeCompute(body, &req, math.MaxInt); err != nil {
 			t.Fatal(err)
 		}
-	}); got != 1 {
-		t.Errorf("decode: %v allocs, want 1 (values)", got)
+	}); got != 0 && !raceDetectorEnabled {
+		t.Errorf("warm decode: %v allocs, want 0", got)
 	}
 	if got := testing.AllocsPerRun(20, func() {
 		if err := parseLabelText(body, &req, math.MaxInt); err != nil {
@@ -610,7 +723,8 @@ func digitsValues(n, digits int) []int64 {
 // codec row parses the labels, as a text-index miss does; its text_hit
 // row decodes the rest of the body and finds the labels by their bytes
 // instead, as a warm request does. The digits=w rows decode a body whose
-// values all have w digits, leaving its labels as text.
+// values all have w digits, leaving its labels as text. Each row hands
+// its value vectors back to the pool, as the handler does.
 func BenchmarkComputeDecode(b *testing.B) {
 	body := wireBody(b, 1<<16, 256)
 	b.Run("codec", func(b *testing.B) {
@@ -621,6 +735,7 @@ func BenchmarkComputeDecode(b *testing.B) {
 			if err := decodeFull(body, &req, math.MaxInt); err != nil {
 				b.Fatal(err)
 			}
+			req.putVectors()
 		}
 	})
 	b.Run("text_hit", func(b *testing.B) {
@@ -653,6 +768,7 @@ func BenchmarkComputeDecode(b *testing.B) {
 				b.Fatal("text index missed")
 			}
 			c.release(hit)
+			req.putVectors()
 		}
 	})
 	b.Run("encoding_json", func(b *testing.B) {
@@ -679,19 +795,25 @@ func BenchmarkComputeDecode(b *testing.B) {
 				if err := decodeCompute(body, &req, math.MaxInt); err != nil {
 					b.Fatal(err)
 				}
+				req.putVectors()
 			}
 		})
 	}
 }
 
+// BenchmarkComputeEncode's codec row encodes the multiprefix of the
+// service benchmark's body, the response svc-prefix-64k prices; its
+// digits=w rows encode values that all have w digits.
 func BenchmarkComputeEncode(b *testing.B) {
 	var req computeRequest
 	if err := decodeFull(wireBody(b, 1<<16, 256), &req, math.MaxInt); err != nil {
 		b.Fatal(err)
 	}
-	// Values stand in for the result: the same count and magnitude of
-	// integers as a multiprefix of them.
-	resp := computeResponse{Backend: "auto", Op: req.Op, N: len(req.Labels), M: req.M, Multi: req.Values, Coalesced: 1}
+	res, err := core.Serial(core.AddInt64, req.Values, req.Labels, req.M)
+	if err != nil {
+		b.Fatal(err)
+	}
+	resp := computeResponse{Backend: "auto", Op: req.Op, N: len(req.Labels), M: req.M, Multi: res.Multi, Coalesced: 1}
 	out := appendCompute(nil, &resp)
 	b.Run("codec", func(b *testing.B) {
 		b.SetBytes(int64(len(out)))
