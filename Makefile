@@ -33,7 +33,7 @@ race:
 	$(GO) test -race ./...
 
 # Focused race pass over the engine suites: the backend and core
-# packages (worker teams, batch barriers, carry stitching) plus the
+# packages (worker teams, batch barriers, the carry exchange) plus the
 # server's stateful-plan traffic (concurrent update/query/run/evict)
 # re-run under the race detector with fresh scheduling (-count=2) — a
 # small size matrix lives in the tests themselves (worker counts 1..8
@@ -85,8 +85,8 @@ calibrate-smoke:
 	bash ./scripts/check_calibrate.sh
 
 # Sharded-backend smoke gate: bit-identical parity against serial at
-# S ∈ {1, 2, 7}, the carry exchange's measured round count equals
-# ⌈log₂S⌉, and the simulated multi-node mode prices the schedule.
+# S ∈ {1, 2, 7}, and the carry exchange's measured round count equals
+# ⌈log₂S⌉.
 shard-smoke:
 	bash ./scripts/check_shard.sh
 

@@ -12,14 +12,18 @@ type Backend[T any] = backend.Backend[T]
 
 // Plan is a prepared multiprefix pipeline over one fixed label
 // vector: validation and label-structure setup (class counts, chunk
-// partitions, the sorted engine's counting-sort permutation, spinetree
-// where the engine allows) happen once, then Run/Reduce evaluate any
-// number of value vectors with zero steady-state allocations on the
-// portable backends. Results alias plan-owned storage, valid until the
-// next call on the same Plan. RunBatch/ReduceBatch evaluate k value
-// vectors in one call into caller-owned destinations — fused on the
-// serial, sorted, chunked and vector plans (one worker-team round for
-// the whole batch, no result copies), a plain loop elsewhere.
+// partitions, the sorted engine's per-shard counting-sort
+// permutations, spinetree where the engine allows) happen once, then
+// Run/Reduce evaluate any number of value vectors with zero
+// steady-state allocations on the portable backends. A sorted plan
+// with more than one worker runs exactly what a sharded plan with one
+// shard per worker runs: per-shard scans, a ⌈log₂S⌉-round carry
+// exchange and a seeded rescan. Results alias plan-owned storage,
+// valid until the next call on the same Plan. RunBatch/ReduceBatch
+// evaluate k value vectors in one call into caller-owned destinations
+// — fused on the serial, sorted, sharded, chunked and vector plans
+// (one worker-team round for the whole batch, no result copies), a
+// plain loop elsewhere.
 //
 // A Plan is also a stateful resource: Bind installs a resident value
 // vector, after which Update mutates single points and
@@ -35,16 +39,16 @@ type Plan[T any] = backend.Plan[T]
 // registry; it wraps ErrBadInput and lists the known names.
 type UnknownBackendError = backend.UnknownBackendError
 
-// ShardStats describes a sharded plan's carry-exchange communication
-// schedule: shard count, the ⌈log₂S⌉ round bound, the rounds a run
-// actually executed, and the bytes each round moves between shards.
-// Its SimNs method prices the schedule on a modeled interconnect.
-// Populated by plans on the "sharded" backend; see Plan.ShardStats.
+// ShardStats describes the carry exchange of a plan on the sorted
+// family's parallel body: shard count, the ⌈log₂S⌉ round bound, and the
+// rounds a run actually executed. Populated by plans on the "sorted"
+// and "sharded" backends; see Plan.ShardStats.
 type ShardStats = backend.ShardStats
 
 // Backends lists the registered backend names: "auto" (adaptive,
 // default), "serial", "sorted" (segmented scan over a stable
-// counting-sort permutation; best planned), "spinetree", "chunked",
+// counting-sort permutation; best planned), "sharded" (the sorted
+// engine with Config.Shards shards), "spinetree", "chunked",
 // "parallel" (the portable engines), "vector" (the simulated CRAY
 // Y-MP port; int64/float64/int32 only) and "pram" (the simulated
 // PRAM; int64 multiprefix-PLUS only).

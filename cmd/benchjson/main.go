@@ -113,20 +113,15 @@ type ShardEntry struct {
 	IdealFraction  float64 `json:"ideal_fraction"`
 }
 
-// CarryEntry records the carry-exchange communication schedule at one
-// shard count: the ⌈log₂S⌉ round bound, the rounds a run actually
+// CarryEntry records the carry-exchange round count at one shard
+// count: the ⌈log₂S⌉ round bound and the rounds a run actually
 // executed (always equal — the exchange is round-optimal by
-// construction, and shard-smoke asserts the same through cmd/mp), the
-// bytes each round moves, and the schedule priced on a modeled
-// 500 ns / 10 GB/s interconnect.
+// construction, and shard-smoke asserts the same through cmd/mp).
 type CarryEntry struct {
-	Shards         int     `json:"shards"`
-	M              int     `json:"m"`
-	Rounds         int     `json:"rounds"`
-	MeasuredRounds int     `json:"measured_rounds"`
-	BytesPerRound  []int   `json:"bytes_per_round"`
-	TotalBytes     int     `json:"total_bytes"`
-	SimNs          float64 `json:"simnet_ns_500ns_10gbps"`
+	Shards         int `json:"shards"`
+	M              int `json:"m"`
+	Rounds         int `json:"rounds"`
+	MeasuredRounds int `json:"measured_rounds"`
 }
 
 // CalDecision is one AutoChoice outcome under the measured probe.
@@ -606,9 +601,7 @@ func main() {
 
 	// Carry rounds: the exchange schedule the sharded plan runs at each
 	// shard count — round bound vs rounds executed (equal by
-	// construction: the exchange is a ⌈log₂S⌉ Hillis–Steele exscan, not
-	// a serial stitch), per-round byte volume, and the schedule priced
-	// on a modeled 500 ns / 10 GB/s interconnect.
+	// construction: the exchange is a ⌈log₂S⌉ Hillis–Steele exscan).
 	{
 		n, m := 1<<12, 1<<6
 		values, labels := input(n, m)
@@ -632,11 +625,9 @@ func main() {
 			report.CarryRounds = append(report.CarryRounds, CarryEntry{
 				Shards: st.Shards, M: m, Rounds: st.Rounds,
 				MeasuredRounds: st.MeasuredRounds,
-				BytesPerRound:  st.BytesPerRound, TotalBytes: st.TotalBytes,
-				SimNs: st.SimNs(500, 10),
 			})
-			fmt.Printf("%-10s rounds   s=%-3d m=%-5d rounds=%d measured=%d bytes=%-8d simnet %8.0f ns\n",
-				"sharded", st.Shards, m, st.Rounds, st.MeasuredRounds, st.TotalBytes, st.SimNs(500, 10))
+			fmt.Printf("%-10s rounds   s=%-3d m=%-5d rounds=%d measured=%d\n",
+				"sharded", st.Shards, m, st.Rounds, st.MeasuredRounds)
 		}
 	}
 

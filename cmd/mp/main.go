@@ -29,15 +29,10 @@
 // checks in CI.
 //
 // -shards N routes the computation through the sharded backend's plan
-// path with N shards and reports the carry-exchange communication
-// schedule on stderr in stable "key values" form: the ⌈log₂N⌉ round
-// bound, the rounds the run actually executed, and the bytes each
-// round moves between shards. -simnet "latencyNs,GBps" additionally
-// prices that schedule on a modeled interconnect (per-round latency
-// plus bandwidth-limited row transfer) — a simulated multi-node mode;
-// the computation itself still runs locally and bit-identically.
-// `make shard-smoke` asserts measured_rounds == ⌈log₂N⌉ through this
-// path.
+// path with N shards and reports the carry exchange on stderr in
+// stable "key values" form: the shard count, the ⌈log₂N⌉ round bound
+// and the rounds the run actually executed. `make shard-smoke` asserts
+// measured_rounds == ⌈log₂N⌉ through this path.
 package main
 
 import (
@@ -67,8 +62,7 @@ func main() {
 	verbose := flag.Bool("v", false, "report the engine the auto selector picked")
 	update := flag.String("update", "", `point updates "i=v,i=v" applied to the bound plan before printing`)
 	calibrate := flag.Bool("calibrate", false, "print the measured auto-calibration probe and exit")
-	shards := flag.Int("shards", 0, "run the sharded backend with N shards and report the carry-exchange schedule")
-	simnet := flag.String("simnet", "", `model the carry exchange on a "latencyNs,GBps" interconnect (implies -shards)`)
+	shards := flag.Int("shards", 0, "run the sharded backend with N shards and report the carry-exchange rounds")
 	flag.Parse()
 
 	if *calibrate {
@@ -144,8 +138,8 @@ func main() {
 		return
 	}
 
-	if *shards > 0 || *simnet != "" {
-		runSharded(op, values, labels, m, cfg, *shards, *simnet, *reduceOnly)
+	if *shards > 0 {
+		runSharded(op, values, labels, m, cfg, *shards, *reduceOnly)
 		return
 	}
 
@@ -174,18 +168,13 @@ func printResult(values []int64, labels []int, multi, red []int64, reduceOnly bo
 	}
 }
 
-// runSharded serves the -shards / -simnet path: compute through the
-// sharded backend's plan with the requested shard count, print the
-// usual result on stdout, and report the carry-exchange communication
-// schedule on stderr — rounds (the ⌈log₂S⌉ bound), measured_rounds
-// (what the run executed; shard-smoke asserts they match), the bytes
-// each round moves, and, with -simnet "latencyNs,GBps", the modeled
-// exchange time on that interconnect. GBps is bytes-per-nanosecond,
-// so 10 means a 10 GB/s link.
-func runSharded(op multiprefix.Op[int64], values []int64, labels []int, m int, cfg multiprefix.Config, shards int, simnet string, reduceOnly bool) {
-	if shards > 0 {
-		cfg.Shards = shards
-	}
+// runSharded serves the -shards path: compute through the sharded
+// backend's plan with the requested shard count, print the usual
+// result on stdout, and report the carry exchange on stderr — rounds
+// (the ⌈log₂S⌉ bound) and measured_rounds (what the run executed;
+// shard-smoke asserts they match).
+func runSharded(op multiprefix.Op[int64], values []int64, labels []int, m int, cfg multiprefix.Config, shards int, reduceOnly bool) {
+	cfg.Shards = shards
 	plan, err := multiprefix.NewPlan("sharded", op, labels, m, cfg)
 	if err != nil {
 		log.Fatal(err)
@@ -206,32 +195,6 @@ func runSharded(op multiprefix.Op[int64], values []int64, labels []int, m int, c
 	fmt.Fprintf(e, "mp: shards %d\n", st.Shards)
 	fmt.Fprintf(e, "mp: rounds %d\n", st.Rounds)
 	fmt.Fprintf(e, "mp: measured_rounds %d\n", st.MeasuredRounds)
-	fmt.Fprint(e, "mp: bytes_per_round")
-	for _, b := range st.BytesPerRound {
-		fmt.Fprintf(e, " %d", b)
-	}
-	fmt.Fprintln(e)
-	fmt.Fprintf(e, "mp: total_bytes %d\n", st.TotalBytes)
-	if simnet != "" {
-		latS, bwS, ok := strings.Cut(simnet, ",")
-		if !ok {
-			log.Fatalf(`-simnet: %q is not "latencyNs,GBps"`, simnet)
-		}
-		lat, err := strconv.ParseFloat(strings.TrimSpace(latS), 64)
-		if err != nil {
-			log.Fatalf("-simnet: latency %q: %v", latS, err)
-		}
-		bw, err := strconv.ParseFloat(strings.TrimSpace(bwS), 64)
-		if err != nil {
-			log.Fatalf("-simnet: bandwidth %q: %v", bwS, err)
-		}
-		if lat < 0 || bw <= 0 {
-			log.Fatalf("-simnet: want latency >= 0 and bandwidth > 0, got %v", simnet)
-		}
-		fmt.Fprintf(e, "mp: simnet_latency_ns %g\n", lat)
-		fmt.Fprintf(e, "mp: simnet_gbps %g\n", bw)
-		fmt.Fprintf(e, "mp: simnet_exchange_ns %.1f\n", st.SimNs(lat, bw))
-	}
 }
 
 // runStateful serves the -update path: build a plan, bind the stdin

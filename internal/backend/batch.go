@@ -2,26 +2,24 @@ package backend
 
 import (
 	"fmt"
-	"runtime/debug"
 
 	"multiprefix/internal/core"
-	"multiprefix/internal/par"
 )
 
 // This file is batched Plan execution: evaluating k value vectors
 // against one planned label structure in a single call. Every backend
 // supports it — the default is the per-vector loop over Run/Reduce
 // with a copy into the caller's destination — and the serial, sorted,
-// chunked and vector plans run fused implementations that write each
-// vector's results directly into the caller's storage (no copy) and,
-// for the team-parallel plans, drive the worker team once for the
-// whole batch instead of once or twice per vector.
+// sharded, chunked and vector plans run fused implementations that
+// write each vector's results directly into the caller's storage (no
+// copy) and, for the team-parallel plans, drive the worker team once
+// for the whole batch instead of once or more per vector.
 //
-// The fused team bodies synchronize with exactly two inner-barrier
-// arrivals per vector. That count is deterministic, so a worker that
-// aborts (recovered panic, cancellation) drains its remaining arrivals
-// with par.Barrier.DrainAwait instead of Drop — siblings stay aligned
-// and the team survives for the next call.
+// The fused team bodies synchronize with a fixed number of
+// inner-barrier arrivals per vector. That count is deterministic, so a
+// worker that aborts (recovered panic, cancellation) drains its
+// remaining arrivals with par.Barrier.DrainAwait instead of Drop —
+// siblings stay aligned and the team survives for the next call.
 
 // RunBatch evaluates each srcs[k] (length n) against the planned label
 // structure, writing its per-element multiprefix into dsts[k] (length
@@ -117,17 +115,12 @@ func (p *Plan[T]) runBatch(dsts, srcs [][]T, withMulti bool) error {
 	switch p.exec {
 	case planSerial:
 		return p.serialBatch(dsts, srcs, withMulti)
-	case planSorted:
-		if p.team == nil {
-			return p.sortedSerialBatch(dsts, srcs, withMulti)
-		}
-		return p.teamBatch(p.sortedBatchBody, dsts, srcs, withMulti)
 	case planSharded:
 		p.shMeasured = 0
 		if p.team == nil {
 			return p.sortedSerialBatch(dsts, srcs, withMulti)
 		}
-		return p.teamBatch(p.shBatchBody, dsts, srcs, withMulti)
+		return p.teamBatch(dsts, srcs, withMulti)
 	case planChunked:
 		return p.chunks.Batch(p.team, dsts, srcs, withMulti, p.red, p.cfg)
 	case planVector:
@@ -183,12 +176,12 @@ func (p *Plan[T]) serialBatch(dsts, srcs [][]T, withMulti bool) (err error) {
 	return nil
 }
 
-// sortedSerialBatch is the fused single-worker sorted batch: one fused
+// sortedSerialBatch is the fused single-shard sorted batch: one fused
 // segmented scan per vector over the plan-time permutation.
 //
 //mp:locked
 func (p *Plan[T]) sortedSerialBatch(dsts, srcs [][]T, withMulti bool) (err error) {
-	defer recoverPlanPanic("plan/sorted", &err)
+	defer recoverPlanPanic(p.engine, &err)
 	fast := p.op.FastKind(p.cfg.FaultHook)
 	for k := range srcs {
 		// Poll between vectors as well: a short vector never exhausts
@@ -210,80 +203,18 @@ func (p *Plan[T]) sortedSerialBatch(dsts, srcs [][]T, withMulti bool) (err error
 	return nil
 }
 
-// teamBatch drives one team round for the whole batch.
+// teamBatch drives one round of the sharded team for the whole batch.
 //
 //mp:locked
-func (p *Plan[T]) teamBatch(body func(w int, bar *par.Barrier), dsts, srcs [][]T, withMulti bool) error {
+func (p *Plan[T]) teamBatch(dsts, srcs [][]T, withMulti bool) error {
 	p.batchDsts, p.batchSrcs = dsts, srcs
 	p.runMulti = withMulti
 	p.fast = p.op.FastKind(p.cfg.FaultHook)
 	p.guard.Reset()
 	defer func() { p.batchDsts, p.batchSrcs = nil, nil }()
-	p.team.Run(body)
+	p.team.Run(p.shBatchBody)
 	if err := p.guard.First(); err != nil {
 		return err
 	}
 	return ctxDone(p.cfg)
-}
-
-// sortedBatch is the fused sorted batch body: for each vector, the
-// shard scan, a barrier, the carry stitch on worker 0, a barrier, and
-// the carry-in rescan of leading partial runs — two arrivals per
-// vector. The needs-apply flag is written by worker 0 between the two
-// barriers and read by the others after the second, so the barrier
-// orders the handoff; the next vector's shard scan starts only after
-// this worker's rescan, so the w-indexed carry slots are never written
-// while another shard still reads its own.
-//
-//mp:locked
-func (p *Plan[T]) sortedBatch(w int, inner *par.Barrier) {
-	total := 2 * len(p.batchSrcs)
-	done := 0
-	phase := core.PhaseSortedScan
-	defer func() {
-		if rec := recover(); rec != nil {
-			p.guard.Fail(&core.EnginePanicError{
-				Engine: "plan/sorted", Phase: phase,
-				Worker: w, Value: rec, Stack: debug.Stack(),
-			})
-		}
-		inner.DrainAwait(total - done)
-	}()
-	sh := p.shards[w]
-	for k := range p.batchSrcs {
-		values := p.batchSrcs[k]
-		var multi, red []T
-		if p.runMulti {
-			multi, red = p.batchDsts[k], p.red
-		} else {
-			red = p.batchDsts[k]
-		}
-		phase = core.PhaseSortedScan
-		if !p.interrupted() {
-			if p.tiledRun(p.fast) {
-				core.SortedTiledShardScan(p.op, p.fast, values, p.sperm, p.sstart, multi, red,
-					&p.tiles[w], sh, w, p.leadTotal, p.carryOut, p.leadClosed, p.hasTrail,
-					p.sortedStop)
-			} else {
-				core.SortedShardScan(p.op, p.fast, values, p.sperm, p.sstart, multi, red,
-					sh, w, p.leadTotal, p.carryOut, p.leadClosed, p.hasTrail,
-					p.cfg.FaultHook, p.sortedStop)
-			}
-		}
-		inner.Await()
-		done++
-		if w == 0 {
-			phase = core.PhaseSortedStitch
-			if !p.interrupted() {
-				p.batchNeedApply = core.SortedStitch(p.op, p.shards, p.leadTotal, p.carryOut, p.carryIn, p.leadClosed, p.hasTrail, red, p.cfg.FaultHook)
-			}
-		}
-		inner.Await()
-		done++
-		if p.runMulti && p.batchNeedApply && !p.interrupted() {
-			phase = core.PhaseSortedApply
-			core.SortedLeadApply(p.op, p.fast, values, p.sperm, p.sstart, multi,
-				sh, w, p.carryIn, p.cfg.FaultHook, p.sortedStop)
-		}
-	}
 }

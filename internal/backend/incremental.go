@@ -10,8 +10,9 @@ import (
 // This file is the stateful half of Plan (DESIGN.md §14): a plan can
 // *bind* a resident value vector and then serve point updates and
 // point queries against it far cheaper than re-running the whole
-// pipeline. The label structure the plan already computed at build
-// time — the counting-sort permutation and per-label run bounds — lays
+// pipeline. The sorted engine's label structure — the counting-sort
+// permutation and per-label run bounds, borrowed from a one-shard
+// sorted or sharded plan and built at the first Bind otherwise — lays
 // each label class out as one contiguous run of the sorted order, and
 // each run holds that class's own Fenwick tree: the paper's "spinetree
 // per label class", with a Fenwick tree in the spinetree's place. All
@@ -241,8 +242,8 @@ func (p *Plan[T]) bindLocked(values []T) error {
 
 // prepareIncremental is the one-time (first Bind) setup: resident and
 // snapshot storage, the maintenance tier, and — for the Fenwick tiers
-// — the sorted index (reusing the sorted plan's own permutation when
-// present), each element's class position, the class trees' shared
+// — the sorted index (reusing the plan's own when it has a single
+// index row), each element's class position, the class trees' shared
 // array, the envelope of the largest class and the calibrated burst.
 //
 //mp:locked
@@ -257,8 +258,8 @@ func (p *Plan[T]) prepareIncremental() {
 	if p.imode == incNone {
 		return
 	}
-	if p.exec == planSorted && len(p.sperm) == p.n && len(p.sstart) == p.m+1 {
-		p.iperm, p.istart = p.sperm, p.sstart
+	if p.exec == planSharded && p.shardsN == 1 {
+		p.iperm, p.istart = p.sperm, p.shStart[0]
 	} else {
 		p.iperm = make([]int32, p.n)
 		p.istart = make([]int32, p.m+1)
@@ -395,14 +396,20 @@ func (p *Plan[T]) QueryPrefix(i int) (T, error) {
 	return p.queryPrefix(i)
 }
 
-// QueryPrefixCall is QueryPrefix under per-call overrides (they bind
-// when the query falls back to the engine re-run tier).
+// QueryPrefixCall is QueryPrefix under per-call overrides (the hook
+// binds when the query falls back to the engine re-run tier). A call
+// whose context is already done when it takes the plan lock returns
+// the context's error, whichever tier would have answered.
 //
 //mp:hotpath
 func (p *Plan[T]) QueryPrefixCall(c Call, i int) (T, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	defer func(old core.Config) { p.cfg = old }(p.override(c))
+	if err := ctxDone(p.cfg); err != nil {
+		var zero T
+		return zero, err
+	}
 	return p.queryPrefix(i)
 }
 
@@ -450,13 +457,18 @@ func (p *Plan[T]) ReduceLabel(c int) (T, error) {
 	return p.reduceLabel(c)
 }
 
-// ReduceLabelCall is ReduceLabel under per-call overrides.
+// ReduceLabelCall is ReduceLabel under per-call overrides, with
+// QueryPrefixCall's context rule.
 //
 //mp:hotpath
 func (p *Plan[T]) ReduceLabelCall(call Call, c int) (T, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	defer func(old core.Config) { p.cfg = old }(p.override(call))
+	if err := ctxDone(p.cfg); err != nil {
+		var zero T
+		return zero, err
+	}
 	return p.reduceLabel(c)
 }
 
@@ -500,11 +512,16 @@ func (p *Plan[T]) Snapshot(multi, red []T) (uint64, error) {
 	return p.SnapshotCall(Call{}, multi, red)
 }
 
-// SnapshotCall is Snapshot under per-call overrides.
+// SnapshotCall is Snapshot under per-call overrides, with
+// QueryPrefixCall's context rule: a clean snapshot is not copied out
+// after the call's context is done.
 func (p *Plan[T]) SnapshotCall(c Call, multi, red []T) (uint64, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	defer func(old core.Config) { p.cfg = old }(p.override(c))
+	if err := ctxDone(p.cfg); err != nil {
+		return 0, err
+	}
 	if err := p.checkBound(); err != nil {
 		return 0, err
 	}

@@ -23,12 +23,6 @@ const (
 	// planSerial: the one-pass bucket algorithm over plan-owned
 	// storage, in CancelStride segments when a context is set.
 	planSerial planKind = iota
-	// planSorted: the sorted segmented-scan engine with the counting-
-	// sort permutation, per-label run bounds and (for multiple
-	// workers) the shard decomposition all built at plan time; runs
-	// are a fused scan over contiguous runs, parallelized with
-	// Blelloch-style carry propagation across shard boundaries.
-	planSorted
 	// planChunked: core's ChunkRunner, the one chunked body, with
 	// each chunk's touched-label list found once at plan time on the
 	// plan's worker team.
@@ -46,11 +40,12 @@ const (
 	// allocates its machine per run; Plan here only amortizes
 	// validation.
 	planPram
-	// planSharded: the scale-out decomposition — S contiguous element
-	// ranges each counting-sorted at plan time, scanned reduce-only per
-	// shard, carries combined in ⌈log₂S⌉ exclusive-prefix exchange
-	// rounds, then a seeded per-shard rescan for the prefixes (see
-	// sharded.go).
+	// planSharded: the sorted engine, for both the sorted and the
+	// sharded backend — S contiguous element ranges each
+	// counting-sorted at plan time, scanned reduce-only per shard,
+	// carries combined in ⌈log₂S⌉ exclusive-prefix exchange rounds,
+	// then a seeded per-shard rescan for the prefixes; one shard is a
+	// single fused scan (see sharded.go).
 	planSharded
 )
 
@@ -106,12 +101,11 @@ type Plan[T any] struct {
 	//mp:guarded-by mu
 	red []T
 
-	// the persistent worker team of the chunked, sorted and sharded
-	// plans, and the sorted and sharded bodies' per-run state
-	workers int
-	team    *par.Team
-	guard   core.Guard
-	fast    core.FastOp
+	// the persistent worker team of the chunked and sharded plans, and
+	// the sharded bodies' per-run state
+	team  *par.Team
+	guard core.Guard
+	fast  core.FastOp
 	//mp:guarded-by mu
 	runMulti bool // current run wants Multi (read by worker bodies)
 	//mp:guarded-by mu
@@ -120,51 +114,35 @@ type Plan[T any] struct {
 	// chunked state: core's runner, planned over the labels
 	chunks *core.ChunkRunner[T]
 
-	// sorted state: the plan-time counting-sort permutation and run
-	// bounds, plus the shard decomposition and carry slots of the
-	// parallel variant (w-indexed so the monomorphic kernels write
-	// them without boxing)
-	sperm, sstart        []int32
-	shards               []core.SortedShard
-	leadTotal, carryOut  []T
-	carryIn              []T
-	leadClosed, hasTrail []bool
-	sortedStop           func() bool // prebound guard poll for worker bodies
-	sortedBody           func(w int, bar *par.Barrier)
-	sortedApplyBody      func(w int, bar *par.Barrier)
-	// tiles is the plan-time cache-tiling of the sorted scan: one entry
-	// for the serial variant, one per shard for the parallel one. Nil
-	// when tiling doesn't apply (generic element type, non-fast op, or
-	// n within one tile window); runs with a FaultHook skip it at
-	// dispatch since fast demotes to FastNone.
-	tiles []core.TileSegs
-
-	// sharded state (see sharded.go): S contiguous element ranges, each
-	// with its own counting-sort row over the shared full-length sperm;
-	// the flat S×m ping-pong carry buffers of the exclusive-prefix
-	// exchange; and the consistent-hash placement ring assigning each
-	// label's reduction write to exactly one owning shard
-	shardsN     int       // shard count S (== p.workers for the team)
-	shLo, shHi  []int     // element range per shard
-	shStart     [][]int32 // per-shard run-bound rows, each len m+1
-	shCarryA    []T       // flat S×m totals / exchange buffer (pass-1 target)
-	shCarryB    []T       // flat S×m exchange ping-pong partner
-	shRounds    int       // ⌈log₂S⌉
-	shRing      *hashRing // label → owning shard
-	shOwned     [][]int32 // ring-owned labels per shard
+	// sorted-family state (see sharded.go): S contiguous element
+	// ranges, each with its own counting-sort row over the shared
+	// full-length sperm; the plan-time cache tiling of each shard's
+	// scan; and the flat S×m ping-pong carry buffers of the
+	// exclusive-prefix exchange
+	engine     string    // "plan/sorted" or "plan/sharded", for panics
+	sperm      []int32   // the shards' counting-sort permutations
+	shardsN    int       // shard count S (one team worker per shard)
+	shLo, shHi []int     // element range per shard
+	shStart    [][]int32 // per-shard run-bound rows, each len m+1
+	// tiles holds one tiling per shard. Nil when tiling doesn't apply
+	// (generic element type, non-fast op, n within a few tile windows
+	// or segments too short); runs with a FaultHook skip it at dispatch
+	// since fast demotes to FastNone.
+	tiles       []core.TileSegs
+	shCarryA    []T         // flat S×m totals / exchange buffer (pass-1 target)
+	shCarryB    []T         // flat S×m exchange ping-pong partner
+	shRounds    int         // ⌈log₂S⌉
+	sortedStop  func() bool // prebound guard poll for worker bodies
 	shBody      func(w int, bar *par.Barrier)
 	shBatchBody func(w int, bar *par.Barrier)
 	// shMeasured counts the exchange rounds the last evaluation actually
-	// executed (the simnet round assertion's ground truth).
+	// executed (ShardStats.MeasuredRounds, which shard-smoke asserts).
 	//mp:guarded-by mu
 	shMeasured int // written by worker 0 between barriers
 
 	// batched execution state (read by the batch team bodies)
 	//mp:guarded-by mu
 	batchDsts, batchSrcs [][]T
-	//mp:guarded-by mu
-	batchNeedApply  bool // written by worker 0 between barriers
-	sortedBatchBody func(w int, bar *par.Barrier)
 
 	// spinetree / parallel delegate state
 	buf     *core.Buffers[T]
@@ -191,9 +169,9 @@ type Plan[T any] struct {
 	//mp:guarded-by mu
 	imode incMode // maintenance tier (operator + element type)
 	//mp:guarded-by mu
-	iperm []int32 // counting-sort permutation (aliases sperm on sorted plans)
+	iperm []int32 // counting-sort permutation (aliases sperm on one-shard plans)
 	//mp:guarded-by mu
-	istart []int32 // per-label run bounds, len m+1 (aliases sstart)
+	istart []int32 // per-label run bounds, len m+1 (aliases shStart[0])
 	//mp:guarded-by mu
 	iloc []classPos // element i's label class and offset in its run
 	//mp:guarded-by mu
@@ -280,11 +258,15 @@ func (b impl[T]) Plan(op core.Op[T], labels []int, m int, cfg core.Config) (*Pla
 		p.multi = make([]T, p.n)
 		p.red = make([]T, m)
 	case kindSorted:
-		if err := p.prepareSorted(); err != nil {
+		if err := p.prepareSharded("sorted", core.ChunkWorkers(cfg.Workers, p.n)); err != nil {
 			return nil, err
 		}
 	case kindSharded:
-		if err := p.prepareSharded(); err != nil {
+		s := cfg.Shards
+		if s <= 0 {
+			s = core.ChunkWorkers(cfg.Workers, p.n)
+		}
+		if err := p.prepareSharded("sharded", s); err != nil {
 			return nil, err
 		}
 	case kindChunked:
@@ -317,8 +299,8 @@ func (p *Plan[T]) startTeam(workers int) {
 	runtime.AddCleanup(p, func(t *par.Team) { t.Close() }, t)
 }
 
-// interrupted is the sorted and sharded bodies' stride poll: the
-// plan's guard against the current call's context.
+// interrupted is the sharded bodies' stride poll: the plan's guard
+// against the current call's context.
 //
 //mp:locked
 func (p *Plan[T]) interrupted() bool {
@@ -523,9 +505,6 @@ func (p *Plan[T]) run(values []T) (core.Result[T], error) {
 	case planSerial:
 		err = p.runSerial(values, true)
 		res = core.Result[T]{Multi: p.multi, Reductions: p.red}
-	case planSorted:
-		err = p.runSorted(values, true)
-		res = core.Result[T]{Multi: p.multi, Reductions: p.red}
 	case planSharded:
 		err = p.runSharded(values, true)
 		res = core.Result[T]{Multi: p.multi, Reductions: p.red}
@@ -585,10 +564,6 @@ func (p *Plan[T]) reduce(values []T) ([]T, error) {
 	switch p.exec {
 	case planSerial:
 		if err = p.runSerial(values, false); err == nil {
-			red = p.red
-		}
-	case planSorted:
-		if err = p.runSorted(values, false); err == nil {
 			red = p.red
 		}
 	case planSharded:

@@ -4,63 +4,57 @@ import (
 	"fmt"
 	"math"
 	"runtime/debug"
-	"unsafe"
 
 	"multiprefix/internal/core"
 	"multiprefix/internal/par"
 )
 
-// This file is the planned sharded engine: the scale-out decomposition
-// of the sorted scan. Where the sorted engine splits the *permutation*
-// across workers and stitches straddling runs with a serial O(S) walk
-// (SortedStitch), the sharded engine splits the *element range* across
-// S shards, each with its own plan-time counting sort over the shared
-// full-length permutation, and combines the per-shard per-label carry
-// vectors in ⌈log₂S⌉ synchronous exclusive-prefix exchange rounds
-// (core.ShardedExchangeRound). One run is:
+// This file is the planned sorted engine in its one parallel form, the
+// body that sorted plans and sharded plans both run. Everything
+// value-independent happens at plan time: the element range is split
+// into S contiguous shards, each with its own stable counting sort over
+// the shared full-length permutation, a cache tiling of each shard's
+// scan where it pays, and a worker team of one worker per shard. One
+// run is:
 //
 //   pass 1    every shard scans its own runs reduce-only into its row
 //             of the flat S×m carry buffer.
 //   exchange  ⌈log₂S⌉ Hillis–Steele rounds over the rows through the
-//             team's inner barrier; afterwards row s holds the
-//             inclusive fold of shards 0..s.
-//   finish    each shard writes the reductions of the labels it owns
-//             on the consistent-hash ring (row S−1), and for multi
-//             runs rescans its runs seeded from row s−1 — its
-//             exclusive carry-in (core.ShardedTiledSeedScan).
+//             team's inner barrier (core.ShardedExchangeRound);
+//             afterwards row s holds the inclusive fold of shards 0..s.
+//   finish    shard w copies the reductions of its labels
+//             par.Range(m, S, w) out of row S−1, and for multi runs
+//             rescans its runs seeded from row w−1 — its exclusive
+//             carry-in (core.ShardedTiledSeedScan).
 //
-// The round structure is what a distributed deployment would run over
-// a real interconnect; ShardStats exposes the round count and modeled
-// bytes per round so the simulated-network mode can price it.
+// A single shard needs no exchange: the plan runs one fused segmented
+// scan over its one index row (scanSingle). The stable sort preserves
+// the paper's semantics: same-label elements keep their vector order,
+// so every scan applies exactly the combines of Definition 1 in the
+// same order as the serial bucket pass.
 
 // maxShards caps the shard count: beyond this the per-label carry
-// buffers (2·S·m elements) dominate and the exchange stops modeling
-// anything a single host would run.
+// buffers (2·S·m elements) dominate.
 const maxShards = 256
 
-// prepareSharded builds the plan-time sharded structures: the per-shard
-// element ranges and counting-sort rows, the placement ring and
-// owned-label lists, the flat ping-pong carry buffers, and the worker
-// team (one worker per shard). A single shard degenerates to the serial
-// sorted scan over the one row.
+// prepareSharded builds the plan-time structures for s shards: the
+// per-shard element ranges and counting-sort rows, the tiling, and —
+// for more than one shard — the flat ping-pong carry buffers and the
+// worker team. name ("sorted" or "sharded") is the engine panics and
+// limit errors are attributed to.
 //
 //mp:locked
-func (p *Plan[T]) prepareSharded() error {
+func (p *Plan[T]) prepareSharded(name string, s int) error {
 	if p.n > math.MaxInt32 {
-		return fmt.Errorf("%w: n=%d exceeds the sharded engine's %d-element limit", core.ErrBadInput, p.n, math.MaxInt32)
+		return fmt.Errorf("%w: n=%d exceeds the %s engine's %d-element limit", core.ErrBadInput, p.n, name, math.MaxInt32)
 	}
 	p.exec = planSharded
+	p.engine = "plan/" + name
 	p.multi = make([]T, p.n)
 	p.red = make([]T, p.m)
 	p.sperm = make([]int32, p.n)
-	s := p.cfg.Shards
-	if s <= 0 {
-		s = core.ChunkWorkers(p.cfg.Workers, p.n)
-	}
-	s = min(s, maxShards)
-	s = min(s, max(p.n, 1))
+	s = min(s, maxShards, max(p.n, 1))
 	p.shardsN = s
-	p.workers = s
 	p.shRounds = core.ShardedRounds(s)
 	p.shLo = make([]int, s)
 	p.shHi = make([]int, s)
@@ -72,14 +66,9 @@ func (p *Plan[T]) prepareSharded() error {
 		core.BuildShardedIndexInto(p.sperm, row, p.labels, lo, hi)
 		p.shStart[w] = row
 	}
-	p.shRing = newHashRing(s)
-	p.shOwned = p.shRing.ownedLabels(p.m)
 	p.sortedStop = p.interrupted
+	p.prepareShardedTiles()
 	if s == 1 {
-		// Degenerate single shard: the one row covers the whole vector,
-		// so the serial sorted machinery runs unchanged over it.
-		p.sstart = p.shStart[0]
-		p.prepareShardedTiles()
 		return nil
 	}
 	p.shCarryA = make([]T, s*p.m)
@@ -87,14 +76,16 @@ func (p *Plan[T]) prepareSharded() error {
 	p.shBody = p.shardedRun
 	p.shBatchBody = p.shardedBatch
 	p.startTeam(s)
-	p.prepareShardedTiles()
 	return nil
 }
 
-// prepareShardedTiles is prepareTiles for the per-shard index rows. The
-// short-segment gate scales with the shard count: each shard sees ~n/S
-// elements over the same m labels, so its runs are S× shorter than the
-// sorted engine's.
+// prepareShardedTiles builds the plan-time cache tiling of each
+// shard's scan when the tiled kernels apply: a monomorphic element
+// type, an op with a fast kernel (hook-free runs — a FaultHook demotes
+// fast at dispatch and the run takes the untiled generic path), and an
+// input large enough to span multiple tile windows. The tiling is
+// value-independent, so like the counting sort it happens once per
+// plan.
 //
 //mp:locked
 func (p *Plan[T]) prepareShardedTiles() {
@@ -105,6 +96,15 @@ func (p *Plan[T]) prepareShardedTiles() {
 	if window == 0 {
 		return
 	}
+	// Short segments starve the interleave: each tile segment pays
+	// fixed chain-setup bookkeeping amortized over its run length, and
+	// below ~128 elements per segment (window/256) the untiled kernel
+	// wins — measured crossover on the reference host (1.7-2.1x tiled
+	// at 128-2048 elements/segment, noise at 64, 0.5-0.95x at 32 and
+	// below). Each shard sees ~n/S elements over the same m labels, so
+	// the gate scales with the shard count. Test-sized windows (256
+	// elements) keep the floor at one element, so forced-tiling tests
+	// and fuzzing exercise every segment shape.
 	if minSeg := window / 256; minSeg > 1 && p.n < p.m*minSeg*p.shardsN {
 		return
 	}
@@ -114,12 +114,51 @@ func (p *Plan[T]) prepareShardedTiles() {
 	}
 }
 
-// runSharded evaluates one value vector through the planned sharded
-// engine, into p.multi (when withMulti) and p.red.
+// Tiled reports whether the plan runs the cache-tiled sorted kernels —
+// plan metadata for tests and the benchmark harness.
+func (p *Plan[T]) Tiled() bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.tiles != nil
+}
+
+// tiledRun reports whether this run dispatches to the tiled kernels:
+// the plan built tiles and the run's fast kind survived (no FaultHook).
+//
+//mp:locked
+func (p *Plan[T]) tiledRun(fast core.FastOp) bool {
+	return p.tiles != nil && core.FastScans[T](fast)
+}
+
+// scanSingle is the one-shard scan: one fused segmented scan of values
+// over the plan's single index row, polling the context when one is
+// set.
+//
+//mp:locked
+func (p *Plan[T]) scanSingle(fast core.FastOp, values, multi, red []T) error {
+	var stop func() bool
+	if p.cfg.Ctx != nil {
+		p.guard.Reset()
+		stop = p.sortedStop
+	}
+	var ok bool
+	if p.tiledRun(fast) {
+		ok = core.SortedTiledScanLabels(p.op, fast, values, p.sperm, p.shStart[0], multi, red, &p.tiles[0], stop)
+	} else {
+		ok = core.SortedScanLabels(p.op, fast, values, p.sperm, p.shStart[0], multi, red, 0, p.m, p.cfg.FaultHook, stop)
+	}
+	if !ok {
+		return p.guard.First()
+	}
+	return nil
+}
+
+// runSharded evaluates one value vector into p.multi (when withMulti)
+// and p.red.
 //
 //mp:locked
 func (p *Plan[T]) runSharded(values []T, withMulti bool) (err error) {
-	defer recoverPlanPanic("plan/sharded", &err)
+	defer recoverPlanPanic(p.engine, &err)
 	fast := p.op.FastKind(p.cfg.FaultHook)
 	p.shMeasured = 0
 	if p.team == nil {
@@ -143,8 +182,7 @@ func (p *Plan[T]) runSharded(values []T, withMulti bool) (err error) {
 
 // shardedPass1 is pass 1 for one worker: scan the shard's runs
 // reduce-only into its row of the carry buffer. The scan covers all m
-// labels, so labels absent from the shard get the identity — exactly
-// the carry vector a remote node would send.
+// labels, so labels absent from the shard get the identity.
 //
 //mp:locked
 func (p *Plan[T]) shardedPass1(w int, values []T) {
@@ -156,20 +194,21 @@ func (p *Plan[T]) shardedPass1(w int, values []T) {
 	core.SortedScanLabels(p.op, p.fast, values, p.sperm, p.shStart[w], nil, totals, 0, p.m, p.cfg.FaultHook, p.sortedStop)
 }
 
-// shardedFinish is the post-exchange step for one worker: extract the
-// owned labels' reductions from the last row of final, and for multi
-// runs rescan the shard's runs seeded from the shard's exclusive
-// carry-in (final row w−1; identity for shard 0). The worker's row of
-// the spare ping-pong buffer serves as the seed/scratch row — the last
-// exchange round's barrier ordered every read of it, so clobbering it
-// here is race-free, and each worker touches only its own row (EREW).
+// shardedFinish is the post-exchange step for one worker: copy the
+// reductions of the shard's labels par.Range(m, S, w) out of the last
+// row of final — the ranges partition [0, m), so each reduction has
+// exactly one writer — and for multi runs rescan the shard's runs
+// seeded from the shard's exclusive carry-in (final row w−1; identity
+// for shard 0). The worker's row of the spare ping-pong buffer serves
+// as the seed/scratch row — the last exchange round's barrier ordered
+// every read of it, so clobbering it here is race-free, and each worker
+// touches only its own row (EREW).
 //
 //mp:locked
 func (p *Plan[T]) shardedFinish(w int, final, spare, values, multi, red []T, withMulti bool) {
 	last := (p.shardsN - 1) * p.m
-	for _, l := range p.shOwned[w] {
-		red[l] = final[last+int(l)]
-	}
+	lo, hi := par.Range(p.m, p.shardsN, w)
+	copy(red[lo:hi], final[last+lo:last+hi])
 	if !withMulti {
 		return
 	}
@@ -198,7 +237,7 @@ func (p *Plan[T]) shardedRun(w int, inner *par.Barrier) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			p.guard.Fail(&core.EnginePanicError{
-				Engine: "plan/sharded", Phase: phase,
+				Engine: p.engine, Phase: phase,
 				Worker: w, Value: rec, Stack: debug.Stack(),
 			})
 		}
@@ -243,7 +282,7 @@ func (p *Plan[T]) shardedBatch(w int, inner *par.Barrier) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			p.guard.Fail(&core.EnginePanicError{
-				Engine: "plan/sharded", Phase: phase,
+				Engine: p.engine, Phase: phase,
 				Worker: w, Value: rec, Stack: debug.Stack(),
 			})
 		}
@@ -285,67 +324,24 @@ func (p *Plan[T]) shardedBatch(w int, inner *par.Barrier) {
 	}
 }
 
-// ShardStats is the sharded plan's exchange geometry: the static round
-// count and modeled per-round traffic, plus the rounds the last
+// ShardStats is the exchange geometry of a sorted or sharded plan: the
+// shard count, the static ⌈log₂S⌉ round count, and the rounds the last
 // evaluation actually executed (MeasuredRounds — equal to Rounds for a
 // completed Run, Rounds×k for a k-vector batch, possibly fewer after an
-// interrupt). BytesPerRound models each round's interconnect traffic as
-// every participating shard reading one remote row of m elements.
+// interrupt).
 type ShardStats struct {
 	Shards         int
 	Rounds         int
 	MeasuredRounds int
-	BytesPerRound  []int
-	TotalBytes     int
 }
 
-// SimNs prices the carry exchange on a simulated interconnect with the
-// given per-round latency (ns) and per-shard bandwidth (bytes/ns, i.e.
-// GB/s): rounds·latency plus each round's widest single-shard transfer
-// (rows move in parallel, so a round is as slow as one row).
-func (s ShardStats) SimNs(latencyNs, bytesPerNs float64) float64 {
-	ns := float64(s.Rounds) * latencyNs
-	if bytesPerNs <= 0 {
-		return ns
-	}
-	for r, b := range s.BytesPerRound {
-		readers := s.Shards - 1<<r
-		if readers <= 0 {
-			continue
-		}
-		// One remote row per reading shard, pulled in parallel: the
-		// round is as slow as a single row transfer.
-		ns += float64(b) / float64(readers) / bytesPerNs
-	}
-	return ns
-}
-
-// ShardStats returns the sharded plan's exchange geometry, or ok=false
-// for plans running a different engine.
+// ShardStats returns the plan's exchange geometry, or ok=false for
+// plans running an engine outside the sorted family.
 func (p *Plan[T]) ShardStats() (ShardStats, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.exec != planSharded {
 		return ShardStats{}, false
 	}
-	elem := int(unsafe.Sizeof(*new(T)))
-	st := ShardStats{Shards: p.shardsN, Rounds: p.shRounds, MeasuredRounds: p.shMeasured}
-	for r := 0; r < p.shRounds; r++ {
-		b := core.ShardedRoundBytes(p.shardsN, p.m, elem, r)
-		st.BytesPerRound = append(st.BytesPerRound, b)
-		st.TotalBytes += b
-	}
-	return st, true
-}
-
-// ShardOf returns the shard owning a label's reduction on the
-// placement ring, or ok=false for non-sharded plans or out-of-range
-// labels.
-func (p *Plan[T]) ShardOf(label int) (int, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.exec != planSharded || label < 0 || label >= p.m {
-		return 0, false
-	}
-	return p.shRing.Lookup(label), true
+	return ShardStats{Shards: p.shardsN, Rounds: p.shRounds, MeasuredRounds: p.shMeasured}, true
 }

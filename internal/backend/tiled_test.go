@@ -75,9 +75,10 @@ func TestTiledPlanParity(t *testing.T) {
 // magnitudes (where any re-grouping changes rounding), NaN and ±0 must
 // reproduce the untiled combine order bit for bit. At one worker the
 // untiled order IS the serial order, so the reference is core.Serial;
-// at four workers the shard stitch re-associates straddling runs the
-// same way tiled or not, so the reference is the untiled plan at the
-// same worker count (tile budget far above n, so no window exists).
+// at four workers the carry exchange re-associates runs that span
+// shards the same way tiled or not, so the reference is the untiled
+// plan at the same worker count (tile budget far above n, so no window
+// exists).
 func TestTiledPlanFloat64BitExact(t *testing.T) {
 	const n, m = 2000, 13
 	rng := rand.New(rand.NewSource(73))

@@ -13,17 +13,15 @@ const (
 	PhaseChunkLocal = "chunk-local"
 	PhaseChunkMerge = "chunk-merge"
 	PhaseChunkApply = "chunk-apply"
-	// The sorted engine's passes: the fused segmented scan over the
-	// plan-time permutation, the sequential cross-shard stitch, and the
-	// carry-in rescan of a shard's leading partial run.
-	PhaseSortedScan   = "sorted-scan"
-	PhaseSortedStitch = "sorted-stitch"
-	PhaseSortedApply  = "sorted-apply"
-	// The sharded engine's passes: the per-shard reduce-only scan that
-	// produces each shard's per-label totals row, the ⌈log₂S⌉-round
-	// exclusive-prefix carry exchange over those rows, and the seeded
-	// full rescan that folds each shard's carry-in back into its
-	// elements.
+	// The sorted engine's fused segmented scan over the plan-time
+	// permutation — also the per-shard scan of the parallel form.
+	PhaseSortedScan = "sorted-scan"
+	// The parallel sorted engine's passes (sorted plans with more than
+	// one worker, and sharded plans): the per-shard reduce-only scan
+	// that produces each shard's per-label totals row, the
+	// ⌈log₂S⌉-round exclusive-prefix carry exchange over those rows,
+	// and the seeded full rescan that folds each shard's carry-in back
+	// into its elements.
 	PhaseShardedScan     = "sharded-scan"
 	PhaseShardedExchange = "sharded-exchange"
 	PhaseShardedApply    = "sharded-apply"

@@ -2,12 +2,13 @@ package core
 
 import "math/bits"
 
-// This file holds the core kernels of the sharded engine: the
-// scale-out decomposition that partitions the input vector across S
-// shards by contiguous original-index range, runs the sorted/tiled
-// segmented scan per shard, and replaces the serial O(S) SortedStitch
-// with a round-efficient exclusive-prefix carry exchange in the style
-// of Träff's computation-efficient MPI_Exscan schemes:
+// This file holds the core kernels of the parallel sorted engine — the
+// body every sorted plan with more than one worker and every sharded
+// plan runs: the input vector is partitioned across S shards by
+// contiguous original-index range, each shard runs the sorted/tiled
+// segmented scan over its own range, and the per-shard carries are
+// combined in an exclusive-prefix carry exchange in the style of
+// Träff's computation-efficient MPI_Exscan schemes:
 //
 //   pass 1 (scan)      each shard counting-sorts its own element range
 //                      at plan time (BuildShardedIndexInto) and at run
@@ -23,10 +24,9 @@ import "math/bits"
 //                      the per-label reductions are row S−1.
 //   pass 2 (apply)     multi runs only: each shard rescans its runs
 //                      with the carry-in as the starting accumulator
-//                      (the SortedLeadApply discipline — a seeded
-//                      rescan, never an offset fix-up, so the combine
-//                      sequence each element observes is exactly
-//                      Definition 1's).
+//                      (a seeded rescan, never an offset fix-up, so
+//                      the combine sequence each element observes is
+//                      exactly Definition 1's).
 //
 // Order is never commuted anywhere: the left operand of every exchange
 // combine covers strictly earlier shards (strictly earlier vector
@@ -75,19 +75,6 @@ func ShardedRounds(s int) int {
 		return 0
 	}
 	return bits.Len(uint(s - 1))
-}
-
-// ShardedRoundBytes is the simulated-network traffic of exchange round
-// r (distance d = 2^r) for s shards and m labels: every shard at or
-// above the distance reads one remote row of m elements, so
-// (s−d)·m·elemBytes bytes cross the interconnect that round. Rounds at
-// or beyond ShardedRounds(s) move nothing.
-func ShardedRoundBytes(s, m, elemBytes, round int) int {
-	d := 1 << round
-	if d >= s {
-		return 0
-	}
-	return (s - d) * m * elemBytes
 }
 
 // exchangeBits is the int64-only row combine of the bitwise families;
@@ -240,13 +227,11 @@ func ShardedTiledSeedScan[T any](op Op[T], fast FastOp, values []T, perm, start 
 	switch vs := any(values).(type) {
 	case []int64:
 		if fastSegI64(fast) {
-			_, _, ok := tiledTilesKernel(fast, vs, perm, asI64(multi), asI64(scratch), ts, -1, -1, 0, 0, stop)
-			return ok
+			return tiledTilesKernel(fast, vs, perm, asI64(multi), asI64(scratch), ts, stop)
 		}
 	case []float64:
 		if fastSegF64(fast) {
-			_, _, ok := tiledTilesKernel(fast, vs, perm, asF64(multi), asF64(scratch), ts, -1, -1, 0, 0, stop)
-			return ok
+			return tiledTilesKernel(fast, vs, perm, asF64(multi), asF64(scratch), ts, stop)
 		}
 	}
 	return ShardedSeedScan(op, fast, values, perm, start, multi, scratch, hook, stop)

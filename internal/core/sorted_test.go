@@ -48,54 +48,6 @@ func TestBuildSortedIndexStable(t *testing.T) {
 	}
 }
 
-// TestSortedShardsInvariants checks the shard decomposition on a spread
-// of shapes: the element ranges and the owned-label ranges each
-// partition their domain, and LeadPartial is set exactly when the owned
-// run begins before the shard.
-func TestSortedShardsInvariants(t *testing.T) {
-	rng := rand.New(rand.NewSource(72))
-	for _, sh := range []struct{ n, m, workers int }{
-		{1, 1, 2}, {10, 3, 3}, {100, 1, 4}, {100, 100, 4},
-		{257, 5, 2}, {1000, 33, 7}, {64, 200, 4}, {6, 2, 6},
-	} {
-		labels := make([]int, sh.n)
-		for i := range labels {
-			labels[i] = rng.Intn(sh.m)
-		}
-		idx, err := BuildSortedIndex(labels, sh.m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		shards := SortedShards(idx.Start, sh.n, sh.workers)
-		if len(shards) != sh.workers {
-			t.Fatalf("%d shards, want %d", len(shards), sh.workers)
-		}
-		prevHi, prevOwnHi := 0, 0
-		for w, s := range shards {
-			if s.Lo != prevHi {
-				t.Fatalf("w=%d: Lo=%d, want %d (element ranges must partition)", w, s.Lo, prevHi)
-			}
-			if s.OwnLo != prevOwnHi {
-				t.Fatalf("w=%d: OwnLo=%d, want %d (owned labels must partition)", w, s.OwnLo, prevOwnHi)
-			}
-			if s.OwnHi < s.OwnLo {
-				t.Fatalf("w=%d: OwnHi=%d < OwnLo=%d", w, s.OwnHi, s.OwnLo)
-			}
-			wantLead := w > 0 && s.OwnLo < sh.m && int(idx.Start[s.OwnLo]) < s.Lo
-			if s.LeadPartial != wantLead {
-				t.Fatalf("w=%d: LeadPartial=%v, want %v", w, s.LeadPartial, wantLead)
-			}
-			prevHi, prevOwnHi = s.Hi, s.OwnHi
-		}
-		if prevHi != sh.n {
-			t.Fatalf("last Hi=%d, want n=%d", prevHi, sh.n)
-		}
-		if prevOwnHi != sh.m {
-			t.Fatalf("last OwnHi=%d, want m=%d", prevOwnHi, sh.m)
-		}
-	}
-}
-
 // TestSortedMatchesSerial drives the one-shot sorted engine (and its
 // pooled and reduce-only forms) against the serial reference over the
 // shared case generator, for the fast-path PLUS and the generic-path
@@ -167,53 +119,6 @@ func TestSortedCombineOrder(t *testing.T) {
 	for l := range want.Reductions {
 		if got.Reductions[l] != want.Reductions[l] {
 			t.Fatalf("Reductions[%d] = %q, want %q", l, got.Reductions[l], want.Reductions[l])
-		}
-	}
-}
-
-// TestSortedShardScanParity runs the full shard-scan / stitch / lead-
-// apply pipeline by hand across worker counts and checks it against the
-// serial reference — the same sequence the planned parallel path runs,
-// exercised here deterministically without goroutines.
-func TestSortedShardScanParity(t *testing.T) {
-	rng := rand.New(rand.NewSource(74))
-	for _, tc := range genCases(rng) {
-		if len(tc.values) == 0 {
-			continue
-		}
-		idx, err := BuildSortedIndex(tc.labels, tc.m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, op := range []Op[int64]{AddInt64, MaxInt64, MinInt64, AndInt64, OrInt64, XorInt64} {
-			want := mustSerialOp(t, op, tc.values, tc.labels, tc.m)
-			for workers := 2; workers <= 5; workers++ {
-				multi := make([]int64, len(tc.values))
-				red := make([]int64, tc.m)
-				leadTotal := make([]int64, workers)
-				carryOut := make([]int64, workers)
-				carryIn := make([]int64, workers)
-				leadClosed := make([]bool, workers)
-				hasTrail := make([]bool, workers)
-				shards := SortedShards(idx.Start, len(tc.values), workers)
-				fast := op.fastKind(nil)
-				for w, sh := range shards {
-					if !SortedShardScan(op, fast, tc.values, idx.Perm, idx.Start, multi, red, sh, w, leadTotal, carryOut, leadClosed, hasTrail, nil, nil) {
-						t.Fatalf("%s/%s/w%d: shard scan aborted", tc.name, op.Name, workers)
-					}
-				}
-				needApply := SortedStitch(op, shards, leadTotal, carryOut, carryIn, leadClosed, hasTrail, red, nil)
-				if needApply {
-					for w, sh := range shards {
-						if !SortedLeadApply(op, fast, tc.values, idx.Perm, idx.Start, multi, sh, w, carryIn, nil, nil) {
-							t.Fatalf("%s/%s/w%d: lead apply aborted", tc.name, op.Name, workers)
-						}
-					}
-				}
-				if !equalInt64(multi, want.Multi) || !equalInt64(red, want.Reductions) {
-					t.Fatalf("%s/%s: %d-shard pipeline differs from serial", tc.name, op.Name, workers)
-				}
-			}
 		}
 	}
 }

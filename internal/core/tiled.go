@@ -46,12 +46,9 @@ import (
 // exact.)
 //
 // Cross-tile state is the per-run accumulator: red[l] itself carries
-// owned complete runs between tiles (prefilled with the identity, so
-// empty labels come out right), and the lead/trail portions of runs
-// straddling a shard boundary ride in kernel-local accumulators —
-// one shard processes all its tiles in a single call, so the
-// SortedShard carry-slot contract (leadTotal/carryOut/leadClosed/
-// hasTrail, SortedStitch, SortedLeadApply) is untouched.
+// each run between tiles (prefilled with the identity, so empty labels
+// come out right; the sharded engine's seeded rescan prefills it with
+// the shard's carry-in instead).
 
 // TileSegs is the plan-time tiling of one sorted scan range: each
 // segment is the piece of one label's run whose elements fall in one
@@ -416,44 +413,16 @@ func tiledGroup4[E fastElem](fast FastOp, values []E, perm []int32, multi []E, s
 	return a0, a1, a2, a3
 }
 
-// tiledAccLoad routes a segment's starting accumulator: the lead and
-// trail runs of a shard live in kernel locals (la, ta), every other
-// run carries across tiles in its own red slot. Full-range callers
-// pass lead = trail = -1 so red is the only source.
-func tiledAccLoad[E fastElem](red []E, l, lead, trail int32, la, ta E) E {
-	if l == lead {
-		return la
-	}
-	if l == trail {
-		return ta
-	}
-	return red[l]
-}
-
-// tiledAccStore is the write half of tiledAccLoad, returning the
-// updated (la, ta) pair.
-func tiledAccStore[E fastElem](red []E, l, lead, trail int32, la, ta, v E) (E, E) {
-	if l == lead {
-		return v, ta
-	}
-	if l == trail {
-		return la, v
-	}
-	red[l] = v
-	return la, ta
-}
-
 // tiledTilesKernel is the shared tile walk: for each window it
 // advances groups of 4 segments as interleaved chains, and the
-// leftover <4 segments as single chains. Accumulators route through
-// red except for the shard lead/trail runs, which thread through la
-// and ta. Returns the final (la, ta) and false if stop fired.
+// leftover <4 segments as single chains. Each run's accumulator
+// threads through its red slot. Returns false if stop fired.
 //
 // Cancellation polls at group granularity: because the interleave
 // never reassociates, chunking does not affect results, so the credit
 // counter only bounds poll latency — at most one group (4 segments,
 // each at most one window long) runs between polls.
-func tiledTilesKernel[E fastElem](fast FastOp, values []E, perm []int32, multi, red []E, ts *TileSegs, lead, trail int32, la, ta E, stop func() bool) (E, E, bool) {
+func tiledTilesKernel[E fastElem](fast FastOp, values []E, perm []int32, multi, red []E, ts *TileSegs, stop func() bool) bool {
 	credit := cancelStride
 	lab, los, his, off := ts.Label, ts.Lo, ts.Hi, ts.TileOff
 	for t := 0; t+1 < len(off); t++ {
@@ -461,7 +430,7 @@ func tiledTilesKernel[E fastElem](fast FastOp, values []E, perm []int32, multi, 
 		for ; si+4 <= end; si += 4 {
 			if credit <= 0 {
 				if stop != nil && stop() {
-					return la, ta, false
+					return false
 				}
 				credit = cancelStride
 			}
@@ -471,32 +440,22 @@ func tiledTilesKernel[E fastElem](fast FastOp, values []E, perm []int32, multi, 
 			s2, e2 := int(los[si+2]), int(his[si+2])
 			s3, e3 := int(los[si+3]), int(his[si+3])
 			credit -= (e0 - s0) + (e1 - s1) + (e2 - s2) + (e3 - s3)
-			a0 := tiledAccLoad(red, l0, lead, trail, la, ta)
-			a1 := tiledAccLoad(red, l1, lead, trail, la, ta)
-			a2 := tiledAccLoad(red, l2, lead, trail, la, ta)
-			a3 := tiledAccLoad(red, l3, lead, trail, la, ta)
-			a0, a1, a2, a3 = tiledGroup4(fast, values, perm, multi, s0, e0, s1, e1, s2, e2, s3, e3, a0, a1, a2, a3)
-			la, ta = tiledAccStore(red, l0, lead, trail, la, ta, a0)
-			la, ta = tiledAccStore(red, l1, lead, trail, la, ta, a1)
-			la, ta = tiledAccStore(red, l2, lead, trail, la, ta, a2)
-			la, ta = tiledAccStore(red, l3, lead, trail, la, ta, a3)
+			red[l0], red[l1], red[l2], red[l3] = tiledGroup4(fast, values, perm, multi, s0, e0, s1, e1, s2, e2, s3, e3, red[l0], red[l1], red[l2], red[l3])
 		}
 		for ; si < end; si++ {
 			if credit <= 0 {
 				if stop != nil && stop() {
-					return la, ta, false
+					return false
 				}
 				credit = cancelStride
 			}
 			l := lab[si]
 			s, e := int(los[si]), int(his[si])
 			credit -= e - s
-			acc := tiledAccLoad(red, l, lead, trail, la, ta)
-			acc = sortedSegKernel(fast, values, perm, multi, s, e, acc)
-			la, ta = tiledAccStore(red, l, lead, trail, la, ta, acc)
+			red[l] = sortedSegKernel(fast, values, perm, multi, s, e, red[l])
 		}
 	}
-	return la, ta, true
+	return true
 }
 
 // tiledScanLabelsKernel is the serial tiled pass over a whole index:
@@ -504,9 +463,7 @@ func tiledTilesKernel[E fastElem](fast FastOp, values []E, perm []int32, multi, 
 // tiles.
 func tiledScanLabelsKernel[E fastElem](fast FastOp, values []E, perm []int32, multi, red []E, ts *TileSegs, stop func() bool) bool {
 	fillFastIdent(red, fast)
-	var zero E
-	_, _, ok := tiledTilesKernel(fast, values, perm, multi, red, ts, -1, -1, zero, zero, stop)
-	return ok
+	return tiledTilesKernel(fast, values, perm, multi, red, ts, stop)
 }
 
 // SortedTiledScanLabels is the tiled counterpart of SortedScanLabels
@@ -530,72 +487,4 @@ func SortedTiledScanLabels[T any](op Op[T], fast FastOp, values []T, perm, start
 		}
 	}
 	return SortedScanLabels(op, fast, values, perm, start, multi, red, 0, len(start)-1, nil, stop)
-}
-
-// tiledShardKernel is the monomorphic tiled pass 1 over one shard; see
-// SortedTiledShardScan for the contract. The lead and trail portions
-// of runs straddling the shard's bounds accumulate in locals (the
-// whole shard is one call, so they persist across tiles) and land in
-// the same w-indexed carry slots as the untiled kernel; owned complete
-// runs carry across tiles in their own red slots.
-func tiledShardKernel[E fastElem](fast FastOp, values []E, perm, start []int32, multi, red []E, ts *TileSegs, sh SortedShard, w int, leadTotal, carryOut []E, leadClosed, hasTrail []bool, stop func() bool) bool {
-	leadClosed[w], hasTrail[w] = false, false
-	ident := fastIdent[E](fast)
-	m := len(start) - 1
-	lead, trail := int32(-1), int32(-1)
-	leadCloses := false
-	if sh.LeadPartial {
-		lead = int32(sh.OwnLo)
-		leadCloses = int(start[sh.OwnLo+1]) <= sh.Hi
-	}
-	if sh.OwnHi < m && int(start[sh.OwnHi]) < sh.Hi && !(sh.LeadPartial && !leadCloses) {
-		trail = int32(sh.OwnHi)
-	}
-	fillLo := sh.OwnLo
-	if sh.LeadPartial {
-		fillLo++
-	}
-	if fillLo < sh.OwnHi {
-		fillFastIdent(red[fillLo:sh.OwnHi], fast)
-	}
-	leadAcc, trailAcc, ok := tiledTilesKernel(fast, values, perm, multi, red, ts, lead, trail, ident, ident, stop)
-	if !ok {
-		return false
-	}
-	if sh.LeadPartial {
-		if leadCloses {
-			leadTotal[w], leadClosed[w] = leadAcc, true
-		} else {
-			// The whole shard lies inside one run.
-			carryOut[w], hasTrail[w] = leadAcc, true
-			return true
-		}
-	}
-	if trail >= 0 {
-		carryOut[w], hasTrail[w] = trailAcc, true
-	}
-	return true
-}
-
-// SortedTiledShardScan is the tiled counterpart of SortedShardScan:
-// pass 1 of the parallel sorted engine over one shard, with the
-// shard's traffic re-ordered tile-major by ts (built over [sh.Lo,
-// sh.Hi)). It writes the identical leadTotal/carryOut/leadClosed/
-// hasTrail carry slots, so SortedStitch and SortedLeadApply compose
-// with it unchanged. Like SortedTiledScanLabels it falls through to
-// the untiled shard scan for non-monomorphic shapes.
-//
-//mp:hotpath
-func SortedTiledShardScan[T any](op Op[T], fast FastOp, values []T, perm, start []int32, multi, red []T, ts *TileSegs, sh SortedShard, w int, leadTotal, carryOut []T, leadClosed, hasTrail []bool, stop func() bool) bool {
-	switch vs := any(values).(type) {
-	case []int64:
-		if fastSegI64(fast) {
-			return tiledShardKernel(fast, vs, perm, start, asI64(multi), asI64(red), ts, sh, w, asI64(leadTotal), asI64(carryOut), leadClosed, hasTrail, stop)
-		}
-	case []float64:
-		if fastSegF64(fast) {
-			return tiledShardKernel(fast, vs, perm, start, asF64(multi), asF64(red), ts, sh, w, asF64(leadTotal), asF64(carryOut), leadClosed, hasTrail, stop)
-		}
-	}
-	return SortedShardScan(op, fast, values, perm, start, multi, red, sh, w, leadTotal, carryOut, leadClosed, hasTrail, nil, stop)
 }

@@ -6,13 +6,12 @@ import (
 )
 
 // TestTiledKernelZeroAllocs pins the warm steady state of the tiled
-// sorted kernels at zero heap allocations — the dynamic half of the
-// //mp:hotpath contract for SortedTiledScanLabels and
-// SortedTiledShardScan. All plan-shaped storage (permutation, run
-// bounds, tile segments, carry slots) is built once outside the
-// measured region, exactly as a backend Plan holds it.
+// sorted kernel at zero heap allocations — the dynamic half of the
+// //mp:hotpath contract for SortedTiledScanLabels. All plan-shaped
+// storage (permutation, run bounds, tile segments) is built once
+// outside the measured region, exactly as a backend Plan holds it.
 func TestTiledKernelZeroAllocs(t *testing.T) {
-	const n, m, workers = 1 << 13, 128, 4
+	const n, m = 1 << 13, 128
 	rng := rand.New(rand.NewSource(47))
 	values := make([]int64, n)
 	labels := make([]int, n)
@@ -31,15 +30,6 @@ func TestTiledKernelZeroAllocs(t *testing.T) {
 	red := make([]int64, m)
 
 	serialTiles := BuildTileSegs(perm, start, 0, n, window)
-	shards := SortedShards(start, n, workers)
-	shardTiles := make([]TileSegs, workers)
-	for w, sh := range shards {
-		shardTiles[w] = BuildTileSegs(perm, start, sh.Lo, sh.Hi, window)
-	}
-	leadTotal := make([]int64, workers)
-	carryOut := make([]int64, workers)
-	leadClosed := make([]bool, workers)
-	hasTrail := make([]bool, workers)
 
 	for _, op := range []Op[int64]{AddInt64, MaxInt64} {
 		scan := func() {
@@ -47,21 +37,9 @@ func TestTiledKernelZeroAllocs(t *testing.T) {
 				t.Fatal("tiled scan stopped unexpectedly")
 			}
 		}
-		shardScan := func() {
-			for w := range shards {
-				if !SortedTiledShardScan(op, op.Fast, values, perm, start, multi, red,
-					&shardTiles[w], shards[w], w, leadTotal, carryOut, leadClosed, hasTrail, nil) {
-					t.Fatal("tiled shard scan stopped unexpectedly")
-				}
-			}
-		}
-		scan()
-		shardScan() // warm: nothing to build, but keep the shape of the plan tests
+		scan() // warm: nothing to build, but keep the shape of the plan tests
 		if allocs := testing.AllocsPerRun(5, scan); allocs != 0 {
 			t.Errorf("%s: SortedTiledScanLabels %.1f allocs/run, want 0", op.Name, allocs)
-		}
-		if allocs := testing.AllocsPerRun(5, shardScan); allocs != 0 {
-			t.Errorf("%s: SortedTiledShardScan %.1f allocs/run, want 0", op.Name, allocs)
 		}
 	}
 }

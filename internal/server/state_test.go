@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"multiprefix/internal/core"
 )
@@ -56,6 +57,40 @@ func TestHugeDeadlineClamped(t *testing.T) {
 			if resp := x.post(t, tc.path, tc.body, &er); resp.StatusCode != http.StatusOK {
 				t.Errorf("%s deadline_ms=%d: %d/%s %q, want 200", tc.path, ms, resp.StatusCode, er.Error.Kind, er.Error.Message)
 			}
+		}
+	}
+}
+
+// TestQueryDeadline: a /v1/query whose deadline has passed answers the
+// typed 504 on every read — point prefix, label reduction and full
+// snapshot — even where a clean snapshot or the Fenwick tier could
+// answer without running the engine. The bind carries its own
+// generous deadline, so only the queries expire.
+func TestQueryDeadline(t *testing.T) {
+	x := newTestServer(t, Options{DefaultDeadline: time.Nanosecond})
+	const n, m = 64, 8
+	labels, values := refInputs(n, m)
+	bind := map[string]any{"op": "sum", "backend": "sorted", "m": m, "labels": labels, "values": values, "deadline_ms": 10000}
+	if resp := x.post(t, "/v1/update", bind, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("bind: status %d", resp.StatusCode)
+	}
+	for _, read := range []map[string]any{
+		{"indices": []int{3}},
+		{"reduce_labels": []int{2}},
+		{"full": true},
+	} {
+		body := map[string]any{"op": "sum", "backend": "sorted", "m": m, "labels": labels}
+		for k, v := range read {
+			body[k] = v
+		}
+		before := x.s.Stats().DeadlineExceeded
+		var er errorResponse
+		resp := x.post(t, "/v1/query", body, &er)
+		if resp.StatusCode != http.StatusGatewayTimeout || er.Error.Kind != kindDeadline {
+			t.Fatalf("query %v: got %d/%q, want 504/%q", read, resp.StatusCode, er.Error.Kind, kindDeadline)
+		}
+		if x.s.Stats().DeadlineExceeded == before {
+			t.Fatalf("query %v: deadline counter not incremented", read)
 		}
 	}
 }
