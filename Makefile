@@ -8,7 +8,7 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: all build test check check-service calibrate-smoke shard-smoke vet lint race race-matrix fuzz-smoke bench bench-smoke bench-json bench-service
+.PHONY: all build test check check-service trial-smoke shard-smoke vet lint race race-matrix fuzz-smoke bench bench-smoke bench-json bench-service
 
 all: build test
 
@@ -68,7 +68,7 @@ fuzz-smoke:
 # suite), race, fuzz smoke, a one-iteration pass over every benchmark
 # so a broken benchmark cannot land silently, and the out-of-process
 # service smoke (boot mpd, chaos request, drain).
-check: lint race race-matrix fuzz-smoke bench-smoke calibrate-smoke shard-smoke check-service
+check: lint race race-matrix fuzz-smoke bench-smoke trial-smoke shard-smoke check-service
 	$(GO) build -o /dev/null ./cmd/benchjson
 
 # Service smoke gate: builds mpd + mpload, boots the daemon on a
@@ -77,12 +77,12 @@ check: lint race race-matrix fuzz-smoke bench-smoke calibrate-smoke shard-smoke 
 check-service:
 	bash ./scripts/check_service.sh
 
-# Calibrator smoke gate: the measured memory probe behind Auto's
-# engine choice completes inside its time budget, reports sane
-# non-zero bandwidths, and honors the MP_AUTOCAL override that CI
-# uses for determinism.
-calibrate-smoke:
-	bash ./scripts/check_calibrate.sh
+# Trial smoke gate: an auto plan's build-time trial (serial vs chunked
+# on the plan's own labels) prints its record with a serial or chunked
+# pick inside its time budget, and its answer is byte-identical to the
+# named engines'.
+trial-smoke:
+	bash ./scripts/check_trial.sh
 
 # Sharded-backend smoke gate: bit-identical parity against serial at
 # S ∈ {1, 2, 7}, and the carry exchange's measured round count equals

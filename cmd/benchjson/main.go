@@ -4,10 +4,12 @@
 // many" pipeline against the matching one-shot Compute, and writes a
 // machine-readable JSON snapshot (ns/op, allocs/op, ns/elem per
 // engine × size, plan-reuse speedups per backend, and the simulated
-// vectorized engine's clocks per element). The committed
-// BENCH_engines.json at the repo root is the reference snapshot;
-// `make bench-json` regenerates it. The -backend flag restricts the
-// plan-reuse section to a comma-separated list of registry names.
+// vectorized engine's clocks per element), and the auto_regret grid:
+// how far Auto's plan-time trial and one-shot rule land from the
+// fastest explicit engine. The committed BENCH_engines.json at the
+// repo root is the reference snapshot; `make bench-json` regenerates
+// it. The -backend flag restricts the plan-reuse section to a
+// comma-separated list of registry names.
 package main
 
 import (
@@ -124,23 +126,39 @@ type CarryEntry struct {
 	MeasuredRounds int `json:"measured_rounds"`
 }
 
-// CalDecision is one AutoChoice outcome under the measured probe.
-type CalDecision struct {
-	N      int    `json:"n"`
-	M      int    `json:"m"`
-	Choice string `json:"choice"`
+// Spread is the median and interquartile range of one contender's
+// samples, in ns per evaluation.
+type Spread struct {
+	MedianNs float64 `json:"median_ns"`
+	IQRNs    float64 `json:"iqr_ns"`
 }
 
-// Calibration records the measured memory probe feeding Auto's
-// serial-vs-sorted cost model, and the decisions it produces on the
-// snapshot's shapes.
-type Calibration struct {
-	StreamGBps float64       `json:"stream_gbps"`
-	CopyGBps   float64       `json:"copy_gbps"`
-	RandomWS   []int         `json:"random_ws_bytes"`
-	RandomNs   []float64     `json:"random_ns"`
-	TileBytes  int           `json:"tile_bytes"`
-	Decisions  []CalDecision `json:"decisions"`
+// RegretCell is one auto_regret shape. Planned: each sample times a
+// freshly built plan (its build, the auto plan's trial included, in no
+// timing) on the auto, serial, chunked and sorted backends; Picks
+// counts the trial's picks. OneShot: one-shot Compute on the auto,
+// serial and chunked backends. A regret is auto's median over the
+// faster of serial's and chunked's; sorted is timed to show whether it
+// should join the trial's candidates.
+type RegretCell struct {
+	N             int               `json:"n"`
+	M             int               `json:"m"`
+	Planned       map[string]Spread `json:"planned"`
+	Picks         map[string]int    `json:"planned_picks"`
+	PlannedRegret float64           `json:"planned_regret"`
+	OneShot       map[string]Spread `json:"oneshot"`
+	OneShotPick   string            `json:"oneshot_pick"`
+	OneShotRegret float64           `json:"oneshot_regret"`
+}
+
+// AutoRegret is the regret grid of Auto's two choices: the auto plan's
+// build-time trial and the one-shot rule. HostLimited marks that the
+// grid ran with fewer cores than the rule's chunked threshold needs.
+type AutoRegret struct {
+	HostLimited bool         `json:"host_limited"`
+	Workers     int          `json:"workers"`
+	Samples     int          `json:"samples"`
+	Cells       []RegretCell `json:"cells"`
 }
 
 // BatchEntry compares one RunBatch of k vectors against k single Runs
@@ -192,7 +210,7 @@ type Report struct {
 	TiledVsSerial  []TiledEntry  `json:"tiled_vs_serial"`
 	ShardScaling   []ShardEntry  `json:"shard_scaling"`
 	CarryRounds    []CarryEntry  `json:"carry_rounds"`
-	Calibration    *Calibration  `json:"calibration"`
+	AutoRegret     *AutoRegret   `json:"auto_regret"`
 	Batch          []BatchEntry  `json:"batch"`
 	UpdateVsRerun  []UpdateEntry `json:"update_vs_rerun"`
 	Vectorized     []VecEntry    `json:"vectorized"`
@@ -631,32 +649,7 @@ func main() {
 		}
 	}
 
-	// Calibration: the measured memory probe behind Auto's
-	// serial-vs-sorted model, and the decisions it yields on the
-	// snapshot's shapes at one worker.
-	{
-		p := core.MeasureMemProbe()
-		c := &Calibration{
-			StreamGBps: p.StreamBps / 1e9,
-			CopyGBps:   p.CopyBps / 1e9,
-			RandomWS:   p.RandomWS,
-			RandomNs:   p.RandomNs,
-			TileBytes:  p.TileBytes,
-		}
-		one := core.Config{Workers: 1}
-		for _, shape := range []struct{ n, m int }{
-			{1 << 16, 1 << 8}, {1 << 18, 1 << 4}, {1 << 18, 1 << 12},
-			{1 << 18, 1 << 16}, {1 << 20, 1 << 10},
-		} {
-			c.Decisions = append(c.Decisions, CalDecision{
-				N: shape.n, M: shape.m,
-				Choice: core.AutoChoice(shape.n, shape.m, one),
-			})
-		}
-		report.Calibration = c
-		fmt.Printf("%-10s probe    stream %.1f GB/s copy %.1f GB/s tile %d B\n",
-			"calib", c.StreamGBps, c.CopyGBps, c.TileBytes)
-	}
+	report.AutoRegret = autoRegret(*quick)
 
 	// Batched evaluation: one RunBatch of k vectors on a warm plan
 	// against k single Runs plus the k result copies the batch makes

@@ -20,13 +20,11 @@
 // in order (O(log n) per point for invertible fast ops via the plan's
 // Fenwick accumulators, full re-evaluation otherwise), and the final
 // maintained multiprefix is printed. With -v the plan's maintenance
-// mode and resulting version are reported on stderr.
-//
-// -calibrate skips the computation and prints the measured memory
-// probe the auto engine calibrates against (streaming/copy bandwidth,
-// the random-access latency ladder, and the derived tile budget),
-// honoring the MP_AUTOCAL override — the hook `make calibrate-smoke`
-// checks in CI.
+// mode and resulting version are reported on stderr, and an auto
+// plan's build-time trial record (each candidate's median run and the
+// pick) as "mp: auto trial serial=… chunked=… pick=… elapsed=…" —
+// the line `make trial-smoke` checks. Naming the engine with -backend
+// pins the choice.
 //
 // -shards N routes the computation through the sharded backend's plan
 // path with N shards and reports the carry exchange on stderr in
@@ -48,7 +46,6 @@ import (
 	"strings"
 
 	"multiprefix"
-	"multiprefix/internal/core"
 )
 
 func main() {
@@ -61,14 +58,8 @@ func main() {
 	reduceOnly := flag.Bool("reduce", false, "print only the per-label reductions (multireduce)")
 	verbose := flag.Bool("v", false, "report the engine the auto selector picked")
 	update := flag.String("update", "", `point updates "i=v,i=v" applied to the bound plan before printing`)
-	calibrate := flag.Bool("calibrate", false, "print the measured auto-calibration probe and exit")
 	shards := flag.Int("shards", 0, "run the sharded backend with N shards and report the carry-exchange rounds")
 	flag.Parse()
-
-	if *calibrate {
-		printCalibration()
-		return
-	}
 
 	// Interrupt (Ctrl-C) cancels a run in progress: the engines notice
 	// at their next barrier/chunk boundary and return context.Canceled
@@ -128,11 +119,6 @@ func main() {
 		log.Fatal(err)
 	}
 	cfg := multiprefix.Config{Ctx: ctx}
-	if *verbose && be.Name() == "auto" {
-		fmt.Fprintf(os.Stderr, "mp: auto picked %s for n=%d m=%d\n",
-			multiprefix.AutoChoice(len(values), m, cfg), len(values), m)
-	}
-
 	if *update != "" {
 		runStateful(be, op, values, labels, m, cfg, *update, *verbose, *reduceOnly)
 		return
@@ -143,6 +129,10 @@ func main() {
 		return
 	}
 
+	if *verbose && be.Name() == "auto" {
+		fmt.Fprintf(os.Stderr, "mp: auto picked %s for n=%d m=%d\n",
+			multiprefix.AutoChoice(len(values), m, cfg), len(values), m)
+	}
 	res, err := be.Compute(op, values, labels, m, cfg)
 	if err != nil {
 		log.Fatal(err)
@@ -208,6 +198,14 @@ func runStateful(be multiprefix.Backend[int64], op multiprefix.Op[int64], values
 		log.Fatal(err)
 	}
 	defer plan.Close()
+	if verbose && be.Name() == "auto" {
+		if tr, ok := plan.Trial(); ok {
+			fmt.Fprintf(os.Stderr, "mp: auto trial %s\n", tr)
+		} else {
+			fmt.Fprintf(os.Stderr, "mp: auto picked %s for n=%d m=%d (no trial)\n",
+				multiprefix.AutoChoice(len(values), m, cfg), len(values), m)
+		}
+	}
 	if err := plan.Bind(values); err != nil {
 		log.Fatal(err)
 	}
@@ -253,41 +251,5 @@ func runStateful(be multiprefix.Backend[int64], op multiprefix.Op[int64], values
 	fmt.Fprintln(w, "# label reduction")
 	for k, r := range red {
 		fmt.Fprintf(w, "%d %d\n", k, r)
-	}
-}
-
-// printCalibration reports the resolved process calibration — the
-// measured memory probe (or its MP_AUTOCAL=noprobe absence), the
-// derived or overridden tile budget, and the auto decisions it
-// produces at a few reference shapes — in a stable "key values"
-// format for the calibrate-smoke CI check.
-func printCalibration() {
-	cal := core.DefaultCalibration()
-	w := bufio.NewWriter(os.Stdout)
-	defer w.Flush()
-	if p := cal.Probe; p != nil {
-		fmt.Fprintf(w, "stream_gbps %.2f\n", p.StreamBps/1e9)
-		fmt.Fprintf(w, "copy_gbps %.2f\n", p.CopyBps/1e9)
-		fmt.Fprint(w, "random_ws_bytes")
-		for _, ws := range p.RandomWS {
-			fmt.Fprintf(w, " %d", ws)
-		}
-		fmt.Fprintln(w)
-		fmt.Fprint(w, "random_ns")
-		for _, ns := range p.RandomNs {
-			fmt.Fprintf(w, " %.2f", ns)
-		}
-		fmt.Fprintln(w)
-	} else {
-		fmt.Fprintln(w, "probe disabled (MP_AUTOCAL=noprobe)")
-	}
-	fmt.Fprintf(w, "tile_bytes %d\n", core.AutoTileBytes(multiprefix.Config{}))
-	fmt.Fprintf(w, "serial_max %d\n", cal.SerialMax)
-	fmt.Fprintf(w, "sorted_min_m %d\n", cal.SortedMinM)
-	for _, shape := range []struct{ n, m int }{
-		{1 << 16, 1 << 8}, {1 << 18, 1 << 4}, {1 << 18, 1 << 12}, {1 << 20, 1 << 16},
-	} {
-		fmt.Fprintf(w, "auto n=%d m=%d %s\n", shape.n, shape.m,
-			multiprefix.AutoChoice(shape.n, shape.m, multiprefix.Config{}))
 	}
 }

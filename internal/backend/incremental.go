@@ -49,8 +49,8 @@ import (
 //     updates just dirty the resident vector and queries re-run the
 //     plan's own engine, refreshing the snapshot.
 //
-// A calibrated burst threshold (core.AutoUpdateBurst, derived from
-// the PR 8 memory probe) bounds per-update maintenance: once more
+// A burst threshold (core.AutoUpdateBurst, from n and the largest
+// class) bounds per-update maintenance: once more
 // than burst updates arrive between queries, applying each to the
 // tree costs more than one rebuild, so the plan marks the tree stale
 // (O(1) per further update) and falls back to a full re-run + rebuild
@@ -128,7 +128,7 @@ type IncStats struct {
 	Mode string
 	// Version is the current state version (see Plan.Version).
 	Version uint64
-	// Burst is the calibrated update-vs-rerun crossover in effect.
+	// Burst is the update-vs-rerun crossover in effect.
 	Burst int
 	// Binds counts successful Bind calls.
 	Binds uint64
@@ -193,17 +193,22 @@ func (p *Plan[T]) IncStats() IncStats {
 func (p *Plan[T]) Bind(values []T) error { return p.BindCall(Call{}, values) }
 
 // BindCall is Bind under per-call overrides (the refresh runs on the
-// plan's engine, so contexts and fault hooks apply). With c.Pin set
-// it binds only if the plan is at exactly that version, and otherwise
-// returns a *VersionConflictError without touching the plan; a pinned
-// bind that fails later has still moved the plan to version c.Pin+1.
+// plan's engine, so contexts and fault hooks apply). A call whose
+// context is already done when it takes the plan lock returns the
+// context's error without touching the plan. With c.Pin set it binds
+// only if the plan is at exactly that version, and otherwise returns a
+// *VersionConflictError without touching the plan; a pinned bind that
+// fails later has still moved the plan to version c.Pin+1.
 func (p *Plan[T]) BindCall(c Call, values []T) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	defer func(old core.Config) { p.cfg = old }(p.override(c))
+	if err := ctxDone(p.cfg); err != nil {
+		return err
+	}
 	if err := p.checkPin(c.Pin); err != nil {
 		return err
 	}
-	defer func(old core.Config) { p.cfg = old }(p.override(c))
 	return p.bindLocked(values)
 }
 
@@ -244,7 +249,7 @@ func (p *Plan[T]) bindLocked(values []T) error {
 // snapshot storage, the maintenance tier, and — for the Fenwick tiers
 // — the sorted index (reusing the plan's own when it has a single
 // index row), each element's class position, the class trees' shared
-// array, the envelope of the largest class and the calibrated burst.
+// array, the envelope of the largest class and the burst.
 //
 //mp:locked
 func (p *Plan[T]) prepareIncremental() {
@@ -276,7 +281,7 @@ func (p *Plan[T]) prepareIncremental() {
 	}
 	p.ftree = make([]T, p.n)
 	p.fbound = core.FenwickFloat64Bound(largest)
-	p.burst = core.AutoUpdateBurst(p.n, p.cfg)
+	p.burst = core.AutoUpdateBurst(p.n, largest, p.cfg)
 }
 
 // incModeFor classifies the maintenance tier: Fenwick needs an
@@ -307,15 +312,21 @@ func (p *Plan[T]) Update(i int, v T) error {
 	return p.update(i, v)
 }
 
-// UpdateCall is Update under per-call overrides. Only c.Pin applies,
-// as an update never runs the engine: with it set, the update applies
-// only if the plan is at exactly that version, and otherwise returns a
-// *VersionConflictError without touching the plan.
+// UpdateCall is Update under per-call overrides. An update never runs
+// the engine, so c.Hook does not apply. A call whose context (c.Ctx, or
+// the plan's) is already done when it takes the plan lock returns the
+// context's error without touching the plan. With c.Pin set, the
+// update applies only if the plan is at exactly that version, and
+// otherwise returns a *VersionConflictError without touching the plan.
 //
 //mp:hotpath
 func (p *Plan[T]) UpdateCall(c Call, i int, v T) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	defer func(old core.Config) { p.cfg = old }(p.override(c))
+	if err := ctxDone(p.cfg); err != nil {
+		return err
+	}
 	if err := p.checkPin(c.Pin); err != nil {
 		return err
 	}

@@ -144,6 +144,10 @@ type Plan[T any] struct {
 	//mp:guarded-by mu
 	batchDsts, batchSrcs [][]T
 
+	// trial is an auto plan's build-time trial record; nil when the
+	// plan ran none. Set once before the plan is returned.
+	trial *AutoTrial
+
 	// spinetree / parallel delegate state
 	buf     *core.Buffers[T]
 	bufKind kind
@@ -183,7 +187,7 @@ type Plan[T any] struct {
 	//mp:guarded-by mu
 	fbound float64 // float64 exact-envelope bound (2^52 / largest class)
 	//mp:guarded-by mu
-	burst int // calibrated update-vs-rerun crossover
+	burst int // update-vs-rerun crossover (core.AutoUpdateBurst)
 	//mp:guarded-by mu
 	pending int // tree deltas applied since the last query/rebuild
 	//mp:guarded-by mu
@@ -203,6 +207,9 @@ func (b impl[T]) Plan(op core.Op[T], labels []int, m int, cfg core.Config) (*Pla
 	if err := core.ValidatePlan(op, labels, m); err != nil {
 		return nil, err
 	}
+	if b.k == kindAuto && runsTrial(len(labels), m, cfg) {
+		return trialPlan(op, labels, m, cfg)
+	}
 	p := &Plan[T]{
 		backend: b.name,
 		op:      op,
@@ -214,23 +221,13 @@ func (b impl[T]) Plan(op core.Op[T], labels []int, m int, cfg core.Config) (*Pla
 	}
 	k := b.k
 	if k == kindAuto {
-		// Resolve the adaptive choice once, at plan time: the problem
-		// shape is fixed for the plan's lifetime, so per-run
-		// re-selection would always reach the same answer. The
-		// fallback-to-serial degradation of the one-shot Auto engine
-		// is preserved per run.
+		// No trial (see trialPlan): the one-shot rule decides, once,
+		// at plan time. The fallback-to-serial degradation of the
+		// one-shot Auto engine is preserved per run.
 		p.fallback = true
-		switch core.AutoPlanChoice(p.n, m, cfg) {
-		case "chunked":
+		k = kindSerial
+		if core.AutoPlanChoice(p.n, m, cfg) == "chunked" {
 			k = kindChunked
-		case "parallel":
-			k = kindParallel
-		case "sorted":
-			k = kindSorted
-		case "sharded":
-			k = kindSharded
-		default:
-			k = kindSerial
 		}
 	}
 	// The simulated machines assume at least one element; an empty

@@ -78,12 +78,24 @@ func FuzzPlanParity(f *testing.F) {
 		for i := range labels {
 			labels[i] = rng.Intn(m)
 		}
+		type planCase struct {
+			name string
+			cfg  core.Config
+		}
+		var cases []planCase
 		for _, name := range Names() {
+			cases = append(cases, planCase{name, backendCfg(name)})
+		}
+		// An auto plan with a nil AutoCal and two workers chooses by
+		// the build-time trial whenever m ≤ n.
+		cases = append(cases, planCase{"auto", core.Config{Workers: 2}})
+		for _, c := range cases {
+			name := c.name
 			be, err := Open[int64](name)
 			if err != nil {
 				t.Fatal(err)
 			}
-			plan, err := be.Plan(core.AddInt64, labels, m, backendCfg(name))
+			plan, err := be.Plan(core.AddInt64, labels, m, c.cfg)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -301,8 +313,8 @@ func TestPlanAutoFallback(t *testing.T) {
 	}
 	inj := fault.Seeded(5, n, core.PhaseChunkLocal)
 	cfg := core.Config{
-		Workers:   3,
-		AutoCal:   &core.AutoCalibration{SerialMax: 0}, // force the parallel resolution
+		Workers:   4,
+		AutoCal:   &core.AutoCalibration{SerialMax: 0}, // force the chunked resolution
 		FaultHook: inj,
 	}
 	be, err := Open[int64]("auto")
@@ -362,7 +374,7 @@ func TestPlanChunkMergePanic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := core.Config{Workers: 3, AutoCal: &core.AutoCalibration{SerialMax: 0}}
+	cfg := core.Config{Workers: 4, AutoCal: &core.AutoCalibration{SerialMax: 0}}
 	for _, name := range []string{"chunked", "auto"} {
 		t.Run(name, func(t *testing.T) {
 			be, err := Open[int64](name)

@@ -423,18 +423,11 @@ func TestShardedLabelOwnership(t *testing.T) {
 	}
 }
 
-// TestShardedAutoPlan: with a pinned calibration, the auto backend's
-// Plan picks the sharded engine above the crossover and the pick is
-// visible through AutoPlanChoice.
+// TestShardedAutoPlan: auto never builds the sharded engine — an auto
+// plan resolves to serial or chunked, by the rule under an explicit
+// AutoCal and by the trial without one — while naming "sharded" builds
+// it on the same labels, and every plan matches serial.
 func TestShardedAutoPlan(t *testing.T) {
-	cal := &core.AutoCalibration{SerialMax: 64, ShardedMinN: 1 << 12}
-	cfg := core.Config{Workers: 4, AutoCal: cal}
-	if got := core.AutoPlanChoice(1<<13, 64, cfg); got != "sharded" {
-		t.Fatalf("AutoPlanChoice above crossover = %q, want sharded", got)
-	}
-	if got := core.AutoPlanChoice(1<<10, 64, cfg); got == "sharded" {
-		t.Fatal("AutoPlanChoice below crossover picked sharded")
-	}
 	const n, m = 1 << 13, 64
 	rng := rand.New(rand.NewSource(103))
 	values := make([]int64, n)
@@ -447,24 +440,34 @@ func TestShardedAutoPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	be, err := Open[int64]("auto")
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := be.Plan(core.AddInt64, labels, m, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer plan.Close()
-	if _, ok := plan.ShardStats(); !ok {
-		t.Fatal("auto plan above the crossover did not build the sharded engine")
-	}
-	res, err := plan.Run(values)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !equalInt64(res.Multi, want.Multi) || !equalInt64(res.Reductions, want.Reductions) {
-		t.Fatal("auto sharded plan differs from serial")
+	for _, c := range []struct {
+		name    string
+		cfg     core.Config
+		sharded bool
+	}{
+		{"auto", core.Config{Workers: 4, AutoCal: &core.AutoCalibration{SerialMax: 64}}, false},
+		{"auto", core.Config{Workers: 4}, false},
+		{"sharded", core.Config{Workers: 4}, true},
+	} {
+		be, err := Open[int64](c.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := be.Plan(core.AddInt64, labels, m, c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := plan.ShardStats(); ok != c.sharded {
+			t.Fatalf("%s plan (AutoCal %v): sharded engine built = %v, want %v", c.name, c.cfg.AutoCal, ok, c.sharded)
+		}
+		res, err := plan.Run(values)
+		plan.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !equalInt64(res.Multi, want.Multi) || !equalInt64(res.Reductions, want.Reductions) {
+			t.Fatalf("%s plan differs from serial", c.name)
+		}
 	}
 }
 

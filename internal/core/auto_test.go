@@ -7,66 +7,60 @@ import (
 	"testing"
 )
 
-// TestAutoChoice pins the selection rules: one worker or small n or
-// m > n picks serial; beyond the crossover the calibrated preference
-// decides between chunked and parallel.
+// TestAutoChoice pins the one-shot rule: chunked only with at least
+// four workers, n above SerialMax (2^20 by default, or an explicit
+// AutoCal's) and m ≤ n; serial everywhere else. The rule reads no
+// labels, so no shape ever resolves to sorted, sharded or parallel.
 func TestAutoChoice(t *testing.T) {
-	chunkedCal := &AutoCalibration{SerialMax: 1000}
-	parallelCal := &AutoCalibration{SerialMax: 1000, ParallelOverChunked: true}
-	sortedCal := &AutoCalibration{SerialMax: 1 << 30, SortedMinM: 2048}
-	// A synthetic measured probe — not host folklore — driving the
-	// serial-vs-sorted cost model: 10 GB/s streams and a random-access
-	// ladder that stays flat through 512 KiB then climbs steeply, i.e. a
-	// machine whose caches end at 2 MiB. Against it the model must send
-	// shapes whose 8m-byte bucket array blows the ladder to sorted, and
-	// keep shapes whose buckets sit in cache (the gather + per-segment
-	// startup isn't worth it) on serial.
-	probeCal := &AutoCalibration{
-		SerialMax: 1 << 30,
-		Probe: &MemProbe{
-			StreamBps: 10e9,
-			CopyBps:   10e9,
-			RandomWS:  []int{1 << 15, 1 << 17, 1 << 19, 1 << 21, 1 << 23},
-			RandomNs:  []float64{2, 2, 3, 40, 80},
-			TileBytes: 1 << 19,
-		},
-	}
+	pinned := &AutoCalibration{SerialMax: 1000}
 	cases := []struct {
 		name string
 		n, m int
 		cfg  Config
 		want string
 	}{
-		{"one-worker", 1 << 20, 64, Config{Workers: 1, AutoCal: chunkedCal}, "serial"},
-		{"small-n", 1000, 64, Config{Workers: 4, AutoCal: chunkedCal}, "serial"},
-		{"sparse-labels", 4000, 5000, Config{Workers: 4, AutoCal: chunkedCal}, "serial"},
-		{"big-chunked", 4000, 64, Config{Workers: 4, AutoCal: chunkedCal}, "chunked"},
-		{"big-parallel", 4000, 64, Config{Workers: 4, AutoCal: parallelCal}, "parallel"},
-		// The sorted crossover: in the serial regime, a calibrated
-		// SortedMinM routes label-heavy shapes to the sorted engine —
-		// including the issue's target shape — while m below the
-		// crossover, m > n, or SortedMinM == 0 (the honest calibration
-		// on a machine whose LLC holds the whole bucket array) stay
-		// serial.
-		{"sorted-crossover", 1 << 18, 4096, Config{Workers: 1, AutoCal: sortedCal}, "sorted"},
-		{"sorted-small-m", 1 << 18, 1024, Config{Workers: 1, AutoCal: sortedCal}, "serial"},
-		{"sorted-m>n", 4000, 5000, Config{Workers: 4, AutoCal: sortedCal}, "serial"},
-		{"sorted-disabled", 1 << 18, 4096, Config{Workers: 1, AutoCal: &AutoCalibration{SerialMax: 1 << 30}}, "serial"},
-		// The measured cost model: with a probe present SortedMinM is
-		// ignored and the decision prices both engines per shape.
-		// m = 2^20 puts an 8 MiB bucket array at the top of the ladder
-		// (80 ns/update): the bucket pass thrashes, sorted wins. m = 4096
-		// keeps the buckets inside the flat region: serial streams.
-		// n = 2^15 fits a single 512 KiB tile: no tiling exists and the
-		// model keeps it serial regardless of m.
-		{"probe-sorted", 1 << 22, 1 << 20, Config{Workers: 1, AutoCal: probeCal}, "sorted"},
-		{"probe-serial-cached-buckets", 1 << 22, 4096, Config{Workers: 1, AutoCal: probeCal}, "serial"},
-		{"probe-fits-one-tile", 1 << 15, 1 << 14, Config{Workers: 1, AutoCal: probeCal}, "serial"},
+		{"default-large", 1<<20 + 1, 64, Config{Workers: 4}, "chunked"},
+		{"default-at-threshold", 1 << 20, 64, Config{Workers: 4}, "serial"},
+		{"default-three-workers", 1 << 22, 64, Config{Workers: 3}, "serial"},
+		{"default-one-worker", 1 << 22, 64, Config{Workers: 1}, "serial"},
+		{"default-m>n", 1<<20 + 1, 1<<20 + 2, Config{Workers: 8}, "serial"},
+		{"pinned-chunked", 4000, 64, Config{Workers: 4, AutoCal: pinned}, "chunked"},
+		{"pinned-small-n", 1000, 64, Config{Workers: 4, AutoCal: pinned}, "serial"},
+		{"pinned-sparse-labels", 4000, 5000, Config{Workers: 4, AutoCal: pinned}, "serial"},
+		{"pinned-two-workers", 4000, 64, Config{Workers: 2, AutoCal: pinned}, "serial"},
+		{"pinned-zero", 1, 1, Config{Workers: 4, AutoCal: &AutoCalibration{}}, "chunked"},
 	}
 	for _, tc := range cases {
 		if got := AutoChoice(tc.n, tc.m, tc.cfg); got != tc.want {
 			t.Errorf("%s: AutoChoice(%d, %d) = %q, want %q", tc.name, tc.n, tc.m, got, tc.want)
 		}
+		if got := AutoPlanChoice(tc.n, tc.m, tc.cfg); got != tc.want {
+			t.Errorf("%s: AutoPlanChoice(%d, %d) = %q, want the rule's %q", tc.name, tc.n, tc.m, got, tc.want)
+		}
+	}
+	if cal := DefaultCalibration(); cal.SerialMax != 1<<20 {
+		t.Errorf("DefaultCalibration().SerialMax = %d, want the rule's 2^20", cal.SerialMax)
+	}
+	if got := AutoTileBytes(Config{}); got != DefaultTileBytes {
+		t.Errorf("AutoTileBytes(default) = %d, want DefaultTileBytes", got)
+	}
+	if got := AutoTileBytes(Config{AutoCal: &AutoCalibration{TileBytes: 1 << 18}}); got != 1<<18 {
+		t.Errorf("AutoTileBytes(pinned) = %d, want 2^18", got)
+	}
+}
+
+// TestMeasureMemProbeSane runs the real stream measurement once and
+// checks it returns a plausible bandwidth, and that the process-wide
+// DefaultCalibration carries one.
+func TestMeasureMemProbeSane(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real measurement; skipped in -short")
+	}
+	if p := MeasureMemProbe(); p.StreamBps < 1e8 {
+		t.Fatalf("stream bandwidth %.3g B/s, want at least 0.1 GB/s", p.StreamBps)
+	}
+	if p := DefaultCalibration().Probe; p == nil || p.StreamBps <= 0 {
+		t.Fatalf("DefaultCalibration().Probe = %+v, want a measured stream bandwidth", p)
 	}
 }
 
@@ -88,9 +82,7 @@ func TestAutoMatchesSerial(t *testing.T) {
 		cfg  Config
 	}{
 		{"serial-branch", Config{Workers: 1}},
-		{"sorted-branch", Config{Workers: 1, AutoCal: &AutoCalibration{SortedMinM: 8}}},
 		{"chunked-branch", Config{Workers: 4, AutoCal: &AutoCalibration{SerialMax: 100}}},
-		{"parallel-branch", Config{Workers: 4, AutoCal: &AutoCalibration{SerialMax: 100, ParallelOverChunked: true}}},
 		{"default-cal", Config{Workers: 4}},
 	}
 	for _, tc := range cfgs {
@@ -160,7 +152,6 @@ func TestAutoErrorPassthrough(t *testing.T) {
 	for _, branch := range []Config{
 		{Workers: 1, Ctx: ctx, AutoCal: cal},
 		{Workers: 4, Ctx: ctx, AutoCal: cal},
-		{Workers: 4, Ctx: ctx, AutoCal: &AutoCalibration{SerialMax: 1, ParallelOverChunked: true}},
 	} {
 		if _, err := Auto(AddInt64, values, labels, 17, branch); !errors.Is(err, context.Canceled) {
 			t.Fatalf("Auto (%s): %v", AutoChoice(len(values), 17, branch), err)

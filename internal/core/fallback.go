@@ -41,7 +41,7 @@ func Fallback[T any](primary Engine[T], report *FallbackReport) Engine[T] {
 		if report != nil {
 			report.PrimaryErr = err
 		}
-		if errors.Is(err, ErrBadInput) || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		if terminal(err) {
 			return Result[T]{}, err
 		}
 		if report != nil {
@@ -49,6 +49,12 @@ func Fallback[T any](primary Engine[T], report *FallbackReport) Engine[T] {
 		}
 		return Serial(op, values, labels, m)
 	}
+}
+
+// terminal reports the errors the Auto and Fallback engines return
+// as-is instead of degrading to serial: invalid input and cancellation.
+func terminal(err error) bool {
+	return errors.Is(err, ErrBadInput) || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // runShielded invokes an engine, converting a panic that escapes onto

@@ -167,43 +167,40 @@ func TestFenwickSerialCanRoundWhereTreeIsExact(t *testing.T) {
 	}
 }
 
+// TestUpdateBurstModel pins the burst rule max(1, n / (4·(⌊log₂L⌋+1))):
+// an update walks the ⌊log₂L⌋+1 levels of its own class tree, L the
+// largest class, so the burst grows as classes shrink and never leaves
+// [1, n].
 func TestUpdateBurstModel(t *testing.T) {
-	p := &MemProbe{
-		StreamBps: 10e9,
-		RandomWS:  []int{1 << 15, 1 << 19, 1 << 23},
-		RandomNs:  []float64{2, 10, 80},
+	cases := []struct{ n, largest, want int }{
+		{1 << 14, 1 << 14, (1 << 14) / (4 * 15)},
+		{1 << 14, 1 << 8, (1 << 14) / (4 * 9)},
+		{1 << 14, 1, (1 << 14) / 4},
+		{1 << 14, 0, (1 << 14) / 4},
+		{3, 3, 1},
+		{0, 0, 1},
 	}
-	for _, n := range []int{1 << 10, 1 << 14, 1 << 18} {
-		b := p.UpdateBurst(n)
-		if b < 1 || b > n {
-			t.Fatalf("UpdateBurst(%d) = %d out of [1, n]", n, b)
+	for _, tc := range cases {
+		got := AutoUpdateBurst(tc.n, tc.largest, Config{})
+		if got != tc.want {
+			t.Errorf("AutoUpdateBurst(n=%d, L=%d) = %d, want %d", tc.n, tc.largest, got, tc.want)
 		}
-	}
-	if fb := fallbackUpdateBurst(1 << 18); fb != (1<<18)/(4*18) {
-		t.Fatalf("fallbackUpdateBurst(2^18) = %d", fb)
-	}
-	if fb := fallbackUpdateBurst(1); fb != 1 {
-		t.Fatalf("fallbackUpdateBurst(1) = %d", fb)
+		if got < 1 || (tc.n > 0 && got > tc.n) {
+			t.Errorf("AutoUpdateBurst(n=%d, L=%d) = %d outside [1, n]", tc.n, tc.largest, got)
+		}
 	}
 }
 
+// TestAutoUpdateBurst: an explicit AutoCal.UpdateBurst pins the burst;
+// an AutoCal without one falls through to the rule.
 func TestAutoUpdateBurst(t *testing.T) {
 	pinned := Config{AutoCal: &AutoCalibration{UpdateBurst: 77}}
-	if got := AutoUpdateBurst(1<<16, pinned); got != 77 {
+	if got := AutoUpdateBurst(1<<16, 1<<10, pinned); got != 77 {
 		t.Fatalf("pinned burst = %d, want 77", got)
 	}
-	probe := &MemProbe{
-		StreamBps: 10e9,
-		RandomWS:  []int{1 << 15, 1 << 23},
-		RandomNs:  []float64{2, 80},
-	}
-	withProbe := Config{AutoCal: &AutoCalibration{Probe: probe}}
-	if got, want := AutoUpdateBurst(1<<16, withProbe), probe.UpdateBurst(1<<16); got != want {
-		t.Fatalf("probe burst = %d, want %d", got, want)
-	}
-	noProbe := Config{AutoCal: &AutoCalibration{}}
-	if got, want := AutoUpdateBurst(1<<16, noProbe), fallbackUpdateBurst(1<<16); got != want {
-		t.Fatalf("fallback burst = %d, want %d", got, want)
+	unpinned := Config{AutoCal: &AutoCalibration{SerialMax: 5}}
+	if got, want := AutoUpdateBurst(1<<16, 1<<10, unpinned), AutoUpdateBurst(1<<16, 1<<10, Config{}); got != want {
+		t.Fatalf("unpinned burst = %d, want the rule's %d", got, want)
 	}
 }
 

@@ -59,9 +59,9 @@ type Config struct {
 	// applications, barrier arrivals, spine tests) for deterministic
 	// fault injection; see the FaultHook interface and internal/fault.
 	FaultHook FaultHook
-	// AutoCal overrides the Auto engine's calibrated crossover points.
-	// nil selects the process-wide calibration (measured once, lazily,
-	// on first use); tests and tuned deployments pin explicit values.
+	// AutoCal pins the Auto engine's knobs (see AutoCalibration). nil
+	// selects the defaults: the one-shot rule for one-shot calls, a
+	// build-time trial for auto plans.
 	AutoCal *AutoCalibration
 }
 

@@ -73,8 +73,8 @@ type TileSegs struct {
 // segment loop overhead is proportional to it).
 func (ts *TileSegs) Segments() int { return len(ts.Label) }
 
-// DefaultTileBytes is the per-tile cache budget assumed when no
-// measured probe is available: a quarter of a typical per-core L2.
+// DefaultTileBytes is the per-tile cache budget unless Config.AutoCal
+// pins another: a quarter of a typical per-core L2.
 // Measured on the reference host, a window sized to the whole L2
 // thrashes it (the streamed perm and the label traffic need room too);
 // L2/4 was the broad optimum.

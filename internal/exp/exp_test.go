@@ -64,3 +64,25 @@ func TestRunByIDsSelection(t *testing.T) {
 		t.Error("bogus id accepted")
 	}
 }
+
+// TestTable2PaperColumns pins Table 2's paper columns: the order-50
+// row, which the paper does not report, prints "-" in all three, and a
+// row the paper does report prints its values.
+func TestTable2PaperColumns(t *testing.T) {
+	var sb strings.Builder
+	if err := runTable2(&sb, false); err != nil {
+		t.Fatal(err)
+	}
+	rows := map[string][]string{}
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if f := strings.Fields(line); len(f) == 9 {
+			rows[f[0]] = f[6:]
+		}
+	}
+	if got := rows["50"]; strings.Join(got, " ") != "- - -" {
+		t.Errorf("order-50 paper columns = %q, want - - -", got)
+	}
+	if got := rows["1000"]; strings.Join(got, " ") != "1.950 1.660 1.500" {
+		t.Errorf("order-1000 paper columns = %q, want 1.950 1.660 1.500", got)
+	}
+}

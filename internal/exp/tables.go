@@ -64,6 +64,7 @@ func runTable1(w io.Writer, full bool) error {
 
 // paperTable2 holds the totals of paper Table 2 (CSR, JD, MP) per
 // order/density case, in the paper's (unspecified, presumed ms) units.
+// The order-50 case has no paper row; its paper columns print "-".
 var paperTable2 = map[int][3]float64{
 	15000: {30.29, 28.09, 27.43},
 	10000: {19.52, 16.31, 12.43},
@@ -88,8 +89,11 @@ func runTable2(w io.Writer, full bool) error {
 		if err != nil {
 			return err
 		}
-		p := paperTable2[c.Order]
-		t.AddRow(c.Order, c.Density, row.NNZ, row.TotalCSR, row.TotalJD, row.TotalMP, p[0], p[1], p[2])
+		paper := []any{"-", "-", "-"}
+		if p, ok := paperTable2[c.Order]; ok {
+			paper = []any{p[0], p[1], p[2]}
+		}
+		t.AddRow(append([]any{c.Order, c.Density, row.NNZ, row.TotalCSR, row.TotalJD, row.TotalMP}, paper...)...)
 	}
 	fmt.Fprint(w, t.String())
 	fmt.Fprintln(w, "\nshape: MP wins at high sparsity, CSR wins at high density;")

@@ -14,6 +14,7 @@ import (
 	"context"
 	"errors"
 	"net/http"
+	"strings"
 
 	"multiprefix/internal/backend"
 	"multiprefix/internal/core"
@@ -32,19 +33,33 @@ var ops = map[string]core.Op[int64]{
 	"xor":  core.XorInt64,
 }
 
-// serviceBackends is the subset of the registry the service serves.
-// The simulated vector and PRAM machines bind their configuration at
-// plan-build time, so per-request deadlines and chaos hooks cannot
-// reach them; they stay study-only.
+// serviceBackends is the subset of the registry the service serves:
+// auto, the engines its trial picks between (serial, which is also the
+// degradation ladder's rung, and chunked), and the sorted family. The
+// paper's study engines (spinetree, parallel) cost 13–40× serial's
+// engine time for the same answer, and the simulated vector and PRAM
+// machines bind their configuration at plan-build time, where
+// per-request deadlines and chaos hooks cannot reach them; all four
+// stay study-only.
 var serviceBackends = map[string]bool{
-	"auto":      true,
-	"serial":    true,
-	"sorted":    true,
-	"sharded":   true,
-	"chunked":   true,
-	"parallel":  true,
-	"spinetree": true,
+	"auto":    true,
+	"serial":  true,
+	"sorted":  true,
+	"sharded": true,
+	"chunked": true,
 }
+
+// servedNames lists serviceBackends in registry order, for the
+// unknown_backend message.
+var servedNames = func() string {
+	var names []string
+	for _, name := range backend.Names() {
+		if serviceBackends[name] {
+			names = append(names, name)
+		}
+	}
+	return strings.Join(names, ", ")
+}()
 
 // computeRequest is the JSON body of every compute endpoint. The
 // batch endpoints read Batch, the single-vector endpoints Values.

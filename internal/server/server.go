@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -18,8 +19,10 @@ import (
 // defaults; see withDefaults for the numbers.
 type Options struct {
 	// Backend is the default plan backend for requests that do not
-	// name one. Must be a service backend (auto, serial, sorted,
-	// chunked, parallel, spinetree).
+	// name one. Must be a service backend: auto, serial, sorted,
+	// sharded or chunked. The study engines (spinetree, parallel,
+	// vector, pram) are not served; requests resolving to one get the
+	// typed 400 unknown_backend.
 	Backend string
 	// Workers is the per-plan engine worker count; 0 = GOMAXPROCS.
 	Workers int
@@ -400,7 +403,11 @@ func (s *Server) handleCompute(reduce, batchEP bool) http.HandlerFunc {
 			outs[i] = <-it.done
 		}
 
-		if batchEP {
+		// A batch answers per vector, unless its context ended before
+		// any vector answered: then it failed as a request and gets the
+		// single-vector routes' typed status (504 on its deadline), not
+		// a 200 that carries only errors.
+		if batchEP && (cctx.Err() == nil || slices.ContainsFunc(outs, func(o outcome) bool { return o.err == nil })) {
 			s.respondBatch(w, backendName, req.Op, n, req.M, reduce, items, outs)
 			return
 		}

@@ -85,7 +85,7 @@ func TestComputeEndpoints(t *testing.T) {
 		if err != nil {
 			t.Fatalf("reference: %v", err)
 		}
-		for _, backend := range []string{"serial", "sorted", "chunked", "parallel", "spinetree", "auto"} {
+		for _, backend := range []string{"serial", "sorted", "sharded", "chunked", "auto"} {
 			t.Run(op.name+"/"+backend, func(t *testing.T) {
 				var resp computeResponse
 				hr := x.post(t, "/v1/multiprefix", req(op.name, backend, labels, 17, values), &resp)
@@ -112,6 +112,21 @@ func TestComputeEndpoints(t *testing.T) {
 				for k := range want.Reductions {
 					if red.Reductions[k] != want.Reductions[k] {
 						t.Fatalf("reductions[%d] = %d, want %d", k, red.Reductions[k], want.Reductions[k])
+					}
+				}
+			})
+		}
+		// The study engines are not served: both routes answer the
+		// typed 400, listing the backends that are.
+		for _, backend := range []string{"parallel", "spinetree"} {
+			t.Run(op.name+"/"+backend, func(t *testing.T) {
+				for _, route := range []string{"/v1/multiprefix", "/v1/multireduce"} {
+					var er errorResponse
+					hr := x.post(t, route, req(op.name, backend, labels, 17, values), &er)
+					if hr.StatusCode != http.StatusBadRequest || er.Error.Kind != kindUnknownBack ||
+						!strings.Contains(er.Error.Message, "auto, serial, sorted, sharded, chunked") {
+						t.Fatalf("%s: got %d/%q %q, want 400/%q listing the served backends",
+							route, hr.StatusCode, er.Error.Kind, er.Error.Message, kindUnknownBack)
 					}
 				}
 			})

@@ -75,7 +75,7 @@ func (s *Server) resolvePlanIdent(w http.ResponseWriter, opName, backendName str
 	}
 	if !serviceBackends[backendName] {
 		s.writeError(w, http.StatusBadRequest, kindUnknownBack,
-			fmt.Sprintf("backend %q is not served (want auto, serial, sorted, sharded, chunked, parallel or spinetree)", backendName))
+			fmt.Sprintf("backend %q is not served (want one of %s)", backendName, servedNames))
 		return core.Op[int64]{}, "", false
 	}
 	if n > s.opts.MaxN {
@@ -123,10 +123,6 @@ func (s *Server) pinConflict(w http.ResponseWriter, plan *backend.Plan[int64], p
 	}
 	return false
 }
-
-// updatePollStride bounds how many point updates apply between context
-// polls, so a deadline binds even against a huge update list.
-const updatePollStride = 1024
 
 // handleUpdate is POST /v1/update: optionally (re)bind the resident
 // value vector of the identified plan, then apply point updates in
@@ -207,14 +203,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 
 	applied := 0
 	for k, u := range req.Updates {
-		if k%updatePollStride == updatePollStride-1 {
-			if err := cctx.Err(); err != nil {
-				s.st.updatesApplied.Add(uint64(applied))
-				s.failStateful(w, err)
-				return
-			}
-		}
-		if err := plan.UpdateCall(backend.Call{Pin: pin}, u.I, u.V); err != nil {
+		if err := plan.UpdateCall(backend.Call{Ctx: cctx, Pin: pin}, u.I, u.V); err != nil {
 			s.st.updatesApplied.Add(uint64(applied))
 			s.failStateful(w, fmt.Errorf("update %d: %w", k, err))
 			return

@@ -61,12 +61,13 @@ func TestHugeDeadlineClamped(t *testing.T) {
 	}
 }
 
-// TestQueryDeadline: a /v1/query whose deadline has passed answers the
-// typed 504 on every read — point prefix, label reduction and full
-// snapshot — even where a clean snapshot or the Fenwick tier could
-// answer without running the engine. The bind carries its own
-// generous deadline, so only the queries expire.
-func TestQueryDeadline(t *testing.T) {
+// TestUpdateQueryComputeDeadline: every route answers the typed 504
+// once its deadline has passed — the four compute routes, /v1/update
+// with and without values, and /v1/query's point, label and full
+// reads — even where no engine would run: a point update, a clean
+// snapshot or a Fenwick read. The bind that sets up the stateful rows
+// carries its own generous deadline, so only the rows expire.
+func TestUpdateQueryComputeDeadline(t *testing.T) {
 	x := newTestServer(t, Options{DefaultDeadline: time.Nanosecond})
 	const n, m = 64, 8
 	labels, values := refInputs(n, m)
@@ -74,23 +75,33 @@ func TestQueryDeadline(t *testing.T) {
 	if resp := x.post(t, "/v1/update", bind, nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("bind: status %d", resp.StatusCode)
 	}
-	for _, read := range []map[string]any{
-		{"indices": []int{3}},
-		{"reduce_labels": []int{2}},
-		{"full": true},
+	stateful := func(k string, v any) map[string]any {
+		return map[string]any{"op": "sum", "backend": "sorted", "m": m, "labels": labels, k: v}
+	}
+	batch := stateful("batch", [][]int64{values, values})
+	for _, row := range []struct {
+		name, route string
+		body        map[string]any
+	}{
+		{"multiprefix", "/v1/multiprefix", req("sum", "sorted", labels, m, values)},
+		{"multireduce", "/v1/multireduce", req("sum", "sorted", labels, m, values)},
+		{"multiprefix batch", "/v1/multiprefix/batch", batch},
+		{"multireduce batch", "/v1/multireduce/batch", batch},
+		{"update", "/v1/update", stateful("updates", []map[string]any{{"i": 3, "v": 42}})},
+		{"query point", "/v1/query", stateful("indices", []int{3})},
+		{"query label", "/v1/query", stateful("reduce_labels", []int{2})},
+		{"query full", "/v1/query", stateful("full", true)},
+		{"update with values", "/v1/update", stateful("values", values)},
 	} {
-		body := map[string]any{"op": "sum", "backend": "sorted", "m": m, "labels": labels}
-		for k, v := range read {
-			body[k] = v
-		}
 		before := x.s.Stats().DeadlineExceeded
 		var er errorResponse
-		resp := x.post(t, "/v1/query", body, &er)
+		resp := x.post(t, row.route, row.body, &er)
 		if resp.StatusCode != http.StatusGatewayTimeout || er.Error.Kind != kindDeadline {
-			t.Fatalf("query %v: got %d/%q, want 504/%q", read, resp.StatusCode, er.Error.Kind, kindDeadline)
+			t.Errorf("%s: got %d/%q, want 504/%q", row.name, resp.StatusCode, er.Error.Kind, kindDeadline)
+			continue
 		}
 		if x.s.Stats().DeadlineExceeded == before {
-			t.Fatalf("query %v: deadline counter not incremented", read)
+			t.Errorf("%s: deadline counter not incremented", row.name)
 		}
 	}
 }

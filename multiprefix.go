@@ -95,9 +95,9 @@ var (
 	ConcatString = core.ConcatString
 )
 
-// AutoCalibration holds the crossover points the adaptive engine picks
-// engines with; see Config.AutoCal. Leave it nil to use the process-
-// wide calibration measured on first use.
+// AutoCalibration pins the adaptive engine's knobs; see Config.AutoCal.
+// Leave it nil for the defaults: one-shot calls follow a fixed rule and
+// auto plans choose by a build-time trial.
 type AutoCalibration = core.AutoCalibration
 
 // Workspace is a pool of reusable engine state: Acquire a Buffers,
@@ -115,9 +115,10 @@ type Buffers[T any] = core.Buffers[T]
 func NewWorkspace[T any]() *Workspace[T] { return core.NewWorkspace[T]() }
 
 // Compute runs the multiprefix operation through the "auto" backend:
-// serial for small inputs, multicore for large ones, with the
-// crossover calibrated on first use. For repeated calls on the same
-// labels, build a Plan instead (see NewPlan).
+// serial unless the input is large and the host has the cores for the
+// chunked engine (see Auto). For repeated calls on the same labels,
+// build a Plan instead (see NewPlan): an auto plan times serial against
+// chunked on its own labels and keeps the faster.
 func Compute[T any](op Op[T], values []T, labels []int, m int) (Result[T], error) {
 	return backend.Compute("auto", op, values, labels, m, Config{})
 }
@@ -129,11 +130,10 @@ func Reduce[T any](op Op[T], values []T, labels []int, m int) ([]T, error) {
 }
 
 // Auto runs the multiprefix operation through the adaptive engine: it
-// picks Serial, Chunked or Parallel per call from the input shape,
-// cfg.Workers and the calibrated crossover points (cfg.AutoCal or the
-// process-wide measurement), and degrades to the serial reference on
-// an internal failure. Invalid input and cancellation are returned
-// as-is.
+// picks Serial or Chunked per call by a fixed rule — chunked only with
+// at least four workers, n above 2^20 (or cfg.AutoCal.SerialMax) and
+// m ≤ n — and degrades to the serial reference on an internal failure.
+// Invalid input and cancellation are returned as-is.
 func Auto[T any](op Op[T], values []T, labels []int, m int, cfg Config) (Result[T], error) {
 	return core.Auto(op, values, labels, m, cfg)
 }
