@@ -41,10 +41,13 @@ race:
 # under concurrent lookups, stores and evictions, the coalescer's
 # group commit (inline rounds, queues behind a held round, drain), and
 # the reuse of pooled request vectors (batch calls write no destination
-# once they return; early exits hand vectors back only once unused).
+# once they return; early exits hand vectors back only once unused),
+# concurrent first use of a plan's lazily allocated result storage, the
+# cache's collision check against a building entry, and the serial
+# rung on an entry's own plan.
 race-matrix:
-	$(GO) test -race -count=2 -run 'Sorted|Sharded|Batch|Chunk|Plan|Update|Incremental|PanicInjection|PooledEngines' ./internal/backend ./internal/core
-	$(GO) test -race -count=2 -run 'Update|Query|Warm|Metrics|Eviction|Stateful|TextIndex|ServeCompute|OverLimit|Coalesc|Drain|Batch|SoloRound|VectorReuse' ./internal/server
+	$(GO) test -race -count=2 -run 'Sorted|Sharded|Batch|Chunk|Plan|Update|Incremental|PanicInjection|PooledEngines|LabelWidth' ./internal/backend ./internal/core
+	$(GO) test -race -count=2 -run 'Update|Query|Warm|Metrics|Eviction|Stateful|TextIndex|ServeCompute|OverLimit|Coalesc|Drain|Batch|SoloRound|VectorReuse|Collision|EntryBytes|SerialRung' ./internal/server
 
 # Each fuzz target runs briefly from its seed corpus plus FUZZTIME of
 # random inputs; failures minimize and persist under testdata/fuzz.

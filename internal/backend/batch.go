@@ -64,14 +64,26 @@ func (p *Plan[T]) ReduceBatchCall(c Call, dsts, srcs [][]T) error {
 	return p.batch(dsts, srcs, false)
 }
 
+// SerialBatchCall is the degradation ladder's serial rung on any plan:
+// the planned serial pass over the plan's own labels, writing each
+// srcs[k]'s prefixes (withMulti) or reductions into dsts[k] under the
+// storage rules of RunBatch and ReduceBatch. Like the one-shot serial
+// engine it observes no fault hook: c's Ctx binds, c's Hook is
+// ignored. It is the same pass a degraded auto plan falls back to.
+func (p *Plan[T]) SerialBatchCall(c Call, dsts, srcs [][]T, withMulti bool) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	defer func(old core.Config) { p.cfg = old }(p.override(Call{Ctx: c.Ctx}))
+	if err := p.checkBatch(dsts, srcs, withMulti); err != nil {
+		return err
+	}
+	return p.serialBatch(dsts, srcs, withMulti)
+}
+
 // batch is the locked batch body shared by the multi and reduce
 // forms: validation, dispatch, and the degraded-auto serial retry.
 func (p *Plan[T]) batch(dsts, srcs [][]T, withMulti bool) error {
-	dstLen := p.m
-	if withMulti {
-		dstLen = p.n
-	}
-	if err := p.checkBatch(dsts, srcs, dstLen); err != nil {
+	if err := p.checkBatch(dsts, srcs, withMulti); err != nil {
 		return err
 	}
 	err := p.runBatch(dsts, srcs, withMulti)
@@ -84,8 +96,15 @@ func (p *Plan[T]) batch(dsts, srcs [][]T, withMulti bool) error {
 	return err
 }
 
+// checkBatch validates one batch: n values per source, and per
+// destination n prefixes (withMulti) or m reductions.
+//
 //mp:locked
-func (p *Plan[T]) checkBatch(dsts, srcs [][]T, dstLen int) error {
+func (p *Plan[T]) checkBatch(dsts, srcs [][]T, withMulti bool) error {
+	dstLen := p.m
+	if withMulti {
+		dstLen = p.n
+	}
 	if p.closed {
 		return fmt.Errorf("%w: batch run on a closed Plan", core.ErrBadInput)
 	}
@@ -122,7 +141,7 @@ func (p *Plan[T]) runBatch(dsts, srcs [][]T, withMulti bool) error {
 		}
 		return p.teamBatch(dsts, srcs, withMulti)
 	case planChunked:
-		return p.chunks.Batch(p.team, dsts, srcs, withMulti, p.red, p.cfg)
+		return p.chunks.Batch(p.team, dsts, srcs, withMulti, p.batchRed(withMulti), p.cfg)
 	case planVector:
 		if withMulti {
 			return p.vrunBatch(dsts, srcs)
@@ -152,22 +171,18 @@ func (p *Plan[T]) runBatch(dsts, srcs [][]T, withMulti bool) error {
 
 // serialBatch is the fused serial batch: the planned one-pass bucket
 // algorithm per vector, writing prefixes (or reductions) directly into
-// the caller's destinations. Also the batch fallback for degraded auto
-// plans, which lazily allocates the reduction scratch a buffers- or
-// vector-backed plan doesn't otherwise carry.
+// the caller's destinations. It is the one serial rung: a serial plan's
+// every run, a degraded auto plan's fallback (batch, Run and Reduce)
+// and the service ladder's retry (SerialBatchCall) all run it.
 //
 //mp:locked
 func (p *Plan[T]) serialBatch(dsts, srcs [][]T, withMulti bool) (err error) {
 	defer recoverPlanPanic("plan/serial", &err)
-	if withMulti && len(p.red) != p.m {
-		p.red = make([]T, p.m)
-	}
+	scratch := p.batchRed(withMulti)
 	for k := range srcs {
-		var multi, red []T
-		if withMulti {
-			multi, red = dsts[k], p.red
-		} else {
-			red = dsts[k]
+		multi, red := dsts[k], scratch
+		if !withMulti {
+			multi, red = nil, dsts[k]
 		}
 		if err := p.serialPass(srcs[k], multi, red); err != nil {
 			return err
@@ -183,6 +198,7 @@ func (p *Plan[T]) serialBatch(dsts, srcs [][]T, withMulti bool) (err error) {
 func (p *Plan[T]) sortedSerialBatch(dsts, srcs [][]T, withMulti bool) (err error) {
 	defer recoverPlanPanic(p.engine, &err)
 	fast := p.op.FastKind(p.cfg.FaultHook)
+	scratch := p.batchRed(withMulti)
 	for k := range srcs {
 		// Poll between vectors as well: a short vector never exhausts
 		// the in-scan stride credit, so without this check a cancelled
@@ -190,11 +206,9 @@ func (p *Plan[T]) sortedSerialBatch(dsts, srcs [][]T, withMulti bool) (err error
 		if err := ctxDone(p.cfg); err != nil {
 			return err
 		}
-		var multi, red []T
-		if withMulti {
-			multi, red = dsts[k], p.red
-		} else {
-			red = dsts[k]
+		multi, red := dsts[k], scratch
+		if !withMulti {
+			multi, red = nil, dsts[k]
 		}
 		if err := p.scanSingle(fast, srcs[k], multi, red); err != nil {
 			return err
@@ -207,6 +221,7 @@ func (p *Plan[T]) sortedSerialBatch(dsts, srcs [][]T, withMulti bool) (err error
 //
 //mp:locked
 func (p *Plan[T]) teamBatch(dsts, srcs [][]T, withMulti bool) error {
+	p.batchRed(withMulti) // shardedBatch reads it as p.red
 	p.batchDsts, p.batchSrcs = dsts, srcs
 	p.runMulti = withMulti
 	p.fast = p.op.FastKind(p.cfg.FaultHook)

@@ -37,11 +37,7 @@ func (p *Plan[T]) each(calls []Call, dsts, srcs [][]T, withMulti bool) []error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	errs := make([]error, len(srcs))
-	dstLen := p.m
-	if withMulti {
-		dstLen = p.n
-	}
-	err := p.checkBatch(dsts, srcs, dstLen)
+	err := p.checkBatch(dsts, srcs, withMulti)
 	if err == nil && calls != nil && len(calls) != len(srcs) {
 		err = fmt.Errorf("%w: %d calls for %d vectors", core.ErrBadInput, len(calls), len(srcs))
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -93,9 +94,15 @@ type Plan[T any] struct {
 	cfg     core.Config
 	n, m    int
 	classes int
-	labels  []int
+	// labels is the plan's one copy of its label vector, 4 bytes a
+	// label: every engine and the service cache read it from here.
+	labels []int32
 
-	// serial / chunked result storage, overwritten by every evaluation
+	// Run/Reduce result storage, allocated on first use (results) and
+	// overwritten by every evaluation; red doubles as the reduction
+	// scratch of a prefix batch (batchRed). The batch entry points
+	// write to caller storage, so a plan driven only through them never
+	// holds multi.
 	//mp:guarded-by mu
 	multi []T
 	//mp:guarded-by mu
@@ -112,7 +119,7 @@ type Plan[T any] struct {
 	values []T // current run's values (read by worker bodies)
 
 	// chunked state: core's runner, planned over the labels
-	chunks *core.ChunkRunner[T]
+	chunks *core.ChunkRunner[T, int32]
 
 	// sorted-family state (see sharded.go): S contiguous element
 	// ranges, each with its own counting-sort row over the shared
@@ -201,11 +208,16 @@ type Plan[T any] struct {
 }
 
 // Plan builds a reusable pipeline for this backend over the given
-// labels. The label vector is copied; later mutation of the caller's
-// slice does not affect the plan.
+// labels. The label vector is copied, narrowed to int32; later mutation
+// of the caller's slice does not affect the plan. A label space beyond
+// int32 (m > math.MaxInt32) is refused with ErrBadInput before anything
+// m-sized is allocated.
 func (b impl[T]) Plan(op core.Op[T], labels []int, m int, cfg core.Config) (*Plan[T], error) {
 	if err := core.ValidatePlan(op, labels, m); err != nil {
 		return nil, err
+	}
+	if m > math.MaxInt32 {
+		return nil, fmt.Errorf("%w: m=%d exceeds a plan's int32 label space", core.ErrBadInput, m)
 	}
 	if b.k == kindAuto && runsTrial(len(labels), m, cfg) {
 		return trialPlan(op, labels, m, cfg)
@@ -217,7 +229,7 @@ func (b impl[T]) Plan(op core.Op[T], labels []int, m int, cfg core.Config) (*Pla
 		n:       len(labels),
 		m:       m,
 		classes: core.CountClasses(labels, m),
-		labels:  append([]int(nil), labels...),
+		labels:  narrow(labels),
 	}
 	k := b.k
 	if k == kindAuto {
@@ -252,8 +264,6 @@ func (b impl[T]) Plan(op core.Op[T], labels []int, m int, cfg core.Config) (*Pla
 	switch k {
 	case kindSerial:
 		p.exec = planSerial
-		p.multi = make([]T, p.n)
-		p.red = make([]T, m)
 	case kindSorted:
 		if err := p.prepareSharded("sorted", core.ChunkWorkers(cfg.Workers, p.n)); err != nil {
 			return nil, err
@@ -268,10 +278,8 @@ func (b impl[T]) Plan(op core.Op[T], labels []int, m int, cfg core.Config) (*Pla
 		}
 	case kindChunked:
 		p.exec = planChunked
-		p.multi = make([]T, p.n)
-		p.red = make([]T, m)
 		p.startTeam(core.ChunkWorkers(cfg.Workers, p.n))
-		p.chunks = core.NewChunkRunner[T]("plan/chunked")
+		p.chunks = core.NewChunkRunner[T, int32]("plan/chunked")
 		p.chunks.Plan(p.team, op, p.labels, m)
 	case kindSpinetree, kindParallel:
 		p.exec = planBuffers
@@ -283,6 +291,16 @@ func (b impl[T]) Plan(op core.Op[T], labels []int, m int, cfg core.Config) (*Pla
 		p.exec = planPram
 	}
 	return p, nil
+}
+
+// narrow copies a validated label vector into the plan's int32 form;
+// labels are below m ≤ math.MaxInt32, so no label changes.
+func narrow(labels []int) []int32 {
+	out := make([]int32, len(labels))
+	for i, l := range labels {
+		out[i] = int32(l)
+	}
+	return out
 }
 
 // startTeam starts the plan's persistent worker team. A plan dropped
@@ -309,7 +327,8 @@ func (p *Plan[T]) interrupted() bool {
 // it is built once here and every Run pays only the evaluation
 // phases.
 func (p *Plan[T]) prepareVector() error {
-	switch any(p.multi).(type) {
+	var probe []T
+	switch any(probe).(type) {
 	case []int64:
 		return bindVecPlan[int64](p)
 	case []float64:
@@ -329,14 +348,10 @@ func bindVecPlan[E vector.Elem, T any](p *Plan[T]) error {
 	if !ok {
 		return errElemType[T](p.backend)
 	}
-	l32, err := labels32(p.labels, p.m)
-	if err != nil {
-		return err
-	}
 	if p.n == 0 {
 		return nil // degenerates to the serial pass
 	}
-	vp, err := vecmp.NewPlan(vector.NewDefault(), eop, l32, p.m, vcfg(p.cfg))
+	vp, err := vecmp.NewPlan(vector.NewDefault(), eop, p.labels, p.m, vcfg(p.cfg))
 	if err != nil {
 		return err
 	}
@@ -377,6 +392,46 @@ func (p *Plan[T]) M() int { return p.m }
 // Classes reports how many distinct labels actually occur — plan-time
 // metadata for capacity planning.
 func (p *Plan[T]) Classes() int { return p.classes }
+
+// Labels returns the plan's label vector, fixed at build time. The
+// slice is the plan's own storage: callers must not modify it.
+func (p *Plan[T]) Labels() []int32 { return p.labels }
+
+// Bytes reports the heap bytes the plan holds: its labels, the
+// Run/Reduce result storage once used, the sorted family's index,
+// tiles and carries, the chunk runner's buckets and lists, the study
+// engines' pooled arena, and the stateful tier once bound. It sums
+// backing-array capacities; the Plan struct, its closures and its
+// worker team's goroutines (a few KB) are not counted, nor is the
+// simulated vector machine's memory.
+func (p *Plan[T]) Bytes() int64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := core.SliceBytes(p.labels) + core.SliceBytes(p.multi) + core.SliceBytes(p.red) +
+		core.SliceBytes(p.sperm) + core.SliceBytes(p.shLo) + core.SliceBytes(p.shHi) +
+		core.SliceBytes(p.shStart) + core.SliceBytes(p.tiles) +
+		core.SliceBytes(p.shCarryA) + core.SliceBytes(p.shCarryB)
+	for w := range len(p.shStart) {
+		n += core.SliceBytes(p.shStart[w])
+	}
+	for i := range p.tiles {
+		ts := &p.tiles[i]
+		n += core.SliceBytes(ts.Label) + core.SliceBytes(ts.Lo) + core.SliceBytes(ts.Hi) + core.SliceBytes(ts.TileOff)
+	}
+	if p.chunks != nil {
+		n += p.chunks.Bytes()
+	}
+	if p.buf != nil {
+		n += p.buf.Bytes()
+	}
+	n += core.SliceBytes(p.vals) + core.SliceBytes(p.snapMulti) + core.SliceBytes(p.snapRed) +
+		core.SliceBytes(p.iloc) + core.SliceBytes(p.ftree)
+	if p.exec != planSharded || p.shardsN != 1 {
+		// a one-shard sorted plan's stateful index aliases its own
+		n += core.SliceBytes(p.iperm) + core.SliceBytes(p.istart)
+	}
+	return n
+}
 
 // Close releases the plan's worker team promptly. A closed plan
 // rejects further runs. Close is optional: a dropped plan's team is
@@ -500,19 +555,19 @@ func (p *Plan[T]) run(values []T) (core.Result[T], error) {
 	var err error
 	switch p.exec {
 	case planSerial:
-		err = p.runSerial(values, true)
-		res = core.Result[T]{Multi: p.multi, Reductions: p.red}
+		return p.serialRun(values, true)
 	case planSharded:
 		err = p.runSharded(values, true)
 		res = core.Result[T]{Multi: p.multi, Reductions: p.red}
 	case planChunked:
-		err = p.chunks.Run(p.team, values, p.multi, p.red, p.cfg)
-		res = core.Result[T]{Multi: p.multi, Reductions: p.red}
+		multi, red := p.results(true)
+		err = p.chunks.Run(p.team, values, multi, red, p.cfg)
+		res = core.Result[T]{Multi: multi, Reductions: red}
 	case planBuffers:
 		if p.bufKind == kindSpinetree {
-			res, err = p.buf.Spinetree(p.op, values, p.labels, p.m, p.cfg)
+			res, err = core.SpinetreeIn(p.buf, p.op, values, p.labels, p.m, p.cfg)
 		} else {
-			res, err = p.buf.Parallel(p.op, values, p.labels, p.m, p.cfg)
+			res, err = core.ParallelIn(p.buf, p.op, values, p.labels, p.m, p.cfg)
 		}
 	case planVector:
 		res, err = p.vrun(values)
@@ -522,8 +577,8 @@ func (p *Plan[T]) run(values []T) (core.Result[T], error) {
 	if err == nil {
 		return res, nil
 	}
-	if p.fallback && p.exec != planSerial && !terminalErr(err) {
-		return p.fallbackSerial(values, true)
+	if p.fallback && !terminalErr(err) {
+		return p.serialRun(values, true)
 	}
 	return core.Result[T]{}, err
 }
@@ -560,22 +615,22 @@ func (p *Plan[T]) reduce(values []T) ([]T, error) {
 	var err error
 	switch p.exec {
 	case planSerial:
-		if err = p.runSerial(values, false); err == nil {
-			red = p.red
-		}
+		res, err := p.serialRun(values, false)
+		return res.Reductions, err
 	case planSharded:
 		if err = p.runSharded(values, false); err == nil {
 			red = p.red
 		}
 	case planChunked:
-		if err = p.chunks.Run(p.team, values, nil, p.red, p.cfg); err == nil {
-			red = p.red
+		_, red = p.results(false)
+		if err = p.chunks.Run(p.team, values, nil, red, p.cfg); err != nil {
+			red = nil
 		}
 	case planBuffers:
 		if p.bufKind == kindSpinetree {
-			red, err = p.buf.SpinetreeReduce(p.op, values, p.labels, p.m, p.cfg)
+			red, err = core.SpinetreeReduceIn(p.buf, p.op, values, p.labels, p.m, p.cfg)
 		} else {
-			red, err = p.buf.ParallelReduce(p.op, values, p.labels, p.m, p.cfg)
+			red, err = core.ParallelReduceIn(p.buf, p.op, values, p.labels, p.m, p.cfg)
 		}
 	case planVector:
 		red, err = p.vreduce(values)
@@ -588,33 +643,58 @@ func (p *Plan[T]) reduce(values []T) ([]T, error) {
 	if err == nil {
 		return red, nil
 	}
-	if p.fallback && p.exec != planSerial && !terminalErr(err) {
-		res, ferr := p.fallbackSerial(values, false)
-		if ferr != nil {
-			return nil, ferr
-		}
-		return res.Reductions, nil
+	if p.fallback && !terminalErr(err) {
+		res, ferr := p.serialRun(values, false)
+		return res.Reductions, ferr
 	}
 	return nil, err
 }
 
-// fallbackSerial degrades a failed parallel run to the planned serial
-// pass over p.multi/p.red (allocated lazily: the auto-parallel plan
-// normally keeps its storage in p.buf). Like the one-shot Fallback,
-// the retry is hook-free.
+// results returns the plan's Run/Reduce storage, allocating it on
+// first use: the reductions always, the prefixes when withMulti.
 //
 //mp:locked
-func (p *Plan[T]) fallbackSerial(values []T, withMulti bool) (core.Result[T], error) {
-	if len(p.multi) != p.n || len(p.red) != p.m {
-		p.multi = make([]T, p.n)
+func (p *Plan[T]) results(withMulti bool) (multi, red []T) {
+	if len(p.red) != p.m {
 		p.red = make([]T, p.m)
 	}
-	if err := p.runSerial(values, withMulti); err != nil {
+	if withMulti && len(p.multi) != p.n {
+		p.multi = make([]T, p.n)
+	}
+	return p.multi, p.red
+}
+
+// batchRed returns a batch's reduction scratch: the plan's red,
+// allocated on first use, for a prefix batch; nil for a reductions
+// batch, which writes its reductions to the caller's storage.
+//
+//mp:locked
+func (p *Plan[T]) batchRed(withMulti bool) []T {
+	if !withMulti {
+		return nil
+	}
+	_, red := p.results(false)
+	return red
+}
+
+// serialRun is one planned serial pass into the plan's result storage:
+// a serial plan's Run and Reduce, and the auto plan's degradation of a
+// failed run. It goes through serialBatch, the one serial rung.
+//
+//mp:locked
+func (p *Plan[T]) serialRun(values []T, withMulti bool) (core.Result[T], error) {
+	multi, red := p.results(withMulti)
+	dst := [1][]T{red}
+	if withMulti {
+		dst[0] = multi
+	}
+	src := [1][]T{values}
+	if err := p.serialBatch(dst[:], src[:], withMulti); err != nil {
 		return core.Result[T]{}, err
 	}
-	res := core.Result[T]{Reductions: p.red}
+	res := core.Result[T]{Reductions: red}
 	if withMulti {
-		res.Multi = p.multi
+		res.Multi = multi
 	}
 	return res, nil
 }
@@ -627,24 +707,11 @@ func recoverPlanPanic(engine string, err *error) {
 	}
 }
 
-// runSerial is the planned one-pass bucket algorithm: no per-run
-// validation, no allocation (multi and red are plan-owned). Like the
-// one-shot serial engine it never observes fault hooks; with a
-// context set it runs in CancelStride segments, polling at each
-// boundary.
-//
-//mp:locked
-func (p *Plan[T]) runSerial(values []T, withMulti bool) (err error) {
-	defer recoverPlanPanic("plan/serial", &err)
-	var multi []T
-	if withMulti {
-		multi = p.multi
-	}
-	return p.serialPass(values, multi, p.red)
-}
-
 // serialPass is one planned serial pass over values into multi (nil
-// for reduce-only) and red.
+// for reduce-only) and red: the one-pass bucket algorithm with no
+// per-run validation. Like the one-shot serial engine it never observes
+// fault hooks; with a context set it runs in CancelStride segments,
+// polling at each boundary.
 //
 //mp:locked
 //mp:polls

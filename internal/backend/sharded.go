@@ -50,8 +50,6 @@ func (p *Plan[T]) prepareSharded(name string, s int) error {
 	}
 	p.exec = planSharded
 	p.engine = "plan/" + name
-	p.multi = make([]T, p.n)
-	p.red = make([]T, p.m)
 	p.sperm = make([]int32, p.n)
 	s = min(s, maxShards, max(p.n, 1))
 	p.shardsN = s
@@ -154,19 +152,19 @@ func (p *Plan[T]) scanSingle(fast core.FastOp, values, multi, red []T) error {
 }
 
 // runSharded evaluates one value vector into p.multi (when withMulti)
-// and p.red.
+// and p.red, allocated on first use.
 //
 //mp:locked
 func (p *Plan[T]) runSharded(values []T, withMulti bool) (err error) {
 	defer recoverPlanPanic(p.engine, &err)
 	fast := p.op.FastKind(p.cfg.FaultHook)
 	p.shMeasured = 0
+	multi, red := p.results(withMulti)
 	if p.team == nil {
-		var multi []T
-		if withMulti {
-			multi = p.multi
+		if !withMulti {
+			multi = nil
 		}
-		return p.scanSingle(fast, values, multi, p.red)
+		return p.scanSingle(fast, values, multi, red)
 	}
 	p.values = values
 	p.runMulti = withMulti

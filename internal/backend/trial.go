@@ -138,7 +138,9 @@ func trialPlan[T any](op core.Op[T], labels []int, m int, cfg core.Config) (*Pla
 	}
 	stopped := func() bool { return ctxDone(cfg) != nil }
 
-	values := make([]T, len(labels))
+	// The candidates run through RunBatch into trial-owned storage, so
+	// the winner keeps no result vector of the trial's.
+	values, dst := make([]T, len(labels)), make([]T, len(labels))
 	core.FillIdentity(op, values)
 	rec := &AutoTrial{Candidates: make([]TrialCandidate, len(plans))}
 	samples := make([][]time.Duration, len(plans))
@@ -150,7 +152,7 @@ func trialPlan[T any](op core.Op[T], labels []int, m int, cfg core.Config) (*Pla
 			return nil, err
 		}
 		t0 := time.Now()
-		rec.Candidates[i] = TrialCandidate{Engine: name, Err: trialRun(plans[i], values, nil)}
+		rec.Candidates[i] = TrialCandidate{Engine: name, Err: trialRun(plans[i], values, dst, nil)}
 		if stopped() || (i == 0 && time.Since(t0) > trialBudget/4) {
 			return adopt(rule, nil)
 		}
@@ -163,7 +165,7 @@ func trialPlan[T any](op core.Op[T], labels []int, m int, cfg core.Config) (*Pla
 			i := (j + k) % len(plans)
 			c := &rec.Candidates[i]
 			if c.Err == nil {
-				c.Err = trialRun(plans[i], values, &samples[i])
+				c.Err = trialRun(plans[i], values, dst, &samples[i])
 			}
 		}
 	}
@@ -183,13 +185,15 @@ func trialPlan[T any](op core.Op[T], labels []int, m int, cfg core.Config) (*Pla
 	return adopt(pick, rec)
 }
 
-// trialRun runs p once over values, appending the run's wall time to
-// samples when it is non-nil. A panic the plan's own shields miss
-// comes back as the candidate's error.
-func trialRun[T any](p *Plan[T], values []T, samples *[]time.Duration) (err error) {
+// trialRun runs p once over values as a one-vector prefix batch into
+// dst, appending the run's wall time to samples when it is non-nil. A
+// panic the plan's own shields miss comes back as the candidate's
+// error.
+func trialRun[T any](p *Plan[T], values, dst []T, samples *[]time.Duration) (err error) {
 	defer recoverPlanPanic("plan/trial", &err)
+	d, src := [1][]T{dst}, [1][]T{values}
 	t0 := time.Now()
-	_, err = p.Run(values)
+	err = p.RunBatch(d[:], src[:])
 	if samples != nil {
 		*samples = append(*samples, time.Since(t0))
 	}

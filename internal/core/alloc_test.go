@@ -36,6 +36,7 @@ func allocInput() ([]int64, []int, int) {
 // and worker teams get built.
 func TestPooledZeroAllocs(t *testing.T) {
 	values, labels, m := allocInput()
+	labels32 := narrowLabels(labels)
 	ws := NewWorkspace[int64]()
 	b := ws.Acquire()
 	defer ws.Release(b)
@@ -81,6 +82,27 @@ func TestPooledZeroAllocs(t *testing.T) {
 		}},
 		{"parallel-reduce", func() {
 			if _, err := b.ParallelReduce(AddInt64, values, labels, m, cfg); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		// A plan's int32 labels through the same pooled engines.
+		{"spinetree-int32", func() {
+			if _, err := SpinetreeIn(b, AddInt64, values, labels32, m, cfg); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"spinetree-reduce-int32", func() {
+			if _, err := SpinetreeReduceIn(b, AddInt64, values, labels32, m, cfg); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"parallel-int32", func() {
+			if _, err := ParallelIn(b, AddInt64, values, labels32, m, cfg); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"parallel-reduce-int32", func() {
+			if _, err := ParallelReduceIn(b, AddInt64, values, labels32, m, cfg); err != nil {
 				t.Fatal(err)
 			}
 		}},

@@ -214,7 +214,7 @@ func serialReduceCtx[T any](op Op[T], values []T, labels []int, m int, cfg Confi
 // boundary; the pass carries no state across segments beyond the
 // buckets, so segmenting is exact. The one-shot, pooled and planned
 // serial paths all run this loop.
-func SerialSegments[T any](op Op[T], values []T, labels []int, multi, buckets []T, ctx context.Context) error {
+func SerialSegments[T any, L Label](op Op[T], values []T, labels []L, multi, buckets []T, ctx context.Context) error {
 	n := len(values)
 	if ctx == nil {
 		BucketRange(op, op.Fast, "serial", values, labels, multi, buckets, 0, n, nil)

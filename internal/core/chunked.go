@@ -121,7 +121,7 @@ func ChunkedReduce[T any](op Op[T], values []T, labels []int, m int, cfg Config)
 // closes the team before returning so no goroutine outlives the call.
 func chunkedOnce[T any](op Op[T], values []T, labels []int, m int, multi, red []T, cfg Config) error {
 	workers := chunkWorkers(cfg.Workers, len(values))
-	r := NewChunkRunner[T]("chunked")
+	r := NewChunkRunner[T, int]("chunked")
 	r.bind(op, labels, m, workers)
 	team := par.NewTeam(workers)
 	defer team.Close()
@@ -151,18 +151,21 @@ const (
 // inner barrier outside a batch, and a batch drains its remaining
 // arrivals on abort, so a failed run leaves the team healthy.
 //
+// L is the label element type: int for one-shot and pooled calls, the
+// plan's int32 for a planned runner.
+//
 // Not safe for concurrent use; callers serialize runs.
-type ChunkRunner[T any] struct {
+type ChunkRunner[T any, L Label] struct {
 	engine  string // EnginePanicError.Engine of this runner's failures
 	op      Op[T]
-	labels  []int
+	labels  []L
 	n, m    int
 	workers int
 	fixed   bool   // touched lists belong to labels (Plan); else found per run
 	buckets []T    // workers×m: chunk w's buckets, then its offsets
 	seen    []bool // workers×m first-touch marks, all false between runs
-	order   []int  // backing store of the touched lists
-	touched [][]int
+	order   []L    // backing store of the touched lists
+	touched [][]L
 	g       Guard
 	body    func(w int, inner *par.Barrier)
 
@@ -179,8 +182,8 @@ type ChunkRunner[T any] struct {
 
 // NewChunkRunner returns an unbound runner whose *EnginePanicError
 // values name engine.
-func NewChunkRunner[T any](engine string) *ChunkRunner[T] {
-	r := &ChunkRunner[T]{engine: engine}
+func NewChunkRunner[T any, L Label](engine string) *ChunkRunner[T, L] {
+	r := &ChunkRunner[T, L]{engine: engine}
 	r.body = r.round
 	return r
 }
@@ -189,7 +192,7 @@ func NewChunkRunner[T any](engine string) *ChunkRunner[T] {
 // chunks, growing its storage in place; runs then find the touched
 // lists themselves. Each chunk touches at most min(m, chunk length)
 // labels, so min(n, workers·m) slots hold every list.
-func (r *ChunkRunner[T]) bind(op Op[T], labels []int, m, workers int) {
+func (r *ChunkRunner[T, L]) bind(op Op[T], labels []L, m, workers int) {
 	r.op, r.labels, r.n, r.m, r.workers, r.fixed = op, labels, len(labels), m, workers, false
 	r.buckets = grown(r.buckets, workers*m)
 	r.seen = grown(r.seen, workers*m)
@@ -204,11 +207,18 @@ func (r *ChunkRunner[T]) bind(op Op[T], labels []int, m, workers int) {
 	}
 }
 
+// Bytes reports the heap bytes r holds: the per-chunk buckets, the
+// first-touch marks (dropped once a plan has found its lists) and the
+// touched-label lists.
+func (r *ChunkRunner[T, L]) Bytes() int64 {
+	return SliceBytes(r.buckets) + SliceBytes(r.seen) + SliceBytes(r.order) + SliceBytes(r.touched)
+}
+
 // Plan fixes r to one label vector for a planned pipeline: it binds
 // (op, labels, m) over the team's workers and finds every chunk's
 // touched labels once, on the team, so runs skip the discovery.
 // labels must already be validated against m and stay unchanged.
-func (r *ChunkRunner[T]) Plan(team *par.Team, op Op[T], labels []int, m int) {
+func (r *ChunkRunner[T, L]) Plan(team *par.Team, op Op[T], labels []L, m int) {
 	r.bind(op, labels, m, team.Workers())
 	r.pass = passFind
 	team.Run(r.body)
@@ -223,7 +233,7 @@ func (r *ChunkRunner[T]) Plan(team *par.Team, op Op[T], labels []int, m int) {
 // the pass, and cfg.Ctx cancels the run within cancelStride elements.
 //
 //mp:hotpath
-func (r *ChunkRunner[T]) Run(team *par.Team, values, multi, red []T, cfg Config) (err error) {
+func (r *ChunkRunner[T, L]) Run(team *par.Team, values, multi, red []T, cfg Config) (err error) {
 	phase := PhaseChunkLocal
 	defer recoverEnginePanic(r.engine, &phase, &err)
 	r.start(cfg)
@@ -256,7 +266,7 @@ func (r *ChunkRunner[T]) Run(team *par.Team, values, multi, red []T, cfg Config)
 // dsts[k] receives the prefixes and red is reduction scratch;
 // otherwise dsts[k] receives the reductions. The runner must be
 // planned (Plan), since the batch does not look for touched labels.
-func (r *ChunkRunner[T]) Batch(team *par.Team, dsts, srcs [][]T, batchMulti bool, red []T, cfg Config) error {
+func (r *ChunkRunner[T, L]) Batch(team *par.Team, dsts, srcs [][]T, batchMulti bool, red []T, cfg Config) error {
 	r.start(cfg)
 	defer r.finish()
 	r.dsts, r.srcs, r.batchMulti, r.red = dsts, srcs, batchMulti, red
@@ -266,7 +276,7 @@ func (r *ChunkRunner[T]) Batch(team *par.Team, dsts, srcs [][]T, batchMulti bool
 	return ctxErr(cfg.Ctx)
 }
 
-func (r *ChunkRunner[T]) start(cfg Config) {
+func (r *ChunkRunner[T, L]) start(cfg Config) {
 	r.fast = r.op.fastKind(cfg.FaultHook)
 	r.hook, r.ctx = cfg.FaultHook, cfg.Ctx
 	r.g.Reset()
@@ -274,19 +284,19 @@ func (r *ChunkRunner[T]) start(cfg Config) {
 
 // finish drops the run's references so an idle runner keeps no caller
 // storage alive.
-func (r *ChunkRunner[T]) finish() {
+func (r *ChunkRunner[T, L]) finish() {
 	r.values, r.multi, r.red, r.dsts, r.srcs = nil, nil, nil, nil, nil
 	r.hook, r.ctx = nil, nil
 }
 
-func (r *ChunkRunner[T]) teamRound(team *par.Team, pass chunkPass) error {
+func (r *ChunkRunner[T, L]) teamRound(team *par.Team, pass chunkPass) error {
 	r.pass = pass
 	team.Run(r.body)
 	return r.g.First()
 }
 
 // interrupted is the workers' stride poll.
-func (r *ChunkRunner[T]) interrupted() bool {
+func (r *ChunkRunner[T, L]) interrupted() bool {
 	return r.g.Interrupted(r.ctx)
 }
 
@@ -296,7 +306,7 @@ func (r *ChunkRunner[T]) interrupted() bool {
 // arrivals it still owes and its siblings stay aligned.
 //
 //mp:hotpath
-func (r *ChunkRunner[T]) round(w int, inner *par.Barrier) {
+func (r *ChunkRunner[T, L]) round(w int, inner *par.Barrier) {
 	phase, owed := PhaseChunkLocal, 0
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -346,7 +356,7 @@ func (r *ChunkRunner[T]) round(w int, inner *par.Barrier) {
 // clears the seen marks it set.
 //
 //mp:hotpath
-func (r *ChunkRunner[T]) find(w int) {
+func (r *ChunkRunner[T, L]) find(w int) {
 	lo, hi := par.Range(r.n, r.workers, w)
 	seen := r.seen[w*r.m : (w+1)*r.m]
 	order := r.touched[w][:cap(r.touched[w])]
@@ -370,7 +380,7 @@ func (r *ChunkRunner[T]) find(w int) {
 // cancelStride segments.
 //
 //mp:hotpath
-func (r *ChunkRunner[T]) local(w int, values, multi []T) {
+func (r *ChunkRunner[T, L]) local(w int, values, multi []T) {
 	buckets := r.buckets[w*r.m : (w+1)*r.m]
 	for _, l := range r.touched[w] {
 		buckets[l] = r.op.Identity
@@ -389,14 +399,14 @@ func (r *ChunkRunner[T]) local(w int, values, multi []T) {
 // slot its offset.
 //
 //mp:hotpath
-func (r *ChunkRunner[T]) merge(red []T) {
+func (r *ChunkRunner[T, L]) merge(red []T) {
 	fillIdentity(red, r.op.Identity)
 	for w := 0; w < r.workers; w++ {
 		bw := r.buckets[w*r.m : (w+1)*r.m]
 		for _, l := range r.touched[w] {
 			offset := red[l]
 			if r.hook != nil {
-				r.hook.Combine(PhaseChunkMerge, l)
+				r.hook.Combine(PhaseChunkMerge, int(l))
 			}
 			red[l] = r.op.Combine(red[l], bw[l])
 			bw[l] = offset
@@ -409,7 +419,7 @@ func (r *ChunkRunner[T]) merge(red []T) {
 // do.
 //
 //mp:hotpath
-func (r *ChunkRunner[T]) apply(w int, multi []T) {
+func (r *ChunkRunner[T, L]) apply(w int, multi []T) {
 	if w == 0 {
 		return
 	}

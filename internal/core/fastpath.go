@@ -109,7 +109,7 @@ func asF64[T any](s []T) []float64 {
 // run the generic loop.
 //
 //mp:hotpath
-func tryBucketLoop[T any](fast FastOp, values []T, labels []int, multi, buckets []T) bool {
+func tryBucketLoop[T any, L Label](fast FastOp, values []T, labels []L, multi, buckets []T) bool {
 	if fast == FastNone {
 		return false
 	}
@@ -123,7 +123,7 @@ func tryBucketLoop[T any](fast FastOp, values []T, labels []int, multi, buckets 
 }
 
 //mp:hotpath
-func bucketKernel[E fastElem](fast FastOp, values []E, labels []int, multi, buckets []E) bool {
+func bucketKernel[E fastElem, L Label](fast FastOp, values []E, labels []L, multi, buckets []E) bool {
 	switch {
 	case fast == FastAdd && multi == nil:
 		for i, v := range values {
@@ -176,7 +176,7 @@ func bucketKernel[E fastElem](fast FastOp, values []E, labels []int, multi, buck
 
 // tryChunkApply runs one stride segment [lo, hi) of the offset-apply
 // pass (Chunked pass 4): multi[i] = offsets[labels[i]] ⊕ multi[i].
-func tryChunkApply[T any](fast FastOp, labels []int, offsets, multi []T, lo, hi int) bool {
+func tryChunkApply[T any, L Label](fast FastOp, labels []L, offsets, multi []T, lo, hi int) bool {
 	if fast == FastNone {
 		return false
 	}
@@ -190,7 +190,7 @@ func tryChunkApply[T any](fast FastOp, labels []int, offsets, multi []T, lo, hi 
 }
 
 //mp:hotpath
-func chunkApplyKernel[E fastElem](fast FastOp, labels []int, offsets, multi []E, lo, hi int) bool {
+func chunkApplyKernel[E fastElem, L Label](fast FastOp, labels []L, offsets, multi []E, lo, hi int) bool {
 	switch fast {
 	case FastAdd:
 		for i := lo; i < hi; i++ {

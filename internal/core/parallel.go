@@ -96,17 +96,20 @@ func ParallelReduce[T any](op Op[T], values []T, labels []int, m int, cfg Config
 const arbLockStripes = 64
 
 type parRunner[T any] struct {
-	a       *arena[T]
-	op      Op[T]
-	values  []T
-	labels  []int
-	multi   []T
-	workers int
-	test    SpineTest
-	fast    FastOp
-	locks   []sync.Mutex // nil => atomic-store arbitration
-	ctx     context.Context
-	hook    FaultHook
+	a      *arena[T]
+	op     Op[T]
+	values []T
+	// The run's labels: one-shot and pooled calls set labels, a plan's
+	// int32 copy sets labels32 (see resetParRunner).
+	labels   []int
+	labels32 []int32
+	multi    []T
+	workers  int
+	test     SpineTest
+	fast     FastOp
+	locks    []sync.Mutex // nil => atomic-store arbitration
+	ctx      context.Context
+	hook     FaultHook
 
 	// Failure channel between workers: the first panic or cancellation
 	// sets stop; every worker polls it at step boundaries and drains.
@@ -235,24 +238,45 @@ func (r *parRunner[T]) spinetreeLoop(w int, bar *par.Barrier) {
 		}
 		lo, hi := a.grid.Row(row)
 		wlo, whi := par.Range(hi-lo, r.workers, w)
-		for i := lo + wlo; i < lo+whi; i++ {
-			a.spine[m+i] = atomic.LoadInt32(&a.spine[r.labels[i]])
-		}
-		r.sync(bar, PhaseSpinetree, w)
-		if r.locks == nil {
-			for i := lo + wlo; i < lo+whi; i++ {
-				atomic.StoreInt32(&a.spine[r.labels[i]], int32(m+i))
-			}
+		if r.labels32 != nil {
+			gatherSpines(a.spine, r.labels32, m, lo+wlo, lo+whi)
 		} else {
-			for i := lo + wlo; i < lo+whi; i++ {
-				l := r.labels[i]
-				mu := &r.locks[l%arbLockStripes]
-				mu.Lock()
-				a.spine[l] = int32(m + i)
-				mu.Unlock()
-			}
+			gatherSpines(a.spine, r.labels, m, lo+wlo, lo+whi)
 		}
 		r.sync(bar, PhaseSpinetree, w)
+		if r.labels32 != nil {
+			scatterSpines(a.spine, r.labels32, r.locks, m, lo+wlo, lo+whi)
+		} else {
+			scatterSpines(a.spine, r.labels, r.locks, m, lo+wlo, lo+whi)
+		}
+		r.sync(bar, PhaseSpinetree, w)
+	}
+}
+
+// gatherSpines is one worker's gather half-step of a SPINETREE row over
+// elements [lo, hi): read each element's bucket spine.
+func gatherSpines[L Label](spine []int32, labels []L, m, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		spine[m+i] = atomic.LoadInt32(&spine[labels[i]])
+	}
+}
+
+// scatterSpines is the matching scatter half-step: the ARB concurrent
+// write of each element's index into its bucket spine, by atomic store
+// or, for the MutexArb ablation, under the bucket's lock stripe.
+func scatterSpines[L Label](spine []int32, labels []L, locks []sync.Mutex, m, lo, hi int) {
+	if locks == nil {
+		for i := lo; i < hi; i++ {
+			atomic.StoreInt32(&spine[labels[i]], int32(m+i))
+		}
+		return
+	}
+	for i := lo; i < hi; i++ {
+		l := labels[i]
+		mu := &locks[l%arbLockStripes]
+		mu.Lock()
+		spine[l] = int32(m + i)
+		mu.Unlock()
 	}
 }
 
@@ -329,10 +353,16 @@ func newPooledParRunner[T any]() *parRunner[T] {
 	return r
 }
 
-// reset rebinds the runner to one run's inputs. workers must equal the
-// team's worker count.
-func (r *parRunner[T]) reset(a *arena[T], op Op[T], values []T, labels []int, multi []T, workers int, cfg Config) {
-	r.a, r.op, r.values, r.labels, r.multi = a, op, values, labels, multi
+// resetParRunner rebinds the runner to one run's inputs, its labels of
+// either width. workers must equal the team's worker count.
+func resetParRunner[T any, L Label](r *parRunner[T], a *arena[T], op Op[T], values []T, labels []L, multi []T, workers int, cfg Config) {
+	r.a, r.op, r.values, r.multi = a, op, values, multi
+	switch ls := any(labels).(type) {
+	case []int:
+		r.labels, r.labels32 = ls, nil
+	case []int32:
+		r.labels, r.labels32 = nil, ls
+	}
 	r.workers = workers
 	r.test = cfg.SpineTest
 	r.ctx = cfg.Ctx

@@ -1,5 +1,7 @@
 package core
 
+import "unsafe"
+
 // This file exports the planned-execution primitives the backend
 // package's Plan pipeline is built from: one-time validation of a
 // label vector, the chunk-partition helper, and the stride-segment
@@ -70,7 +72,7 @@ func CountClasses(labels []int, m int) int {
 // value (the identity before the first segment). The monomorphic
 // kernel is used when fast allows, otherwise the generic loop emits a
 // hook event per combine under phase.
-func BucketRange[T any](op Op[T], fast FastOp, phase string, values []T, labels []int, multi, buckets []T, lo, hi int, hook FaultHook) {
+func BucketRange[T any, L Label](op Op[T], fast FastOp, phase string, values []T, labels []L, multi, buckets []T, lo, hi int, hook FaultHook) {
 	var seg []T
 	if multi != nil {
 		seg = multi[lo:hi]
@@ -100,7 +102,7 @@ func BucketRange[T any](op Op[T], fast FastOp, phase string, values []T, labels 
 
 // ApplyRange runs the chunked engine's offset-apply pass over
 // [lo, hi): multi[i] = offsets[labels[i]] ⊕ multi[i].
-func ApplyRange[T any](op Op[T], fast FastOp, labels []int, offsets, multi []T, lo, hi int, hook FaultHook) {
+func ApplyRange[T any, L Label](op Op[T], fast FastOp, labels []L, offsets, multi []T, lo, hi int, hook FaultHook) {
 	if tryChunkApply(fast, labels, offsets, multi, lo, hi) {
 		return
 	}
@@ -116,4 +118,11 @@ func ApplyRange[T any](op Op[T], fast FastOp, labels []int, offsets, multi []T, 
 // the bucket reset a planned pipeline performs per run.
 func FillIdentity[T any](op Op[T], dst []T) {
 	fillIdentity(dst, op.Identity)
+}
+
+// SliceBytes reports the bytes of s's backing array: cap(s) elements
+// of E. Plans and runners sum it over their storage (Plan.Bytes).
+func SliceBytes[E any](s []E) int64 {
+	var e E
+	return int64(cap(s)) * int64(unsafe.Sizeof(e))
 }

@@ -19,9 +19,17 @@ type Result[T any] struct {
 // ErrBadInput is wrapped by every input-validation failure in this package.
 var ErrBadInput = errors.New("multiprefix: bad input")
 
+// Label is the element type of a label vector: int where callers pass
+// labels in, int32 for the copy a backend plan keeps (4 bytes a label,
+// half the bytes its bucket passes stream). The serial bucket pass, the
+// chunk runner, the counting sorts (BuildSortedIndexInto and its
+// sharded form) and the spinetree link phases take it as a type
+// parameter, so neither form is copied into the other.
+type Label interface{ int | int32 }
+
 // checkInputs validates the common (values, labels, m) contract shared by
 // all engines: equal lengths, m >= 0, and every label in [0, m).
-func checkInputs[T any](op Op[T], values []T, labels []int, m int) error {
+func checkInputs[T any, L Label](op Op[T], values []T, labels []L, m int) error {
 	if !op.Valid() {
 		return fmt.Errorf("%w: operator has nil Combine", ErrBadInput)
 	}
@@ -32,7 +40,7 @@ func checkInputs[T any](op Op[T], values []T, labels []int, m int) error {
 		return fmt.Errorf("%w: m=%d < 0", ErrBadInput, m)
 	}
 	for i, l := range labels {
-		if l < 0 || l >= m {
+		if l < 0 || int(l) >= m {
 			return fmt.Errorf("%w: labels[%d]=%d outside [0, %d)", ErrBadInput, i, l, m)
 		}
 	}

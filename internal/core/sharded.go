@@ -49,7 +49,7 @@ import "math/bits"
 // range, so per-shard indexes share one full-length permutation and
 // the sorted/tiled kernels (which index perm globally) run unchanged
 // on a shard's rows.
-func BuildShardedIndexInto(perm, start []int32, labels []int, lo, hi int) {
+func BuildShardedIndexInto[L Label](perm, start []int32, labels []L, lo, hi int) {
 	m := len(start) - 1
 	clear(start)
 	for _, l := range labels[lo:hi] {

@@ -57,7 +57,7 @@ func BuildSortedIndex(labels []int, m int) (SortedIndex, error) {
 // cursors stored in start itself, so no separate cursor array is
 // needed; decrementing end cursors while iterating backwards assigns
 // the last occurrence the last slot, which is exactly stability.
-func BuildSortedIndexInto(perm, start []int32, labels []int) {
+func BuildSortedIndexInto[L Label](perm, start []int32, labels []L) {
 	m := len(start) - 1
 	clear(start)
 	for _, l := range labels {

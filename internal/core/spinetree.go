@@ -88,18 +88,18 @@ const maxArena = math.MaxInt32
 
 func newArena[T any](op Op[T], labels []int, m int, cfg Config) (*arena[T], error) {
 	a := &arena[T]{}
-	if err := a.prepare(op, labels, m, cfg); err != nil {
+	if err := prepareArena(a, op, labels, m, cfg); err != nil {
 		return nil, err
 	}
 	return a, nil
 }
 
-// prepare (re)shapes the arena for one run, growing its vectors in
-// place so a reused arena (the Workspace path) allocates nothing once
-// warm. Every slot the phases read is rewritten here or during the
+// prepareArena (re)shapes the arena for one run, growing its vectors
+// in place so a reused arena (the Workspace path) allocates nothing
+// once warm. Every slot the phases read is rewritten here or during the
 // phases themselves, so stale contents from a previous run are
 // harmless.
-func (a *arena[T]) prepare(op Op[T], labels []int, m int, cfg Config) error {
+func prepareArena[T any, L Label](a *arena[T], op Op[T], labels []L, m int, cfg Config) error {
 	n := len(labels)
 	if m+n > maxArena {
 		return wrapBadInput("m+n=%d exceeds arena limit %d", m+n, maxArena)
@@ -121,7 +121,7 @@ func (a *arena[T]) prepare(op Op[T], labels []int, m int, cfg Config) error {
 		a.isSpine = nil
 		a.isIdent = op.IsIdentity
 	}
-	a.init(op, labels, cfg.IndirectInit)
+	initArena(a, op, labels, cfg.IndirectInit)
 	return nil
 }
 
@@ -140,7 +140,7 @@ func grown[E any](s []E, n int) []E {
 // itself. Direct initialization touches all m buckets; indirect touches
 // only buckets referenced by a label (the paper's theoretical variant,
 // preserving O(n+m) vs O(n) space/time trade-offs).
-func (a *arena[T]) init(op Op[T], labels []int, indirect bool) {
+func initArena[T any, L Label](a *arena[T], op Op[T], labels []L, indirect bool) {
 	fillIdentity(a.rowsum, op.Identity)
 	fillIdentity(a.spinesum, op.Identity)
 	if indirect {
@@ -160,7 +160,7 @@ func (a *arena[T]) init(op Op[T], labels []int, indirect bool) {
 // engine realizes by loop fission — exactly the decomposition the CRAY
 // compiler applied (§4.1 loop 1). The sequential "arbitrary winner" of
 // the concurrent write is the last element of the row in each class.
-func (a *arena[T]) phaseSpinetree(labels []int) {
+func phaseSpinetree[T any, L Label](a *arena[T], labels []L) {
 	m := a.m
 	for r := a.grid.Rows - 1; r >= 0; r-- {
 		lo, hi := a.grid.Row(r)
@@ -303,7 +303,7 @@ func Spinetree[T any](op Op[T], values []T, labels []int, m int, cfg Config) (re
 	defer recoverEnginePanic("spinetree", &phase, &err)
 	multi := make([]T, len(values))
 	var red []T
-	a.phaseSpinetree(labels)
+	phaseSpinetree(a, labels)
 	for _, step := range []struct {
 		name string
 		run  func()
@@ -338,7 +338,7 @@ func SpinetreeReduce[T any](op Op[T], values []T, labels []int, m int, cfg Confi
 	}
 	phase := PhaseSpinetree
 	defer recoverEnginePanic("spinetree", &phase, &err)
-	a.phaseSpinetree(labels)
+	phaseSpinetree(a, labels)
 	phase = PhaseRowsums
 	a.phaseRowsums(op, values, cfg.FaultHook)
 	phase = PhaseSpinesums

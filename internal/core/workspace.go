@@ -58,8 +58,22 @@ type Buffers[T any] struct {
 	arena arena[T]
 
 	team   *par.Team
-	runner *parRunner[T]   // pooled Parallel state
-	chunk  *ChunkRunner[T] // pooled Chunked state
+	runner *parRunner[T]        // pooled Parallel state
+	chunk  *ChunkRunner[T, int] // pooled Chunked state
+}
+
+// Bytes reports the heap bytes b holds: result storage, scratch, the
+// sorted index, the spinetree arena and the pooled chunk runner's
+// storage.
+func (b *Buffers[T]) Bytes() int64 {
+	a := &b.arena
+	n := SliceBytes(b.multi) + SliceBytes(b.red) + SliceBytes(b.aux) + SliceBytes(b.lab) +
+		SliceBytes(b.perm) + SliceBytes(b.start) +
+		SliceBytes(a.spine) + SliceBytes(a.rowsum) + SliceBytes(a.spinesum) + SliceBytes(a.marks)
+	if b.chunk != nil {
+		n += b.chunk.Bytes()
+	}
+	return n
 }
 
 func (b *Buffers[T]) growMulti(n int) []T {
@@ -151,7 +165,38 @@ func (b *Buffers[T]) SerialReduce(op Op[T], values []T, labels []int, m int) (ou
 // Spinetree is Spinetree reusing b's arena and result storage.
 //
 //mp:hotpath
-func (b *Buffers[T]) Spinetree(op Op[T], values []T, labels []int, m int, cfg Config) (res Result[T], err error) {
+func (b *Buffers[T]) Spinetree(op Op[T], values []T, labels []int, m int, cfg Config) (Result[T], error) {
+	return SpinetreeIn(b, op, values, labels, m, cfg)
+}
+
+// SpinetreeReduce is SpinetreeReduce reusing b's arena and storage.
+//
+//mp:hotpath
+func (b *Buffers[T]) SpinetreeReduce(op Op[T], values []T, labels []int, m int, cfg Config) ([]T, error) {
+	return SpinetreeReduceIn(b, op, values, labels, m, cfg)
+}
+
+// Parallel is Parallel reusing b's arena, result storage and worker
+// team. A failed run (panic, cancellation) may have poisoned the
+// team's barrier, so the team is rebuilt on the next call.
+//
+//mp:hotpath
+func (b *Buffers[T]) Parallel(op Op[T], values []T, labels []int, m int, cfg Config) (Result[T], error) {
+	return ParallelIn(b, op, values, labels, m, cfg)
+}
+
+// ParallelReduce is ParallelReduce on pooled state.
+//
+//mp:hotpath
+func (b *Buffers[T]) ParallelReduce(op Op[T], values []T, labels []int, m int, cfg Config) ([]T, error) {
+	return ParallelReduceIn(b, op, values, labels, m, cfg)
+}
+
+// SpinetreeIn is b.Spinetree over labels of either width; a backend
+// plan passes its int32 labels without widening them.
+//
+//mp:hotpath
+func SpinetreeIn[T any, L Label](b *Buffers[T], op Op[T], values []T, labels []L, m int, cfg Config) (res Result[T], err error) {
 	if err := checkInputs(op, values, labels, m); err != nil {
 		return Result[T]{}, err
 	}
@@ -159,14 +204,14 @@ func (b *Buffers[T]) Spinetree(op Op[T], values []T, labels []int, m int, cfg Co
 		return Result[T]{}, err
 	}
 	a := &b.arena
-	if err := a.prepare(op, labels, m, cfg); err != nil {
+	if err := prepareArena(a, op, labels, m, cfg); err != nil {
 		return Result[T]{}, err
 	}
 	multi := b.growMulti(len(values))
 	red := b.growRed(m)
 	phase := PhaseSpinetree
 	defer recoverEnginePanic("spinetree", &phase, &err)
-	a.phaseSpinetree(labels)
+	phaseSpinetree(a, labels)
 	if err := ctxErr(cfg.Ctx); err != nil {
 		return Result[T]{}, err
 	}
@@ -190,10 +235,10 @@ func (b *Buffers[T]) Spinetree(op Op[T], values []T, labels []int, m int, cfg Co
 	return Result[T]{Multi: multi, Reductions: red}, nil
 }
 
-// SpinetreeReduce is SpinetreeReduce reusing b's arena and storage.
+// SpinetreeReduceIn is b.SpinetreeReduce over labels of either width.
 //
 //mp:hotpath
-func (b *Buffers[T]) SpinetreeReduce(op Op[T], values []T, labels []int, m int, cfg Config) (out []T, err error) {
+func SpinetreeReduceIn[T any, L Label](b *Buffers[T], op Op[T], values []T, labels []L, m int, cfg Config) (out []T, err error) {
 	if err := checkInputs(op, values, labels, m); err != nil {
 		return nil, err
 	}
@@ -201,13 +246,13 @@ func (b *Buffers[T]) SpinetreeReduce(op Op[T], values []T, labels []int, m int, 
 		return nil, err
 	}
 	a := &b.arena
-	if err := a.prepare(op, labels, m, cfg); err != nil {
+	if err := prepareArena(a, op, labels, m, cfg); err != nil {
 		return nil, err
 	}
 	red := b.growRed(m)
 	phase := PhaseSpinetree
 	defer recoverEnginePanic("spinetree", &phase, &err)
-	a.phaseSpinetree(labels)
+	phaseSpinetree(a, labels)
 	phase = PhaseRowsums
 	a.phaseRowsums(op, values, cfg.FaultHook)
 	phase = PhaseSpinesums
@@ -217,12 +262,10 @@ func (b *Buffers[T]) SpinetreeReduce(op Op[T], values []T, labels []int, m int, 
 	return red, nil
 }
 
-// Parallel is Parallel reusing b's arena, result storage and worker
-// team. A failed run (panic, cancellation) may have poisoned the
-// team's barrier, so the team is rebuilt on the next call.
+// ParallelIn is b.Parallel over labels of either width.
 //
 //mp:hotpath
-func (b *Buffers[T]) Parallel(op Op[T], values []T, labels []int, m int, cfg Config) (res Result[T], err error) {
+func ParallelIn[T any, L Label](b *Buffers[T], op Op[T], values []T, labels []L, m int, cfg Config) (res Result[T], err error) {
 	if err := checkInputs(op, values, labels, m); err != nil {
 		return Result[T]{}, err
 	}
@@ -230,7 +273,7 @@ func (b *Buffers[T]) Parallel(op Op[T], values []T, labels []int, m int, cfg Con
 		return Result[T]{}, err
 	}
 	a := &b.arena
-	if err := a.prepare(op, labels, m, cfg); err != nil {
+	if err := prepareArena(a, op, labels, m, cfg); err != nil {
 		return Result[T]{}, err
 	}
 	multi := b.growMulti(len(values))
@@ -240,7 +283,7 @@ func (b *Buffers[T]) Parallel(op Op[T], values []T, labels []int, m int, cfg Con
 		b.runner = newPooledParRunner[T]()
 	}
 	r := b.runner
-	r.reset(a, op, values, labels, multi, workers, cfg)
+	resetParRunner(r, a, op, values, labels, multi, workers, cfg)
 	team := b.ensureTeam(workers)
 	phase := PhaseSpinetree
 	defer recoverEnginePanic("parallel", &phase, &err)
@@ -260,10 +303,10 @@ func (b *Buffers[T]) Parallel(op Op[T], values []T, labels []int, m int, cfg Con
 	return Result[T]{Multi: multi, Reductions: red}, nil
 }
 
-// ParallelReduce is ParallelReduce on pooled state.
+// ParallelReduceIn is b.ParallelReduce over labels of either width.
 //
 //mp:hotpath
-func (b *Buffers[T]) ParallelReduce(op Op[T], values []T, labels []int, m int, cfg Config) (out []T, err error) {
+func ParallelReduceIn[T any, L Label](b *Buffers[T], op Op[T], values []T, labels []L, m int, cfg Config) (out []T, err error) {
 	if err := checkInputs(op, values, labels, m); err != nil {
 		return nil, err
 	}
@@ -271,7 +314,7 @@ func (b *Buffers[T]) ParallelReduce(op Op[T], values []T, labels []int, m int, c
 		return nil, err
 	}
 	a := &b.arena
-	if err := a.prepare(op, labels, m, cfg); err != nil {
+	if err := prepareArena(a, op, labels, m, cfg); err != nil {
 		return nil, err
 	}
 	red := b.growRed(m)
@@ -280,7 +323,7 @@ func (b *Buffers[T]) ParallelReduce(op Op[T], values []T, labels []int, m int, c
 		b.runner = newPooledParRunner[T]()
 	}
 	r := b.runner
-	r.reset(a, op, values, labels, nil, workers, cfg)
+	resetParRunner(r, a, op, values, labels, nil, workers, cfg)
 	team := b.ensureTeam(workers)
 	phase := PhaseSpinetree
 	defer recoverEnginePanic("parallel", &phase, &err)
@@ -337,7 +380,7 @@ func (b *Buffers[T]) ChunkedReduce(op Op[T], values []T, labels []int, m int, cf
 func (b *Buffers[T]) chunked(op Op[T], values []T, labels []int, m int, multi, red []T, cfg Config) error {
 	workers := chunkWorkers(cfg.Workers, len(values))
 	if b.chunk == nil {
-		b.chunk = NewChunkRunner[T]("chunked")
+		b.chunk = NewChunkRunner[T, int]("chunked")
 	}
 	b.chunk.bind(op, labels, m, workers)
 	return b.chunk.Run(b.ensureTeam(workers), values, multi, red, cfg)

@@ -74,14 +74,14 @@ func newLayout(n, m int) layout {
 //	SPINETREE gather  — CREW  (concurrent read of bucket spines)
 //	SPINETREE scatter — CRCW-ARB (the overwrite-and-test write)
 //	everything else   — EREW
-func RunMultiprefix(p int, values []int64, labels []int, m, rowLength int, seed int64) (*Result, error) {
+func RunMultiprefix[L core.Label](p int, values []int64, labels []L, m, rowLength int, seed int64) (*Result, error) {
 	res, _, err := run(p, values, labels, m, rowLength, seed, true, false)
 	return res, err
 }
 
 // RunMultireduce executes only the reduction part (multireduce, paper
 // §4.2): the MULTISUMS phase is skipped entirely. Result.Multi is nil.
-func RunMultireduce(p int, values []int64, labels []int, m, rowLength int, seed int64) (*Result, error) {
+func RunMultireduce[L core.Label](p int, values []int64, labels []L, m, rowLength int, seed int64) (*Result, error) {
 	res, _, err := run(p, values, labels, m, rowLength, seed, false, false)
 	return res, err
 }
@@ -92,13 +92,13 @@ func RunMultiprefixAudited(p int, values []int64, labels []int, m, rowLength int
 	return run(p, values, labels, m, rowLength, seed, true, true)
 }
 
-func run(p int, values []int64, labels []int, m, rowLength int, seed int64, withMultisums, audited bool) (*Result, *Audit, error) {
+func run[L core.Label](p int, values []int64, labels []L, m, rowLength int, seed int64, withMultisums, audited bool) (*Result, *Audit, error) {
 	n := len(values)
 	if len(labels) != n {
 		return nil, nil, fmt.Errorf("pram: %d values, %d labels", n, len(labels))
 	}
 	for i, l := range labels {
-		if l < 0 || l >= m {
+		if l < 0 || int(l) >= m {
 			return nil, nil, fmt.Errorf("pram: labels[%d]=%d outside [0,%d)", i, l, m)
 		}
 	}

@@ -29,8 +29,10 @@ import (
 //     under a request still running on it.
 //   - Collision honesty: the 64-bit label digest in backend.Key is a
 //     lookup accelerator, not an identity. A hit re-checks the full
-//     label vector; a digest collision gets a private, uncached plan
-//     rather than another key's answers.
+//     label vector against the plan's own labels (the cache keeps no
+//     copy of its own), waiting first for an entry still building; a
+//     digest collision gets a private, uncached plan rather than
+//     another key's answers.
 //
 // A second index finds an entry by a compute request's labels array as
 // the wire carried it, so that a warm request neither parses nor
@@ -57,20 +59,20 @@ type textKey struct {
 	sum         uint64
 }
 
-// planEntry is one cached plan, pinned by every request using it.
+// planEntry is one cached plan, pinned by every request using it. Its
+// labels are the plan's (plan.Labels).
 type planEntry struct {
-	key    backend.Key
-	labels []int // full construction input: guards against digest collisions
-	op     core.Op[int64]
-	plan   *backend.Plan[int64]
-	err    error
-	ready  chan struct{} // closed when plan/err are set (single-flight latch)
-	refs   int
-	dead   bool // evicted or errored: close plan when refs hits zero
-	elem   *list.Element
+	key   backend.Key
+	op    core.Op[int64]
+	plan  *backend.Plan[int64]
+	err   error
+	ready chan struct{} // closed when plan/err are set (single-flight latch)
+	refs  int
+	dead  bool // evicted or errored: close plan when refs hits zero
+	elem  *list.Element
 	// text is the last labels text a compute request found this entry
-	// by, which parses to labels; textKey is where it is indexed. nil
-	// when none is, and always once the entry is dead.
+	// by, which parses to the plan's labels; textKey is where it is
+	// indexed. nil when none is, and always once the entry is dead.
 	text    []byte
 	textKey textKey
 }
@@ -94,32 +96,28 @@ func (c *planCache) acquire(backendName string, op core.Op[int64], labels []int,
 	key := backend.KeyFor(backendName, op.Name, labels, m)
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
-		if equalLabels(e.labels, labels) {
-			e.refs++
-			if e.elem != nil {
-				c.lru.MoveToFront(e.elem)
-			}
+		e.refs++
+		if e.elem != nil {
+			c.lru.MoveToFront(e.elem)
+		}
+		c.mu.Unlock()
+		<-e.ready
+		if e.err == nil && equalLabels(e.plan.Labels(), labels) {
 			c.st.cacheHits.Add(1)
-			c.mu.Unlock()
-			<-e.ready
-			if e.err != nil {
-				err := e.err
-				c.release(e)
-				return nil, err
-			}
 			return e, nil
 		}
-		// Digest collision between distinct label vectors: serve a
-		// correct answer from a private plan, never the cached one.
-		c.mu.Unlock()
+		// A digest collision between distinct label vectors, or a build
+		// that failed on labels this caller cannot compare with its own:
+		// serve from a private plan, never another vector's plan or
+		// error.
+		c.release(e)
 		return c.buildUncached(key, op, labels, m)
 	}
 	e := &planEntry{
-		key:    key,
-		labels: append([]int(nil), labels...),
-		op:     op,
-		ready:  make(chan struct{}),
-		refs:   1,
+		key:   key,
+		op:    op,
+		ready: make(chan struct{}),
+		refs:  1,
 	}
 	e.elem = c.lru.PushFront(e)
 	c.entries[key] = e
@@ -172,7 +170,7 @@ func (c *planCache) acquireText(k textKey, text []byte) *planEntry {
 }
 
 // storeText indexes e under k by a copy of text, which must parse to
-// e's labels; the copy does not alias the request body. One text per
+// the plan's labels; the copy does not alias the request body. One text per
 // entry: the latest replaces the entry's older text and takes k from
 // any other entry. A dead entry (evicted, or a private collision plan)
 // is not indexed.
@@ -289,13 +287,12 @@ func (c *planCache) buildUncached(key backend.Key, op core.Op[int64], labels []i
 		return nil, err
 	}
 	e := &planEntry{
-		key:    key,
-		labels: append([]int(nil), labels...),
-		op:     op,
-		plan:   plan,
-		ready:  make(chan struct{}),
-		refs:   1,
-		dead:   true, // release closes it
+		key:   key,
+		op:    op,
+		plan:  plan,
+		ready: make(chan struct{}),
+		refs:  1,
+		dead:  true, // release closes it
 	}
 	close(e.ready)
 	return e, nil
@@ -309,12 +306,13 @@ func (c *planCache) build(backendName string, op core.Op[int64], labels []int, m
 	return be.Plan(op, labels, m, core.Config{Workers: c.workers})
 }
 
-func equalLabels(a, b []int) bool {
-	if len(a) != len(b) {
+// equalLabels reports whether a plan's int32 labels equal a request's.
+func equalLabels(plan []int32, req []int) bool {
+	if len(plan) != len(req) {
 		return false
 	}
-	for i := range a {
-		if a[i] != b[i] {
+	for i, l := range req {
+		if int(plan[i]) != l {
 			return false
 		}
 	}

@@ -7,6 +7,8 @@ import (
 	"math"
 	"net/http"
 	"reflect"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -177,7 +179,9 @@ func TestCachePinnedSurvivesPressure(t *testing.T) {
 
 // TestCacheDigestCollision forges a digest collision (two distinct
 // label vectors under one key) and asserts the second caller gets a
-// correct private plan, never the cached one.
+// correct private plan, never the cached one: once against a built
+// entry, and once against an entry still building, whose labels the
+// caller can only compare after the build.
 func TestCacheDigestCollision(t *testing.T) {
 	var st stats
 	c := newPlanCache(8, 1, &st)
@@ -231,6 +235,54 @@ func TestCacheDigestCollision(t *testing.T) {
 	c.mu.Lock()
 	delete(c.entries, keyB)
 	c.mu.Unlock()
+
+	// An entry still building under B's key, whose build will end with
+	// A's labels: B's caller pins it, waits for the build, compares and
+	// builds its own.
+	building := &planEntry{key: keyB, op: core.AddInt64, ready: make(chan struct{}), refs: 1}
+	c.mu.Lock()
+	c.entries[keyB] = building
+	building.elem = c.lru.PushFront(building)
+	c.mu.Unlock()
+	got := make(chan *planEntry, 1)
+	go func() {
+		e, err := c.acquire("serial", core.AddInt64, labelsB, 8)
+		if err != nil {
+			t.Errorf("acquire against a building entry: %v", err)
+		}
+		got <- e
+	}()
+	for waiting := false; !waiting; runtime.Gosched() {
+		c.mu.Lock()
+		waiting = building.refs == 2
+		c.mu.Unlock()
+	}
+	planA, err := c.build("serial", core.AddInt64, labelsA, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.mu.Lock()
+	building.plan = planA
+	close(building.ready)
+	c.mu.Unlock()
+	eB = <-got
+	if eB == nil || eB == building || !eB.dead {
+		t.Fatal("a collision with a building entry did not get a private plan")
+	}
+	if err := eB.plan.ReduceBatch(dst[:], src[:]); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(dst[0], want.Reductions) {
+		t.Fatalf("collision with a building entry: answer %v, want %v", dst[0], want.Reductions)
+	}
+	c.release(eB)
+	c.mu.Lock()
+	pins := building.refs
+	c.mu.Unlock()
+	if pins != 1 {
+		t.Fatalf("the building entry holds %d pins after the collision, want the 1 its build holds", pins)
+	}
+	c.release(building)
 }
 
 // TestCacheBuildErrorNotCached asserts a failed build is retried by
@@ -481,7 +533,7 @@ func TestTextIndexConcurrent(t *testing.T) {
 	defer c.mu.Unlock()
 	for k, e := range c.texts {
 		r := computeRequest{labelText: e.text}
-		if e.dead || e.textKey != k || parseLabelText(e.text, &r, math.MaxInt) != nil || !reflect.DeepEqual(r.Labels, e.labels) {
+		if e.dead || e.textKey != k || parseLabelText(e.text, &r, math.MaxInt) != nil || !equalLabels(e.plan.Labels(), r.Labels) {
 			t.Fatalf("text index entry %+v inconsistent", k)
 		}
 	}

@@ -247,22 +247,14 @@ func (s *Server) execute(e *planEntry, reduce bool, pin uint64, batch []*pending
 }
 
 // serialRetry is the ladder's last productive rung: the vector rerun
-// on a cached plan for the serial backend, hook-free (the planned
-// serial pass never observes fault hooks) but still under the
-// request's own context, so deadlines keep binding.
+// as the planned serial pass over the entry's own plan and labels
+// (Plan.SerialBatchCall), hook-free but still under the request's own
+// context, so deadlines keep binding. It builds and caches no second
+// plan.
 func (s *Server) serialRetry(e *planEntry, reduce bool, it *pending) error {
-	se, err := s.cache.acquire("serial", e.op, e.labels, e.key.M)
-	if err != nil {
-		return err
-	}
-	defer s.cache.release(se)
 	d := [1][]int64{it.dst}
 	src := [1][]int64{it.src}
-	call := backend.Call{Ctx: it.ctx}
-	if reduce {
-		return se.plan.ReduceBatchCall(call, d[:], src[:])
-	}
-	return se.plan.RunBatchCall(call, d[:], src[:])
+	return e.plan.SerialBatchCall(backend.Call{Ctx: it.ctx}, d[:], src[:], !reduce)
 }
 
 func (s *Server) countMemberErr(err error) {

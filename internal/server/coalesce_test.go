@@ -31,7 +31,7 @@ func (g *gate) SpineTest(_ int, isSpine bool) bool { return isSpine }
 // newPending builds one queued vector over values for e, with a
 // destination of the result shape and a minute to run.
 func newPending(e *planEntry, reduce bool, values []int64, hook core.FaultHook) *pending {
-	dstLen := len(e.labels)
+	dstLen := e.plan.N()
 	if reduce {
 		dstLen = e.key.M
 	}

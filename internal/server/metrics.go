@@ -81,6 +81,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 	gauge("mp_in_flight", "Requests currently admitted.", snap.InFlight)
 	gauge("mp_plan_cache_plans", "Plans currently cached.", int64(snap.CachePlans))
+	gauge("mp_plan_cache_bytes", "Bytes the cached plans hold: each plan's own storage (labels, results, index, team buffers, resident state) plus its stored label text.", s.cache.bytes())
 	gauge("mp_bound_plans", "Cached plans holding resident state.", int64(boundPlans))
 	gauge("mp_draining", "1 while draining.", bool01(snap.Draining))
 	gauge("mp_warming", "1 while cache warming holds readiness.", bool01(snap.Warming))
@@ -95,21 +96,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // cache-before-plan order eviction uses, so a scrape never deadlocks
 // against request traffic.
 func (c *planCache) incTotals() (total backend.IncStats, boundPlans int) {
-	c.mu.Lock()
-	entries := make([]*planEntry, 0, len(c.entries))
-	for _, e := range c.entries {
-		entries = append(entries, e)
-	}
-	c.mu.Unlock()
-	// Deterministic walk order (map iteration is randomized) keeps the
-	// scrape's lock acquisition pattern stable under contention.
-	sort.Slice(entries, func(i, j int) bool { return entries[i].key.Digest < entries[j].key.Digest })
-	for _, e := range entries {
-		select {
-		case <-e.ready:
-		default:
-			continue // still building: no stateful history yet
-		}
+	for _, e := range c.liveEntries() {
 		c.mu.Lock()
 		plan := e.plan
 		c.mu.Unlock()
@@ -130,4 +117,39 @@ func (c *planCache) incTotals() (total backend.IncStats, boundPlans int) {
 		total.Drifts += st.Drifts
 	}
 	return total, boundPlans
+}
+
+// bytes reports what the live entries hold: each plan's Plan.Bytes and
+// its stored label text. Takes cache.mu, then each plan's own lock, in
+// the order incTotals and eviction use.
+func (c *planCache) bytes() int64 {
+	var n int64
+	for _, e := range c.liveEntries() {
+		c.mu.Lock()
+		plan, text := e.plan, len(e.text)
+		c.mu.Unlock()
+		if plan != nil {
+			n += plan.Bytes() + int64(text)
+		}
+	}
+	return n
+}
+
+// liveEntries snapshots the cache's built entries, in digest order:
+// a deterministic walk (map iteration is randomized) keeps a scrape's
+// lock acquisition pattern stable under contention. Entries still
+// building are left out.
+func (c *planCache) liveEntries() []*planEntry {
+	c.mu.Lock()
+	entries := make([]*planEntry, 0, len(c.entries))
+	for _, e := range c.entries {
+		select {
+		case <-e.ready:
+			entries = append(entries, e)
+		default:
+		}
+	}
+	c.mu.Unlock()
+	sort.Slice(entries, func(i, j int) bool { return entries[i].key.Digest < entries[j].key.Digest })
+	return entries
 }

@@ -325,7 +325,7 @@ func (s *Server) handleCompute(reduce, batchEP bool) http.HandlerFunc {
 		var tk textKey
 		if err == nil && req.labelText != nil {
 			if entry, tk = s.findText(&req); entry != nil {
-				req.Labels, req.labelText = entry.labels, nil
+				req.labelText = nil
 			} else {
 				err = parseLabelText(wb.b, &req, s.opts.MaxN)
 			}
@@ -339,6 +339,9 @@ func (s *Server) handleCompute(reduce, batchEP bool) http.HandlerFunc {
 			return
 		}
 		n := len(req.Labels)
+		if entry != nil {
+			n = entry.plan.N() // a text hit: the labels were never parsed
+		}
 		var vectors [][]int64
 		if batchEP {
 			if len(req.Batch) == 0 {

@@ -249,7 +249,7 @@ func TestDrainZeroDrop(t *testing.T) {
 	s, e, values, want := coalInputs(t, Options{Backend: "chunked", MaxInFlight: 64}, "chunked", 4096, 16)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
-	body, _ := json.Marshal(map[string]any{"op": "sum", "m": 16, "labels": e.labels, "values": values})
+	body, _ := json.Marshal(map[string]any{"op": "sum", "m": 16, "labels": e.plan.Labels(), "values": values})
 	release := holdRound(t, s, e, true, values)
 
 	var wg sync.WaitGroup

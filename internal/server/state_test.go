@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -364,10 +365,22 @@ func TestMetricsEndpoint(t *testing.T) {
 		"mp_plan_fenwick_updates_total 1",
 		"mp_bound_plans 1",
 		"# TYPE mp_plan_reruns_total counter",
+		"# TYPE mp_plan_cache_bytes gauge",
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("/metrics missing %q in:\n%s", want, body)
 		}
+	}
+	// The one bound plan holds at least its labels (4 bytes each) and
+	// its resident vector (8 bytes each).
+	var cached int64
+	for _, line := range strings.Split(body, "\n") {
+		if v, ok := strings.CutPrefix(line, "mp_plan_cache_bytes "); ok {
+			cached, _ = strconv.ParseInt(v, 10, 64)
+		}
+	}
+	if cached < 12*n {
+		t.Fatalf("mp_plan_cache_bytes = %d, want >= %d", cached, 12*n)
 	}
 }
 

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io/fs"
 	"os"
+
+	"multiprefix/internal/core"
 )
 
 // Plan-cache warming: a fresh process serves its first requests at
@@ -23,12 +25,15 @@ import (
 // writ large, so clients observe not_bound and re-bind, never a
 // silently stale vector.
 
-// warmKey is one persisted plan identity.
-type warmKey struct {
+// warmKey is one persisted plan identity. The file is written from
+// each plan's own int32 labels (warmKey[int32]) and read back as int
+// (warmKey[int]), so a label out of int32 range skips its entry at
+// validation instead of failing the whole file's parse.
+type warmKey[L core.Label] struct {
 	Backend string `json:"backend"`
 	Op      string `json:"op"` // wire name: sum, max, ...
 	M       int    `json:"m"`
-	Labels  []int  `json:"labels"`
+	Labels  []L    `json:"labels"`
 }
 
 // opWireNames maps core operator names back to their wire names,
@@ -61,7 +66,7 @@ func (s *Server) WarmFromFile(path string) (warmed int, err error) {
 		}
 		return 0, fmt.Errorf("reading warm file: %w", err)
 	}
-	var keys []warmKey
+	var keys []warmKey[int]
 	if err := json.Unmarshal(data, &keys); err != nil {
 		return 0, fmt.Errorf("parsing warm file %s: %w", path, err)
 	}
@@ -103,10 +108,10 @@ func (s *Server) PersistPlansToFile(path string) error {
 // warmKeys snapshots the cache's live construction inputs in LRU order
 // (most recently used first, so a capacity-trimmed warm pass keeps the
 // hottest plans).
-func (c *planCache) warmKeys() []warmKey {
+func (c *planCache) warmKeys() []warmKey[int32] {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	keys := make([]warmKey, 0, c.lru.Len())
+	keys := make([]warmKey[int32], 0, c.lru.Len())
 	for el := c.lru.Front(); el != nil; el = el.Next() {
 		e := el.Value.(*planEntry)
 		select {
@@ -121,11 +126,11 @@ func (c *planCache) warmKeys() []warmKey {
 		if !ok {
 			continue
 		}
-		keys = append(keys, warmKey{
+		keys = append(keys, warmKey[int32]{
 			Backend: e.key.Backend,
 			Op:      wire,
 			M:       e.key.M,
-			Labels:  e.labels,
+			Labels:  e.plan.Labels(),
 		})
 	}
 	return keys

@@ -6,18 +6,20 @@
 #   1. readiness turns 200,
 #   2. a smoke multiprefix request answers correctly,
 #   3. a chaos-panicked request is still answered (degradation ladder:
-#      200 + "fallback":"serial"),
+#      200 + "fallback":"serial") on the entry's own plan: the cache
+#      still holds one plan afterwards,
 #   4. a malformed request gets a typed 400, data after the JSON value
 #      a typed 400, and a body over -max-body a typed 413 even when its
 #      JSON value ends inside the limit,
 #   5. stateful plans work end to end: bind resident values over
 #      /v1/update, point-update, pinned /v1/query reads the maintained
 #      answer, a stale pin is rejected 409 version_conflict, and
-#      /metrics exposes the counters in Prometheus text format,
+#      /metrics exposes the counters in Prometheus text format, the
+#      cached plans' bytes among them,
 #   6. draining rejects new work with 503 + Retry-After while SIGTERM
 #      exits cleanly with zero dropped in-flight requests,
 #   7. the drain persisted the plan key set (-warm) and a second boot
-#      pre-builds it before readiness,
+#      pre-builds exactly its one plan before readiness,
 # and builds cmd/mpload so the load generator cannot rot.
 set -euo pipefail
 
@@ -68,6 +70,11 @@ FB=$(curl -sf "$URL/v1/stats" | jq .serial_fallbacks)
 if [ "$FB" -lt 1 ]; then
   echo "check-service: stats report no serial fallbacks"; exit 1
 fi
+# The serial rung runs on the entry's own plan: it builds no second one.
+PLANS=$(curl -sf "$URL/v1/stats" | jq .cache_plans)
+if [ "$PLANS" != 1 ]; then
+  echo "check-service: $PLANS cached plans after the chaos loop, want 1"; exit 1
+fi
 
 # Typed rejection.
 CODE=$(curl -s -o "$BIN/err.json" -w '%{http_code}' -X POST "$URL/v1/multiprefix" \
@@ -113,6 +120,8 @@ grep -q '^mp_updates_applied_total 1$' "$BIN/metrics.txt" ||
   { echo "check-service: /metrics missing updates counter"; exit 1; }
 grep -q '^mp_bound_plans 1$' "$BIN/metrics.txt" ||
   { echo "check-service: /metrics missing bound-plans gauge"; exit 1; }
+grep -Eq '^mp_plan_cache_bytes [1-9][0-9]*$' "$BIN/metrics.txt" ||
+  { echo "check-service: /metrics missing a positive plan-cache bytes gauge"; exit 1; }
 
 # Drain: SIGTERM, then new work must see 503 (draining) or connection
 # refused (listener closed) — never a hang or a 5xx crash page.
@@ -152,8 +161,8 @@ for i in $(seq 1 100); do
   sleep 0.1
 done
 WARMED=$(curl -sf "$URL/v1/stats" | jq .warmed_plans)
-if [ "$WARMED" -lt 1 ]; then
-  echo "check-service: second boot warmed $WARMED plans"; cat "$BIN/mpd2.log"; exit 1
+if [ "$WARMED" != 1 ]; then
+  echo "check-service: second boot warmed $WARMED plans, want 1"; cat "$BIN/mpd2.log"; exit 1
 fi
 kill -TERM "$MPD_PID"
 for i in $(seq 1 100); do
@@ -162,4 +171,4 @@ for i in $(seq 1 100); do
 done
 wait "$MPD_PID" || { echo "check-service: warmed mpd exited nonzero"; cat "$BIN/mpd2.log"; exit 1; }
 
-echo "check-service: ok (smoke, chaos ladder, typed errors, stateful plans, metrics, drain, warm)"
+echo "check-service: ok (smoke, chaos ladder on one plan, typed errors, stateful plans, metrics, drain, warm)"
