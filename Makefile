@@ -1,9 +1,10 @@
 # Build and verification entry points. `make check` is the tier-1+
 # verify command: everything tier-1 runs (build + tests) plus vet, the
 # race detector on the concurrent packages, and a short fuzz smoke of
-# the root fuzz targets plus the backend plan/sorted/batch parity
-# targets, the server's wire-decoder parity target, its integer-codec
-# target and its body-to-response target.
+# the root fuzz targets plus the backend's plan, sorted, batch,
+# incremental and sharded parity targets, the server's wire-decoder
+# parity target, its integer-codec target and its body-to-response
+# target.
 
 GO ?= go
 FUZZTIME ?= 5s
@@ -60,7 +61,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanParity$$' -fuzztime $(FUZZTIME) ./internal/backend
 	$(GO) test -run '^$$' -fuzz '^FuzzSortedParity$$' -fuzztime $(FUZZTIME) ./internal/backend
 	$(GO) test -run '^$$' -fuzz '^FuzzBatchParity$$' -fuzztime $(FUZZTIME) ./internal/backend
-	$(GO) test -run '^$$' -fuzz '^FuzzTiledParity$$' -fuzztime $(FUZZTIME) ./internal/backend
 	$(GO) test -run '^$$' -fuzz '^FuzzIncrementalParity$$' -fuzztime $(FUZZTIME) ./internal/backend
 	$(GO) test -run '^$$' -fuzz '^FuzzShardedParity$$' -fuzztime $(FUZZTIME) ./internal/backend
 	$(GO) test -run '^$$' -fuzz '^FuzzComputeDecodeParity$$' -fuzztime $(FUZZTIME) ./internal/server

@@ -78,27 +78,6 @@ type SortedEntry struct {
 	Speedup        float64 `json:"speedup"`
 }
 
-// TiledEntry compares, at one (n, m) shape, the pooled serial bucket
-// pass against the planned sorted scan with tiling disabled (tile
-// budget above the working set) and with the calibrated tile budget.
-// The tiled column is the cache-tiled interleaved kernel this snapshot
-// pins; tiled vs untiled isolates the kernel rewrite from the layout.
-// TiledEngaged records whether the calibrated plan actually tiled —
-// short average segments (below window/256 elements) hold the plan on
-// the untiled path, and then both sorted columns time the same code
-// and their ratio only bounds run-to-run noise.
-type TiledEntry struct {
-	N               int     `json:"n"`
-	M               int     `json:"m"`
-	Workers         int     `json:"workers"`
-	TiledEngaged    bool    `json:"tiled_engaged"`
-	NsSerialPooled  float64 `json:"ns_per_op_serial_pooled"`
-	NsSortedUntiled float64 `json:"ns_per_op_sorted_untiled"`
-	NsSortedTiled   float64 `json:"ns_per_op_sorted_tiled"`
-	TiledVsUntiled  float64 `json:"tiled_vs_untiled_speedup"`
-	TiledVsSerial   float64 `json:"tiled_vs_serial_speedup"`
-}
-
 // ShardEntry compares the sharded backend at S = GOMAXPROCS shards
 // against the single-shard sorted plan on the same shape — the
 // shard-scaling headline. IdealFraction is Speedup / Shards: 1.0 is
@@ -207,7 +186,6 @@ type Report struct {
 	Engines        []Entry       `json:"engines"`
 	PlanReuse      []PlanEntry   `json:"plan_reuse"`
 	SortedVsSerial []SortedEntry `json:"sorted_vs_serial"`
-	TiledVsSerial  []TiledEntry  `json:"tiled_vs_serial"`
 	ShardScaling   []ShardEntry  `json:"shard_scaling"`
 	CarryRounds    []CarryEntry  `json:"carry_rounds"`
 	AutoRegret     *AutoRegret   `json:"auto_regret"`
@@ -263,7 +241,7 @@ func measure(fn func()) (nsPerOp, allocsPerOp float64, reps int) {
 }
 
 // measureMin is best-of-3 measure: the head-to-head engine ratios
-// (sorted_vs_serial, tiled_vs_serial) compare timings taken minutes
+// (sorted_vs_serial, shard_scaling) compare timings taken minutes
 // apart on a shared box, where single measurements wander ~10%; the
 // minimum is the standard noise-robust estimator for such ratios.
 func measureMin(fn func()) float64 {
@@ -464,12 +442,8 @@ func main() {
 	}
 
 	// Sorted vs serial across label counts: the planned sorted scan
-	// (sort amortized away, now dispatching the cache-tiled kernels)
-	// against the pooled serial bucket pass, at one worker — the serial
-	// regime the Auto cost model prices. The measured ratios are
-	// recorded as-is: the tiled scan wins at small m where long runs
-	// reward the interleaved chains, and cedes dense label counts to
-	// the bucket pass on hosts whose LLC holds the bucket array.
+	// (sort amortized away) against the pooled serial bucket pass, at
+	// one worker. The measured ratios are recorded as-is.
 	{
 		n := 1 << 18
 		ms := []int{1 << 4, 1 << 12}
@@ -506,58 +480,6 @@ func main() {
 			})
 			fmt.Printf("%-10s vs-serial n=%-7d m=%-5d %12.0f ns/op serial %12.0f ns/op sorted %5.2fx\n",
 				"sorted", n, m, serialNs, sortedNs, serialNs/sortedNs)
-		}
-	}
-
-	// Tiled vs untiled vs serial: the same planned sorted scan with the
-	// tile budget forced above the working set (the pre-tiling kernel)
-	// and with the calibrated budget, across a spread of label counts.
-	{
-		n := 1 << 18
-		ms := []int{1 << 4, 1 << 8, 1 << 12, 1 << 16}
-		if *quick {
-			n = 1 << 16
-			ms = []int{1 << 4, 1 << 10}
-		}
-		be, err := backend.Open[int64]("sorted")
-		if err != nil {
-			log.Fatal(err)
-		}
-		untiledCfg := core.Config{Workers: 1, AutoCal: &core.AutoCalibration{TileBytes: 1 << 30}}
-		tiledCfg := core.Config{Workers: 1}
-		for _, m := range ms {
-			values, labels := input(n, m)
-			serialNs := measureMin(func() {
-				if _, err := b.Serial(core.AddInt64, values, labels, m); err != nil {
-					log.Fatal(err)
-				}
-			})
-			timePlan := func(cfg core.Config) (float64, bool) {
-				plan, err := be.Plan(core.AddInt64, labels, m, cfg)
-				if err != nil {
-					log.Fatal(err)
-				}
-				defer plan.Close()
-				ns := measureMin(func() {
-					if _, err := plan.Run(values); err != nil {
-						log.Fatal(err)
-					}
-				})
-				return ns, plan.Tiled()
-			}
-			untiledNs, _ := timePlan(untiledCfg)
-			tiledNs, engaged := timePlan(tiledCfg)
-			report.TiledVsSerial = append(report.TiledVsSerial, TiledEntry{
-				N: n, M: m, Workers: 1, TiledEngaged: engaged,
-				NsSerialPooled: serialNs, NsSortedUntiled: untiledNs, NsSortedTiled: tiledNs,
-				TiledVsUntiled: untiledNs / tiledNs, TiledVsSerial: serialNs / tiledNs,
-			})
-			note := ""
-			if !engaged {
-				note = "  (gate: untiled)"
-			}
-			fmt.Printf("%-10s tiled    n=%-8d m=%-5d %10.0f ns serial %10.0f ns untiled %10.0f ns tiled %5.2fx vs untiled %5.2fx vs serial%s\n",
-				"sorted", n, m, serialNs, untiledNs, tiledNs, untiledNs/tiledNs, serialNs/tiledNs, note)
 		}
 	}
 

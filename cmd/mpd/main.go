@@ -40,6 +40,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -48,10 +49,15 @@ import (
 	"multiprefix/internal/server"
 )
 
+// served lists the backends the service serves, as internal/server's
+// unknown_backend message does. mpd refuses any other default before it
+// listens: every request that names no backend would fail on it.
+var served = []string{"auto", "serial", "chunked"}
+
 func main() {
 	var (
 		addr         = flag.String("addr", ":8722", "listen address (host:port; :0 picks a free port)")
-		backendName  = flag.String("backend", "auto", "default plan backend: auto, serial, sorted, sharded, chunked (the study engines spinetree, parallel, vector and pram are not served)")
+		backendName  = flag.String("backend", "auto", "default plan backend: "+strings.Join(served, ", ")+" (the library's other engines are not served)")
 		workers      = flag.Int("workers", 0, "engine workers per plan (0 = GOMAXPROCS)")
 		maxInFlight  = flag.Int("max-inflight", 0, "max concurrently admitted compute requests (0 = 4x GOMAXPROCS); excess is shed with 429")
 		maxBody      = flag.Int64("max-body", 0, "max request body bytes (0 = 64 MiB)")
@@ -69,6 +75,9 @@ func main() {
 		warm         = flag.String("warm", "", "plan-cache warm file: pre-build persisted plans before readiness, re-persist the live key set on drain")
 	)
 	flag.Parse()
+	if !slices.Contains(served, *backendName) {
+		log.Fatalf("mpd: -backend %q is not served (want one of %s)", *backendName, strings.Join(served, ", "))
+	}
 
 	opts := server.Options{
 		Backend:         *backendName,

@@ -13,8 +13,10 @@ import (
 	"multiprefix/internal/core"
 )
 
-// serviceEngines are the backends the service serves.
-var serviceEngines = []string{"auto", "serial", "sorted", "sharded", "chunked"}
+// firstUseEngines are the backends whose plans allocate their Run and
+// Reduce storage on first use: the three the service serves (auto,
+// serial, chunked) and the sorted family.
+var firstUseEngines = []string{"auto", "serial", "sorted", "sharded", "chunked"}
 
 // randLabels draws n labels uniformly from [0, m).
 func randLabels(n, m int, seed int64) []int {
@@ -38,7 +40,7 @@ func liveHeap() int64 {
 
 // TestPlanBytesHeapDelta checks Plan.Bytes against the heap: after a
 // build and one RunBatch, the bytes a plan reports are within 5% of the
-// live heap the build and the run left behind, on every service
+// live heap the build and the run left behind, on every first-use
 // backend, at the service benchmark's shape (n=2^16, m=256) and at a
 // large label space (n=2^20, m=2^16).
 func TestPlanBytesHeapDelta(t *testing.T) {
@@ -49,7 +51,7 @@ func TestPlanBytesHeapDelta(t *testing.T) {
 		for i := range values {
 			values[i] = int64(i % 7)
 		}
-		for _, name := range serviceEngines {
+		for _, name := range firstUseEngines {
 			be, err := Open[int64](name)
 			if err != nil {
 				t.Fatal(err)
@@ -79,14 +81,15 @@ func TestPlanBytesHeapDelta(t *testing.T) {
 
 // TestPlanResultStorageOnFirstUse pins what a plan holds before and
 // after each kind of use: a build keeps no result storage, a prefix
-// batch adds only the m-slot reduction scratch, and Run adds the
-// n-slot prefix vector.
+// batch adds only the m-slot reduction scratch, Run adds the n-slot
+// prefix vector, and Bind, which evaluates straight into the
+// snapshot, adds none.
 func TestPlanResultStorageOnFirstUse(t *testing.T) {
 	const n, m = 1 << 12, 64
 	labels := randLabels(n, m, 3)
 	values := make([]int64, n)
 	d, s := [1][]int64{make([]int64, n)}, [1][]int64{values}
-	for _, name := range serviceEngines {
+	for _, name := range firstUseEngines {
 		be, err := Open[int64](name)
 		if err != nil {
 			t.Fatal(err)
@@ -113,6 +116,53 @@ func TestPlanResultStorageOnFirstUse(t *testing.T) {
 		}
 		plan.Close()
 	}
+
+	// A serial plan bound at n=2^14, m=256 holds its labels (65,536
+	// bytes), the resident values, the snapshot's prefixes, the class
+	// positions and the class trees (131,072 each), the snapshot's
+	// reductions and the batch's reduction scratch (2,048 each) and
+	// the tier's index (65,536 + 1,028): 660,484 bytes, and no multi.
+	const bn, bm, boundSerial = 1 << 14, 256, 660_484
+	bLabels := randLabels(bn, bm, 5)
+	bValues := make([]int64, bn)
+	for i := range bValues {
+		bValues[i] = int64(i%9) - 4
+	}
+	want, err := core.Serial(core.AddInt64, bValues, bLabels, bm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range firstUseEngines {
+		be, err := Open[int64](name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := be.Plan(core.AddInt64, bLabels, bm, core.Config{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := plan.Bind(bValues); err != nil {
+			t.Fatal(err)
+		}
+		if plan.multi != nil {
+			t.Errorf("%s: Bind holds multi %d, want none", name, len(plan.multi))
+		}
+		if got := plan.Bytes(); name == "serial" && got != boundSerial {
+			t.Errorf("serial: bound plan holds %d bytes, want %d", got, boundSerial)
+		}
+		// A later Run writes the plan's own storage, not the snapshot.
+		if _, err := plan.Run(make([]int64, bn)); err != nil {
+			t.Fatal(err)
+		}
+		multi, red := make([]int64, bn), make([]int64, bm)
+		if _, err := plan.Snapshot(multi, red); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(multi, want.Multi) || !slices.Equal(red, want.Reductions) {
+			t.Errorf("%s: snapshot after Run differs from serial", name)
+		}
+		plan.Close()
+	}
 }
 
 // TestPlanFirstUseConcurrent drives the first uses of one plan's lazily
@@ -130,7 +180,7 @@ func TestPlanFirstUseConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range serviceEngines {
+	for _, name := range firstUseEngines {
 		be, err := Open[int64](name)
 		if err != nil {
 			t.Fatal(err)
@@ -225,7 +275,7 @@ func TestSerialBatchCallHookFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	boom := &atCombine{at: 1, fire: func() { panic("hook observed") }}
-	for _, name := range serviceEngines {
+	for _, name := range firstUseEngines {
 		be, err := Open[int64](name)
 		if err != nil {
 			t.Fatal(err)

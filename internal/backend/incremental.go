@@ -561,23 +561,48 @@ func (p *Plan[T]) fenwickLive() bool {
 }
 
 // refreshLocked is the full re-run tier: evaluate the resident values
-// through the plan's own engine (contexts, hooks and the auto plan's
-// serial fallback all apply), copy the results into the snapshot
-// storage, and bring the Fenwick tree back in sync.
+// once through the plan's own engine (contexts, hooks and the auto
+// plan's serial fallback all apply) into the snapshot storage, and
+// bring the Fenwick tree back in sync.
 //
 //mp:locked
 func (p *Plan[T]) refreshLocked() error {
+	if err := p.evalSnapshot(); err != nil {
+		return err
+	}
+	p.snapClean = true
+	p.inc.Reruns++
+	if p.imode != incNone && !p.fdrift {
+		p.rebuildLocked()
+	}
+	return nil
+}
+
+// evalSnapshot evaluates the resident values into snapMulti and
+// snapRed. The engines that keep Run storage in the plan (serial,
+// chunked and the sorted family) run a one-vector prefix batch whose
+// destination is snapMulti and whose reduction scratch is red, so a
+// bound plan holds no n-slot Run result and a later Run, which writes
+// multi, leaves the snapshot whole. The study engines return results
+// in their own arenas, which are copied.
+//
+//mp:locked
+func (p *Plan[T]) evalSnapshot() error {
+	switch p.exec {
+	case planSerial, planChunked, planSharded:
+		dst, src := [1][]T{p.snapMulti}, [1][]T{p.vals}
+		if err := p.batch(dst[:], src[:], true); err != nil {
+			return err
+		}
+		copy(p.snapRed, p.red)
+		return nil
+	}
 	res, err := p.run(p.vals)
 	if err != nil {
 		return err
 	}
 	copy(p.snapMulti, res.Multi)
 	copy(p.snapRed, res.Reductions)
-	p.snapClean = true
-	p.inc.Reruns++
-	if p.imode != incNone && !p.fdrift {
-		p.rebuildLocked()
-	}
 	return nil
 }
 

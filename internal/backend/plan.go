@@ -123,19 +123,13 @@ type Plan[T any] struct {
 
 	// sorted-family state (see sharded.go): S contiguous element
 	// ranges, each with its own counting-sort row over the shared
-	// full-length sperm; the plan-time cache tiling of each shard's
-	// scan; and the flat S×m ping-pong carry buffers of the
-	// exclusive-prefix exchange
-	engine     string    // "plan/sorted" or "plan/sharded", for panics
-	sperm      []int32   // the shards' counting-sort permutations
-	shardsN    int       // shard count S (one team worker per shard)
-	shLo, shHi []int     // element range per shard
-	shStart    [][]int32 // per-shard run-bound rows, each len m+1
-	// tiles holds one tiling per shard. Nil when tiling doesn't apply
-	// (generic element type, non-fast op, n within a few tile windows
-	// or segments too short); runs with a FaultHook skip it at dispatch
-	// since fast demotes to FastNone.
-	tiles       []core.TileSegs
+	// full-length sperm, and the flat S×m ping-pong carry buffers of
+	// the exclusive-prefix exchange
+	engine      string      // "plan/sorted" or "plan/sharded", for panics
+	sperm       []int32     // the shards' counting-sort permutations
+	shardsN     int         // shard count S (one team worker per shard)
+	shLo, shHi  []int       // element range per shard
+	shStart     [][]int32   // per-shard run-bound rows, each len m+1
 	shCarryA    []T         // flat S×m totals / exchange buffer (pass-1 target)
 	shCarryB    []T         // flat S×m exchange ping-pong partner
 	shRounds    int         // ⌈log₂S⌉
@@ -398,8 +392,8 @@ func (p *Plan[T]) Classes() int { return p.classes }
 func (p *Plan[T]) Labels() []int32 { return p.labels }
 
 // Bytes reports the heap bytes the plan holds: its labels, the
-// Run/Reduce result storage once used, the sorted family's index,
-// tiles and carries, the chunk runner's buckets and lists, the study
+// Run/Reduce result storage once used, the sorted family's index and
+// carries, the chunk runner's buckets and lists, the study
 // engines' pooled arena, and the stateful tier once bound. It sums
 // backing-array capacities; the Plan struct, its closures and its
 // worker team's goroutines (a few KB) are not counted, nor is the
@@ -409,14 +403,9 @@ func (p *Plan[T]) Bytes() int64 {
 	defer p.mu.Unlock()
 	n := core.SliceBytes(p.labels) + core.SliceBytes(p.multi) + core.SliceBytes(p.red) +
 		core.SliceBytes(p.sperm) + core.SliceBytes(p.shLo) + core.SliceBytes(p.shHi) +
-		core.SliceBytes(p.shStart) + core.SliceBytes(p.tiles) +
-		core.SliceBytes(p.shCarryA) + core.SliceBytes(p.shCarryB)
+		core.SliceBytes(p.shStart) + core.SliceBytes(p.shCarryA) + core.SliceBytes(p.shCarryB)
 	for w := range len(p.shStart) {
 		n += core.SliceBytes(p.shStart[w])
-	}
-	for i := range p.tiles {
-		ts := &p.tiles[i]
-		n += core.SliceBytes(ts.Label) + core.SliceBytes(ts.Lo) + core.SliceBytes(ts.Hi) + core.SliceBytes(ts.TileOff)
 	}
 	if p.chunks != nil {
 		n += p.chunks.Bytes()

@@ -13,9 +13,8 @@ import (
 // body that sorted plans and sharded plans both run. Everything
 // value-independent happens at plan time: the element range is split
 // into S contiguous shards, each with its own stable counting sort over
-// the shared full-length permutation, a cache tiling of each shard's
-// scan where it pays, and a worker team of one worker per shard. One
-// run is:
+// the shared full-length permutation, and a worker team of one worker
+// per shard. One run is:
 //
 //   pass 1    every shard scans its own runs reduce-only into its row
 //             of the flat S×m carry buffer.
@@ -25,7 +24,7 @@ import (
 //   finish    shard w copies the reductions of its labels
 //             par.Range(m, S, w) out of row S−1, and for multi runs
 //             rescans its runs seeded from row w−1 — its exclusive
-//             carry-in (core.ShardedTiledSeedScan).
+//             carry-in (core.ShardedSeedScan).
 //
 // A single shard needs no exchange: the plan runs one fused segmented
 // scan over its one index row (scanSingle). The stable sort preserves
@@ -38,10 +37,10 @@ import (
 const maxShards = 256
 
 // prepareSharded builds the plan-time structures for s shards: the
-// per-shard element ranges and counting-sort rows, the tiling, and —
-// for more than one shard — the flat ping-pong carry buffers and the
-// worker team. name ("sorted" or "sharded") is the engine panics and
-// limit errors are attributed to.
+// per-shard element ranges and counting-sort rows and — for more than
+// one shard — the flat ping-pong carry buffers and the worker team.
+// name ("sorted" or "sharded") is the engine panics and limit errors
+// are attributed to.
 //
 //mp:locked
 func (p *Plan[T]) prepareSharded(name string, s int) error {
@@ -65,7 +64,6 @@ func (p *Plan[T]) prepareSharded(name string, s int) error {
 		p.shStart[w] = row
 	}
 	p.sortedStop = p.interrupted
-	p.prepareShardedTiles()
 	if s == 1 {
 		return nil
 	}
@@ -75,57 +73,6 @@ func (p *Plan[T]) prepareSharded(name string, s int) error {
 	p.shBatchBody = p.shardedBatch
 	p.startTeam(s)
 	return nil
-}
-
-// prepareShardedTiles builds the plan-time cache tiling of each
-// shard's scan when the tiled kernels apply: a monomorphic element
-// type, an op with a fast kernel (hook-free runs — a FaultHook demotes
-// fast at dispatch and the run takes the untiled generic path), and an
-// input large enough to span multiple tile windows. The tiling is
-// value-independent, so like the counting sort it happens once per
-// plan.
-//
-//mp:locked
-func (p *Plan[T]) prepareShardedTiles() {
-	if !core.FastScans[T](p.op.Fast) {
-		return
-	}
-	window := core.TileWindow(p.n, core.AutoTileBytes(p.cfg))
-	if window == 0 {
-		return
-	}
-	// Short segments starve the interleave: each tile segment pays
-	// fixed chain-setup bookkeeping amortized over its run length, and
-	// below ~128 elements per segment (window/256) the untiled kernel
-	// wins — measured crossover on the reference host (1.7-2.1x tiled
-	// at 128-2048 elements/segment, noise at 64, 0.5-0.95x at 32 and
-	// below). Each shard sees ~n/S elements over the same m labels, so
-	// the gate scales with the shard count. Test-sized windows (256
-	// elements) keep the floor at one element, so forced-tiling tests
-	// and fuzzing exercise every segment shape.
-	if minSeg := window / 256; minSeg > 1 && p.n < p.m*minSeg*p.shardsN {
-		return
-	}
-	p.tiles = make([]core.TileSegs, p.shardsN)
-	for w := range p.tiles {
-		p.tiles[w] = core.BuildTileSegs(p.sperm, p.shStart[w], p.shLo[w], p.shHi[w], window)
-	}
-}
-
-// Tiled reports whether the plan runs the cache-tiled sorted kernels —
-// plan metadata for tests and the benchmark harness.
-func (p *Plan[T]) Tiled() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.tiles != nil
-}
-
-// tiledRun reports whether this run dispatches to the tiled kernels:
-// the plan built tiles and the run's fast kind survived (no FaultHook).
-//
-//mp:locked
-func (p *Plan[T]) tiledRun(fast core.FastOp) bool {
-	return p.tiles != nil && core.FastScans[T](fast)
 }
 
 // scanSingle is the one-shard scan: one fused segmented scan of values
@@ -139,13 +86,7 @@ func (p *Plan[T]) scanSingle(fast core.FastOp, values, multi, red []T) error {
 		p.guard.Reset()
 		stop = p.sortedStop
 	}
-	var ok bool
-	if p.tiledRun(fast) {
-		ok = core.SortedTiledScanLabels(p.op, fast, values, p.sperm, p.shStart[0], multi, red, &p.tiles[0], stop)
-	} else {
-		ok = core.SortedScanLabels(p.op, fast, values, p.sperm, p.shStart[0], multi, red, 0, p.m, p.cfg.FaultHook, stop)
-	}
-	if !ok {
+	if !core.SortedScanLabels(p.op, fast, values, p.sperm, p.shStart[0], multi, red, 0, p.m, p.cfg.FaultHook, stop) {
 		return p.guard.First()
 	}
 	return nil
@@ -185,10 +126,6 @@ func (p *Plan[T]) runSharded(values []T, withMulti bool) (err error) {
 //mp:locked
 func (p *Plan[T]) shardedPass1(w int, values []T) {
 	totals := p.shCarryA[w*p.m : (w+1)*p.m]
-	if p.tiledRun(p.fast) {
-		core.SortedTiledScanLabels(p.op, p.fast, values, p.sperm, p.shStart[w], nil, totals, &p.tiles[w], p.sortedStop)
-		return
-	}
 	core.SortedScanLabels(p.op, p.fast, values, p.sperm, p.shStart[w], nil, totals, 0, p.m, p.cfg.FaultHook, p.sortedStop)
 }
 
@@ -196,11 +133,10 @@ func (p *Plan[T]) shardedPass1(w int, values []T) {
 // reductions of the shard's labels par.Range(m, S, w) out of the last
 // row of final — the ranges partition [0, m), so each reduction has
 // exactly one writer — and for multi runs rescan the shard's runs
-// seeded from the shard's exclusive carry-in (final row w−1; identity
-// for shard 0). The worker's row of the spare ping-pong buffer serves
-// as the seed/scratch row — the last exchange round's barrier ordered
-// every read of it, so clobbering it here is race-free, and each worker
-// touches only its own row (EREW).
+// seeded from the shard's exclusive carry-in: final row w−1, read in
+// place, or for shard 0 the identity, written into the first row of
+// the spare ping-pong buffer — the last exchange round's barrier
+// ordered every read of it, and only worker 0 touches it (EREW).
 //
 //mp:locked
 func (p *Plan[T]) shardedFinish(w int, final, spare, values, multi, red []T, withMulti bool) {
@@ -210,17 +146,14 @@ func (p *Plan[T]) shardedFinish(w int, final, spare, values, multi, red []T, wit
 	if !withMulti {
 		return
 	}
-	seed := spare[w*p.m : (w+1)*p.m]
+	var carry []T
 	if w == 0 {
-		core.FillIdentity(p.op, seed)
+		carry = spare[:p.m]
+		core.FillIdentity(p.op, carry)
 	} else {
-		copy(seed, final[(w-1)*p.m:w*p.m])
+		carry = final[(w-1)*p.m : w*p.m]
 	}
-	if p.tiledRun(p.fast) {
-		core.ShardedTiledSeedScan(p.op, p.fast, values, p.sperm, p.shStart[w], multi, seed, &p.tiles[w], p.cfg.FaultHook, p.sortedStop)
-		return
-	}
-	core.ShardedSeedScan(p.op, p.fast, values, p.sperm, p.shStart[w], multi, seed, p.cfg.FaultHook, p.sortedStop)
+	core.ShardedSeedScan(p.op, p.fast, values, p.sperm, p.shStart[w], multi, carry, p.cfg.FaultHook, p.sortedStop)
 }
 
 // shardedRun is the single-run team body: pass 1, a barrier, one

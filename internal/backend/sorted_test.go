@@ -2,6 +2,7 @@ package backend
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -156,6 +157,55 @@ func TestSortedPlanGenericOp(t *testing.T) {
 		for l := range want.Reductions {
 			if res.Reductions[l] != want.Reductions[l] {
 				t.Fatalf("w%d: Reductions[%d] = %q, want %q", workers, l, res.Reductions[l], want.Reductions[l])
+			}
+		}
+		plan.Close()
+	}
+}
+
+// TestSortedPlanFloat64BitExact pins the one-worker sorted plan's
+// combine order on float64: sums over values spanning many magnitudes
+// (where any re-grouping changes rounding), NaN and ±0 must match
+// core.Serial bit for bit, because the stable sort keeps each label's
+// elements in vector order and the scan folds them left to right.
+func TestSortedPlanFloat64BitExact(t *testing.T) {
+	const n, m = 2000, 13
+	rng := rand.New(rand.NewSource(73))
+	values := make([]float64, n)
+	labels := make([]int, n)
+	for i := range values {
+		values[i] = (rng.Float64() - 0.5) * math.Pow(10, float64(rng.Intn(24)-12))
+		labels[i] = rng.Intn(m)
+	}
+	values[100] = math.NaN()
+	values[200] = math.Copysign(0, -1)
+	values[300] = 0
+	be, err := Open[float64]("sorted")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range []core.Op[float64]{core.AddFloat64, core.MaxFloat64} {
+		want, err := core.Serial(op, values, labels, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := be.Plan(op, labels, m, core.Config{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := plan.Run(values)
+		if err != nil {
+			t.Fatalf("%s: %v", op.Name, err)
+		}
+		for i := range want.Multi {
+			if math.Float64bits(res.Multi[i]) != math.Float64bits(want.Multi[i]) {
+				t.Fatalf("%s: Multi[%d] = %x, want %x (not bit-identical)",
+					op.Name, i, math.Float64bits(res.Multi[i]), math.Float64bits(want.Multi[i]))
+			}
+		}
+		for l := range want.Reductions {
+			if math.Float64bits(res.Reductions[l]) != math.Float64bits(want.Reductions[l]) {
+				t.Fatalf("%s: Reductions[%d] not bit-identical", op.Name, l)
 			}
 		}
 		plan.Close()

@@ -22,9 +22,6 @@ type AutoCalibration struct {
 	// fills it for reporting (bandwidth shares in benchmarks); no
 	// engine choice reads it.
 	Probe *MemProbe
-	// TileBytes is the sorted engine's per-tile cache budget in bytes;
-	// 0 means DefaultTileBytes.
-	TileBytes int
 	// UpdateBurst, when positive, pins the incremental plans'
 	// update-vs-rerun crossover; 0 derives it per plan (see
 	// AutoUpdateBurst).
@@ -85,16 +82,6 @@ func AutoPlanChoice(n, m int, cfg Config) string {
 // the engine paths calls it. Probe is shared and read-only.
 func DefaultCalibration() AutoCalibration {
 	return AutoCalibration{SerialMax: defaultSerialMax, Probe: defaultMemProbe()}
-}
-
-// AutoTileBytes resolves the sorted engine's per-tile budget for cfg:
-// an explicit Config.AutoCal.TileBytes, else DefaultTileBytes. The
-// budget only re-orders memory traffic, never results.
-func AutoTileBytes(cfg Config) int {
-	if cal := cfg.AutoCal; cal != nil && cal.TileBytes > 0 {
-		return cal.TileBytes
-	}
-	return DefaultTileBytes
 }
 
 // AutoUpdateBurst resolves an incremental plan's update-vs-rerun

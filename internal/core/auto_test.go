@@ -41,12 +41,6 @@ func TestAutoChoice(t *testing.T) {
 	if cal := DefaultCalibration(); cal.SerialMax != 1<<20 {
 		t.Errorf("DefaultCalibration().SerialMax = %d, want the rule's 2^20", cal.SerialMax)
 	}
-	if got := AutoTileBytes(Config{}); got != DefaultTileBytes {
-		t.Errorf("AutoTileBytes(default) = %d, want DefaultTileBytes", got)
-	}
-	if got := AutoTileBytes(Config{AutoCal: &AutoCalibration{TileBytes: 1 << 18}}); got != 1<<18 {
-		t.Errorf("AutoTileBytes(pinned) = %d, want 2^18", got)
-	}
 }
 
 // TestMeasureMemProbeSane runs the real stream measurement once and

@@ -46,7 +46,7 @@ const (
 	FastXor
 )
 
-// fastSegI64 reports whether the sorted/tiled segmented-scan kernel
+// fastSegI64 reports whether the sorted segmented-scan kernel
 // family implements fast monomorphically over []int64: every declared
 // family (add/max/min directly, the bitwise families through the
 // int64-only kernels).
@@ -58,20 +58,6 @@ func fastSegI64(fast FastOp) bool {
 // families only — bitwise does not exist for float64.
 func fastSegF64(fast FastOp) bool {
 	return fast == FastAdd || fast == FastMax || fast == FastMin
-}
-
-// FastScans reports whether the sorted/tiled scan kernels implement
-// fast monomorphically for element type T — the plan-time gate for
-// building tile structures (and the per-run tiled-dispatch test).
-func FastScans[T any](fast FastOp) bool {
-	var probe []T
-	switch any(probe).(type) {
-	case []int64:
-		return fastSegI64(fast)
-	case []float64:
-		return fastSegF64(fast)
-	}
-	return false
 }
 
 // fastElem are the element types with monomorphic kernels.

@@ -5,7 +5,7 @@ import "math/bits"
 // This file holds the core kernels of the parallel sorted engine — the
 // body every sorted plan with more than one worker and every sharded
 // plan runs: the input vector is partitioned across S shards by
-// contiguous original-index range, each shard runs the sorted/tiled
+// contiguous original-index range, each shard runs the sorted
 // segmented scan over its own range, and the per-shard carries are
 // combined in an exclusive-prefix carry exchange in the style of
 // Träff's computation-efficient MPI_Exscan schemes:
@@ -47,8 +47,8 @@ import "math/bits"
 // local elements are perm[start[l]:start[l+1]], in vector order, and
 // start[m] == hi. It is BuildSortedIndexInto restricted to a shard's
 // range, so per-shard indexes share one full-length permutation and
-// the sorted/tiled kernels (which index perm globally) run unchanged
-// on a shard's rows.
+// the sorted kernels (which index perm globally) run unchanged on a
+// shard's rows.
 func BuildShardedIndexInto[L Label](perm, start []int32, labels []L, lo, hi int) {
 	m := len(start) - 1
 	clear(start)
@@ -213,26 +213,4 @@ func ShardedSeedScan[T any](op Op[T], fast FastOp, values []T, perm, start []int
 		}
 	}
 	return true
-}
-
-// ShardedTiledSeedScan is the cache-tiled pass 2: the same seeded
-// rescan with the shard's traffic re-ordered tile-major by ts. The
-// accumulators thread through the scratch row across tiles, so scratch
-// must be pre-seeded with the shard's carry-in and is clobbered by the
-// call (each worker owns its scratch row, keeping the pass EREW).
-// Non-monomorphic shapes fall through to the untiled seeded scan.
-//
-//mp:hotpath
-func ShardedTiledSeedScan[T any](op Op[T], fast FastOp, values []T, perm, start []int32, multi, scratch []T, ts *TileSegs, hook FaultHook, stop func() bool) bool {
-	switch vs := any(values).(type) {
-	case []int64:
-		if fastSegI64(fast) {
-			return tiledTilesKernel(fast, vs, perm, asI64(multi), asI64(scratch), ts, stop)
-		}
-	case []float64:
-		if fastSegF64(fast) {
-			return tiledTilesKernel(fast, vs, perm, asF64(multi), asF64(scratch), ts, stop)
-		}
-	}
-	return ShardedSeedScan(op, fast, values, perm, start, multi, scratch, hook, stop)
 }

@@ -6,12 +6,12 @@ import (
 )
 
 // TestShardedKernelZeroAllocs pins the warm steady state of the
-// sharded carry-exchange and seeded-rescan kernels at zero heap
-// allocations — the dynamic half of the //mp:hotpath contract for
-// ShardedExchangeRound and ShardedTiledSeedScan. All plan-shaped
-// storage (per-shard index rows, the flat S×m carry buffers, tile
-// segments, the seed rows) is built once outside the measured region,
-// exactly as a sharded backend Plan holds it.
+// sorted engine's kernels — the reduce-only pass-1 scan, the carry
+// exchange and the seeded rescan — at zero heap allocations (for
+// ShardedExchangeRound, the dynamic half of its //mp:hotpath
+// contract). All plan-shaped storage (per-shard index rows, the flat
+// S×m carry buffers, the seed row) is built once outside the measured
+// region, exactly as a sharded backend Plan holds it.
 func TestShardedKernelZeroAllocs(t *testing.T) {
 	const n, m, shards = 1 << 13, 128, 4
 	rng := rand.New(rand.NewSource(53))
@@ -23,16 +23,10 @@ func TestShardedKernelZeroAllocs(t *testing.T) {
 	}
 	perm := make([]int32, n)
 	starts := make([][]int32, shards)
-	tiles := make([]TileSegs, shards)
-	window := TileWindow(n, 1<<12) // 256-element window: many tiles
-	if window == 0 {
-		t.Fatalf("no tile window at n=%d", n)
-	}
 	for s := 0; s < shards; s++ {
 		lo, hi := s*n/shards, (s+1)*n/shards
 		starts[s] = make([]int32, m+1)
 		BuildShardedIndexInto(perm, starts[s], labels, lo, hi)
-		tiles[s] = BuildTileSegs(perm, starts[s], lo, hi, window)
 	}
 	curBuf := make([]int64, shards*m)
 	nextBuf := make([]int64, shards*m)
@@ -41,9 +35,14 @@ func TestShardedKernelZeroAllocs(t *testing.T) {
 	rounds := ShardedRounds(shards)
 
 	for _, op := range []Op[int64]{AddInt64, MaxInt64} {
-		for s := 0; s < shards; s++ {
-			SortedScanLabels(op, op.Fast, values, perm, starts[s], nil, curBuf[s*m:(s+1)*m], 0, m, nil, nil)
+		pass1 := func() {
+			for s := 0; s < shards; s++ {
+				if !SortedScanLabels(op, op.Fast, values, perm, starts[s], nil, curBuf[s*m:(s+1)*m], 0, m, nil, nil) {
+					t.Fatal("pass-1 scan stopped unexpectedly")
+				}
+			}
 		}
+		pass1()
 		exchange := func() {
 			cur, next := curBuf, nextBuf
 			for r := 0; r < rounds; r++ {
@@ -53,15 +52,7 @@ func TestShardedKernelZeroAllocs(t *testing.T) {
 				cur, next = next, cur
 			}
 		}
-		tiledSeed := func() {
-			for s := 0; s < shards; s++ {
-				copy(seed, curBuf[:m])
-				if !ShardedTiledSeedScan(op, op.Fast, values, perm, starts[s], multi, seed, &tiles[s], nil, nil) {
-					t.Fatal("tiled seed scan stopped unexpectedly")
-				}
-			}
-		}
-		untiledSeed := func() {
+		seedScan := func() {
 			for s := 0; s < shards; s++ {
 				copy(seed, curBuf[:m])
 				if !ShardedSeedScan(op, op.Fast, values, perm, starts[s], multi, seed, nil, nil) {
@@ -70,15 +61,14 @@ func TestShardedKernelZeroAllocs(t *testing.T) {
 			}
 		}
 		exchange()
-		tiledSeed()
-		untiledSeed() // warm: nothing to build, but keep the plan tests' shape
+		seedScan() // warm: nothing to build, but keep the plan tests' shape
+		if allocs := testing.AllocsPerRun(5, pass1); allocs != 0 {
+			t.Errorf("%s: SortedScanLabels %.1f allocs/run, want 0", op.Name, allocs)
+		}
 		if allocs := testing.AllocsPerRun(5, exchange); allocs != 0 {
 			t.Errorf("%s: ShardedExchangeRound %.1f allocs/run, want 0", op.Name, allocs)
 		}
-		if allocs := testing.AllocsPerRun(5, tiledSeed); allocs != 0 {
-			t.Errorf("%s: ShardedTiledSeedScan %.1f allocs/run, want 0", op.Name, allocs)
-		}
-		if allocs := testing.AllocsPerRun(5, untiledSeed); allocs != 0 {
+		if allocs := testing.AllocsPerRun(5, seedScan); allocs != 0 {
 			t.Errorf("%s: ShardedSeedScan %.1f allocs/run, want 0", op.Name, allocs)
 		}
 	}

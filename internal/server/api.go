@@ -14,6 +14,7 @@ import (
 	"context"
 	"errors"
 	"net/http"
+	"slices"
 	"strings"
 
 	"multiprefix/internal/backend"
@@ -33,33 +34,20 @@ var ops = map[string]core.Op[int64]{
 	"xor":  core.XorInt64,
 }
 
-// serviceBackends is the subset of the registry the service serves:
-// auto, the engines its trial picks between (serial, which is also the
-// degradation ladder's rung, and chunked), and the sorted family. The
-// paper's study engines (spinetree, parallel) cost 13–40× serial's
-// engine time for the same answer, and the simulated vector and PRAM
-// machines bind their configuration at plan-build time, where
-// per-request deadlines and chaos hooks cannot reach them; all four
-// stay study-only.
-var serviceBackends = map[string]bool{
-	"auto":    true,
-	"serial":  true,
-	"sorted":  true,
-	"sharded": true,
-	"chunked": true,
-}
+// servedBackends are the backends the service serves: auto and the two
+// engines its trial picks between (serial, also the ladder's rung, and
+// chunked). The rest of the registry stays in the library: Auto never
+// picks the sorted family, the study engines cost 13–40× serial's
+// engine time for the same answer, and the simulated machines bind
+// their configuration at plan-build time, out of reach of request
+// deadlines and chaos hooks.
+var servedBackends = []string{"auto", "serial", "chunked"}
 
-// servedNames lists serviceBackends in registry order, for the
-// unknown_backend message.
-var servedNames = func() string {
-	var names []string
-	for _, name := range backend.Names() {
-		if serviceBackends[name] {
-			names = append(names, name)
-		}
-	}
-	return strings.Join(names, ", ")
-}()
+// servedNames lists servedBackends for error messages.
+var servedNames = strings.Join(servedBackends, ", ")
+
+// served reports whether the service serves the backend name.
+func served(name string) bool { return slices.Contains(servedBackends, name) }
 
 // computeRequest is the JSON body of every compute endpoint. The
 // batch endpoints read Batch, the single-vector endpoints Values.

@@ -230,10 +230,7 @@ func (s *Server) execute(e *planEntry, reduce bool, pin uint64, batch []*pending
 			it.done <- outcome{coalesced: 1}
 			continue
 		}
-		var pe *core.EnginePanicError
-		if errors.As(merr, &pe) {
-			s.st.enginePanics.Add(1)
-		}
+		s.notePanic(merr)
 		if !backend.Terminal(merr) && !s.opts.NoSerialRetry && e.key.Backend != "serial" {
 			if rerr := s.serialRetry(e, reduce, it); rerr == nil {
 				s.st.serialFallbacks.Add(1)

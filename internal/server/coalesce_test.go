@@ -157,7 +157,7 @@ func checkOutcome(t *testing.T, name string, it *pending, out outcome, reduce bo
 // is already delivered when submit returns, and the group is gone
 // again once that round found nothing queued behind it.
 func TestSoloRoundInline(t *testing.T) {
-	s, e, values, want := coalInputs(t, Options{}, "sorted", 512, 9)
+	s, e, values, want := coalInputs(t, Options{}, "chunked", 512, 9)
 	for _, reduce := range []bool{false, true} {
 		it := newPending(e, reduce, values, nil)
 		s.coal.submit(e, reduce, 0, it)
@@ -216,7 +216,7 @@ func TestCoalescerRounds(t *testing.T) {
 		}
 	})
 	t.Run("request over BatchCap", func(t *testing.T) {
-		s, e, values, want := coalInputs(t, Options{BatchCap: batchCap}, "sorted", 512, 9)
+		s, e, values, want := coalInputs(t, Options{BatchCap: batchCap}, "chunked", 512, 9)
 		items := make([]*pending, batchCap+2)
 		for i := range items {
 			items[i] = newPending(e, true, values, nil)

@@ -141,25 +141,3 @@ func TestClientQuotaSweep(t *testing.T) {
 		t.Fatalf("after sweep bucket count = %d, want 1", len(l.buckets))
 	}
 }
-
-// TestShardedServed: the sharded backend is a service backend —
-// requests naming it compute through the sharded plan path.
-func TestShardedServed(t *testing.T) {
-	x := newTestServer(t, Options{})
-	labels, values := refInputs(500, 9)
-	var resp computeResponse
-	hr := x.post(t, "/v1/multiprefix", req("sum", "sharded", labels, 9, values), &resp)
-	if hr.StatusCode != http.StatusOK {
-		t.Fatalf("sharded compute status = %d, want 200", hr.StatusCode)
-	}
-	if resp.Backend != "sharded" {
-		t.Fatalf("backend = %q, want sharded", resp.Backend)
-	}
-	want := make(map[int]int64, 9)
-	for i, l := range labels {
-		if resp.Multi[i] != want[l] {
-			t.Fatalf("Multi[%d] = %d, want %d", i, resp.Multi[i], want[l])
-		}
-		want[l] += values[i]
-	}
-}

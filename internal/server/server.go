@@ -19,10 +19,10 @@ import (
 // defaults; see withDefaults for the numbers.
 type Options struct {
 	// Backend is the default plan backend for requests that do not
-	// name one. Must be a service backend: auto, serial, sorted,
-	// sharded or chunked. The study engines (spinetree, parallel,
-	// vector, pram) are not served; requests resolving to one get the
-	// typed 400 unknown_backend.
+	// name one: auto, serial or chunked, the backends the service
+	// serves. A request resolving to another (sorted, sharded,
+	// spinetree, parallel, vector, pram) gets the typed 400
+	// unknown_backend.
 	Backend string
 	// Workers is the per-plan engine worker count; 0 = GOMAXPROCS.
 	Workers int
@@ -457,7 +457,7 @@ func (s *Server) findText(req *computeRequest) (*planEntry, textKey) {
 	if backendName == "" {
 		backendName = s.opts.Backend
 	}
-	if !ok || !serviceBackends[backendName] {
+	if !ok || !served(backendName) {
 		return nil, textKey{}
 	}
 	k := s.cache.textKey(backendName, op.Name, req.M, req.labelText)

@@ -85,7 +85,7 @@ func TestComputeEndpoints(t *testing.T) {
 		if err != nil {
 			t.Fatalf("reference: %v", err)
 		}
-		for _, backend := range []string{"serial", "sorted", "sharded", "chunked", "auto"} {
+		for _, backend := range []string{"serial", "chunked", "auto"} {
 			t.Run(op.name+"/"+backend, func(t *testing.T) {
 				var resp computeResponse
 				hr := x.post(t, "/v1/multiprefix", req(op.name, backend, labels, 17, values), &resp)
@@ -116,17 +116,30 @@ func TestComputeEndpoints(t *testing.T) {
 				}
 			})
 		}
-		// The study engines are not served: both routes answer the
-		// typed 400, listing the backends that are.
-		for _, backend := range []string{"parallel", "spinetree"} {
+		// The rest of the registry is not served: every route answers
+		// the typed 400, listing the backends that are.
+		for _, backend := range []string{"sorted", "sharded", "parallel", "spinetree"} {
 			t.Run(op.name+"/"+backend, func(t *testing.T) {
-				for _, route := range []string{"/v1/multiprefix", "/v1/multireduce"} {
+				body := func(k string, v any) map[string]any {
+					return map[string]any{"op": op.name, "backend": backend, "m": 17, "labels": labels, k: v}
+				}
+				for _, row := range []struct {
+					route string
+					body  map[string]any
+				}{
+					{"/v1/multiprefix", req(op.name, backend, labels, 17, values)},
+					{"/v1/multireduce", req(op.name, backend, labels, 17, values)},
+					{"/v1/multiprefix/batch", body("batch", [][]int64{values})},
+					{"/v1/multireduce/batch", body("batch", [][]int64{values})},
+					{"/v1/update", body("values", values)},
+					{"/v1/query", body("indices", []int{0})},
+				} {
 					var er errorResponse
-					hr := x.post(t, route, req(op.name, backend, labels, 17, values), &er)
+					hr := x.post(t, row.route, row.body, &er)
 					if hr.StatusCode != http.StatusBadRequest || er.Error.Kind != kindUnknownBack ||
-						!strings.Contains(er.Error.Message, "auto, serial, sorted, sharded, chunked") {
+						!strings.Contains(er.Error.Message, "(want one of auto, serial, chunked)") {
 						t.Fatalf("%s: got %d/%q %q, want 400/%q listing the served backends",
-							route, hr.StatusCode, er.Error.Kind, er.Error.Message, kindUnknownBack)
+							row.route, hr.StatusCode, er.Error.Kind, er.Error.Message, kindUnknownBack)
 					}
 				}
 			})
@@ -144,7 +157,7 @@ func TestBatchEndpoints(t *testing.T) {
 			batch[k][i] = int64((i + k) % 11)
 		}
 	}
-	body := map[string]any{"op": "sum", "backend": "sorted", "m": 9, "labels": labels, "batch": batch}
+	body := map[string]any{"op": "sum", "backend": "chunked", "m": 9, "labels": labels, "batch": batch}
 	for _, ep := range []string{"/v1/multiprefix/batch", "/v1/multireduce/batch"} {
 		var resp batchResponse
 		hr := x.post(t, ep, body, &resp)
@@ -408,10 +421,10 @@ func TestChaosCancel(t *testing.T) {
 // arrive while a round runs fuse into the next one.
 func TestCoalescing(t *testing.T) {
 	const burst = 16
-	x := newTestServer(t, Options{Backend: "sorted", BatchCap: 32, MaxInFlight: 64})
+	x := newTestServer(t, Options{Backend: "chunked", BatchCap: 32, MaxInFlight: 64})
 	labels, values := refInputs(2048, 13)
 	want, _ := core.Serial(core.AddInt64, values, labels, 13)
-	e := pinPlan(t, x.s, "sorted", labels, 13)
+	e := pinPlan(t, x.s, "chunked", labels, 13)
 	release := holdRound(t, x.s, e, true, values)
 
 	var wg sync.WaitGroup
@@ -604,15 +617,15 @@ func TestDefaultBackendOverride(t *testing.T) {
 	x := newTestServer(t, Options{Backend: "serial"})
 	labels, values := refInputs(256, 8)
 	var resp computeResponse
-	hr := x.post(t, "/v1/multiprefix", req("sum", "sorted", labels, 8, values), &resp)
-	if hr.StatusCode != 200 || resp.Backend != "sorted" {
+	hr := x.post(t, "/v1/multiprefix", req("sum", "chunked", labels, 8, values), &resp)
+	if hr.StatusCode != 200 || resp.Backend != "chunked" {
 		t.Fatalf("status %d backend %q", hr.StatusCode, resp.Backend)
 	}
 	if x.s.cache.plans() != 1 {
 		t.Fatalf("plans = %d", x.s.cache.plans())
 	}
 	key := fmt.Sprintf("%v", x.s.cache.lru.Front().Value.(*planEntry).key.Backend)
-	if key != "sorted" {
+	if key != "chunked" {
 		t.Fatalf("cached backend %q", key)
 	}
 }

@@ -73,7 +73,7 @@ func (s *Server) resolvePlanIdent(w http.ResponseWriter, opName, backendName str
 	if backendName == "" {
 		backendName = s.opts.Backend
 	}
-	if !serviceBackends[backendName] {
+	if !served(backendName) {
 		s.writeError(w, http.StatusBadRequest, kindUnknownBack,
 			fmt.Sprintf("backend %q is not served (want one of %s)", backendName, servedNames))
 		return core.Op[int64]{}, "", false
@@ -334,9 +334,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// notePanic records an engine panic absorbed by a hook-free retry, so
+// notePanic counts an engine panic: one a hook-free retry absorbed, so
 // chaos-induced ladder transitions stay visible in /metrics even when
-// the retry heals them.
+// the retry heals them, or one that failed a request.
 func (s *Server) notePanic(err error) {
 	var pe *core.EnginePanicError
 	if errors.As(err, &pe) {
@@ -347,10 +347,7 @@ func (s *Server) notePanic(err error) {
 // failStateful writes one stateful-pipeline error with its typed kind
 // and the stats bookkeeping the compute path does per member.
 func (s *Server) failStateful(w http.ResponseWriter, err error) {
-	var pe *core.EnginePanicError
-	if errors.As(err, &pe) {
-		s.st.enginePanics.Add(1)
-	}
+	s.notePanic(err)
 	s.countMemberErr(err)
 	status, kind := classify(err)
 	if kind == kindVersionConflict {

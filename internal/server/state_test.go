@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -72,20 +73,20 @@ func TestUpdateQueryComputeDeadline(t *testing.T) {
 	x := newTestServer(t, Options{DefaultDeadline: time.Nanosecond})
 	const n, m = 64, 8
 	labels, values := refInputs(n, m)
-	bind := map[string]any{"op": "sum", "backend": "sorted", "m": m, "labels": labels, "values": values, "deadline_ms": 10000}
+	bind := map[string]any{"op": "sum", "backend": "chunked", "m": m, "labels": labels, "values": values, "deadline_ms": 10000}
 	if resp := x.post(t, "/v1/update", bind, nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("bind: status %d", resp.StatusCode)
 	}
 	stateful := func(k string, v any) map[string]any {
-		return map[string]any{"op": "sum", "backend": "sorted", "m": m, "labels": labels, k: v}
+		return map[string]any{"op": "sum", "backend": "chunked", "m": m, "labels": labels, k: v}
 	}
 	batch := stateful("batch", [][]int64{values, values})
 	for _, row := range []struct {
 		name, route string
 		body        map[string]any
 	}{
-		{"multiprefix", "/v1/multiprefix", req("sum", "sorted", labels, m, values)},
-		{"multireduce", "/v1/multireduce", req("sum", "sorted", labels, m, values)},
+		{"multiprefix", "/v1/multiprefix", req("sum", "chunked", labels, m, values)},
+		{"multireduce", "/v1/multireduce", req("sum", "chunked", labels, m, values)},
 		{"multiprefix batch", "/v1/multiprefix/batch", batch},
 		{"multireduce batch", "/v1/multireduce/batch", batch},
 		{"update", "/v1/update", stateful("updates", []map[string]any{{"i": 3, "v": 42}})},
@@ -115,7 +116,7 @@ func TestUpdateQueryEndpoints(t *testing.T) {
 	// Bind the resident vector.
 	var up updateResponse
 	resp := x.post(t, "/v1/update", map[string]any{
-		"op": "sum", "backend": "sorted", "m": m, "labels": labels, "values": values,
+		"op": "sum", "backend": "chunked", "m": m, "labels": labels, "values": values,
 	}, &up)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("bind: status %d", resp.StatusCode)
@@ -128,7 +129,7 @@ func TestUpdateQueryEndpoints(t *testing.T) {
 	cur := append([]int64(nil), values...)
 	var up2 updateResponse
 	resp = x.post(t, "/v1/update", map[string]any{
-		"op": "sum", "backend": "sorted", "m": m, "labels": labels,
+		"op": "sum", "backend": "chunked", "m": m, "labels": labels,
 		"updates": []map[string]any{{"i": 3, "v": 42}, {"i": 10, "v": -5}},
 	}, &up2)
 	if resp.StatusCode != http.StatusOK {
@@ -154,7 +155,7 @@ func TestUpdateQueryEndpoints(t *testing.T) {
 	}
 	var q queryResponse
 	resp = x.post(t, "/v1/query", map[string]any{
-		"op": "sum", "backend": "sorted", "m": m, "labels": labels,
+		"op": "sum", "backend": "chunked", "m": m, "labels": labels,
 		"indices": indices, "reduce_labels": reduceLabels, "full": true,
 		"pin_version": 3,
 	}, &q)
@@ -178,14 +179,14 @@ func TestUpdateQueryEndpoints(t *testing.T) {
 	// Stale pins are rejected typed on every stateful surface.
 	var e errorResponse
 	resp = x.post(t, "/v1/query", map[string]any{
-		"op": "sum", "backend": "sorted", "m": m, "labels": labels,
+		"op": "sum", "backend": "chunked", "m": m, "labels": labels,
 		"indices": []int{0}, "pin_version": 2,
 	}, &e)
 	if resp.StatusCode != http.StatusConflict || e.Error.Kind != kindVersionConflict {
 		t.Fatalf("stale query pin: status %d kind %q", resp.StatusCode, e.Error.Kind)
 	}
 	resp = x.post(t, "/v1/update", map[string]any{
-		"op": "sum", "backend": "sorted", "m": m, "labels": labels,
+		"op": "sum", "backend": "chunked", "m": m, "labels": labels,
 		"updates": []map[string]any{{"i": 0, "v": 1}}, "pin_version": 99,
 	}, &e)
 	if resp.StatusCode != http.StatusConflict || e.Error.Kind != kindVersionConflict {
@@ -195,14 +196,14 @@ func TestUpdateQueryEndpoints(t *testing.T) {
 	// Compute requests thread the pin through the coalescer.
 	var cr computeResponse
 	resp = x.post(t, "/v1/multiprefix", map[string]any{
-		"op": "sum", "backend": "sorted", "m": m, "labels": labels,
+		"op": "sum", "backend": "chunked", "m": m, "labels": labels,
 		"values": cur, "pin_version": 3,
 	}, &cr)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("pinned compute: status %d", resp.StatusCode)
 	}
 	resp = x.post(t, "/v1/multiprefix", map[string]any{
-		"op": "sum", "backend": "sorted", "m": m, "labels": labels,
+		"op": "sum", "backend": "chunked", "m": m, "labels": labels,
 		"values": cur, "pin_version": 7,
 	}, &e)
 	if resp.StatusCode != http.StatusConflict || e.Error.Kind != kindVersionConflict {
@@ -278,7 +279,7 @@ func TestStatefulChaosRetriesHookFree(t *testing.T) {
 	labels, values := refInputs(n, m)
 	var up updateResponse
 	if resp := x.post(t, "/v1/update", map[string]any{
-		"op": "max", "backend": "sorted", "m": m, "labels": labels, "values": values,
+		"op": "max", "backend": "chunked", "m": m, "labels": labels, "values": values,
 	}, &up); resp.StatusCode != http.StatusOK {
 		t.Fatalf("chaos bind: status %d", resp.StatusCode)
 	}
@@ -288,14 +289,14 @@ func TestStatefulChaosRetriesHookFree(t *testing.T) {
 	// Dirty the state, then query: the refresh runs the engine under
 	// the chaos hook, panics, and must heal hook-free.
 	if resp := x.post(t, "/v1/update", map[string]any{
-		"op": "max", "backend": "sorted", "m": m, "labels": labels,
+		"op": "max", "backend": "chunked", "m": m, "labels": labels,
 		"updates": []map[string]any{{"i": 7, "v": 999}},
 	}, &up); resp.StatusCode != http.StatusOK {
 		t.Fatalf("chaos update: status %d", resp.StatusCode)
 	}
 	var q queryResponse
 	if resp := x.post(t, "/v1/query", map[string]any{
-		"op": "max", "backend": "sorted", "m": m, "labels": labels,
+		"op": "max", "backend": "chunked", "m": m, "labels": labels,
 		"indices": []int{200}, "reduce_labels": []int{7 % m},
 	}, &q); resp.StatusCode != http.StatusOK {
 		t.Fatalf("chaos query: status %d", resp.StatusCode)
@@ -318,7 +319,7 @@ func TestStatefulChaosRetriesHookFree(t *testing.T) {
 	// version, so it must not conflict with its own first attempt.
 	panics := x.s.Stats().EnginePanics
 	rebind := map[string]any{
-		"op": "max", "backend": "sorted", "m": m, "labels": labels, "values": values,
+		"op": "max", "backend": "chunked", "m": m, "labels": labels, "values": values,
 		"pin_version": q.Version,
 	}
 	if resp := x.post(t, "/v1/update", rebind, &up); resp.StatusCode != http.StatusOK {
@@ -387,19 +388,28 @@ func TestMetricsEndpoint(t *testing.T) {
 func TestWarmPersistRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "plans.json")
 	const m = 8
-	labelsA, values := refInputs(64, m)
-	labelsB, _ := refInputs(48, m)
+	labelsA, values := refInputs(1024, m)
+	labelsB, _ := refInputs(768, m)
 
 	a := newTestServer(t, Options{})
-	if resp := a.post(t, "/v1/multiprefix", req("sum", "sorted", labelsA, m, values), nil); resp.StatusCode != http.StatusOK {
+	if resp := a.post(t, "/v1/multiprefix", req("sum", "chunked", labelsA, m, values), nil); resp.StatusCode != http.StatusOK {
 		t.Fatal("compute A failed")
 	}
-	if resp := a.post(t, "/v1/multireduce", req("max", "", labelsB, m, values[:48]), nil); resp.StatusCode != http.StatusOK {
+	if resp := a.post(t, "/v1/multireduce", req("max", "", labelsB, m, values[:768]), nil); resp.StatusCode != http.StatusOK {
 		t.Fatal("compute B failed")
 	}
 	a.s.Drain()
 	if err := a.s.PersistPlansToFile(path); err != nil {
 		t.Fatalf("persist: %v", err)
+	}
+	// Compact: a single-digit label costs its digit and a comma, plus
+	// each key's few dozen bytes of fields (indented, about 9).
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if perLabel := float64(fi.Size()) / float64(len(labelsA)+len(labelsB)); perLabel > 2.5 {
+		t.Fatalf("warm file spends %.2f bytes a label, want at most 2.5", perLabel)
 	}
 
 	b := newTestServer(t, Options{})
@@ -422,7 +432,7 @@ func TestWarmPersistRoundTrip(t *testing.T) {
 		t.Fatalf("warm stats: %+v", st)
 	}
 	// Traffic matching a warmed plan is a cache hit, not a build.
-	if resp := b.post(t, "/v1/multiprefix", req("sum", "sorted", labelsA, m, values), nil); resp.StatusCode != http.StatusOK {
+	if resp := b.post(t, "/v1/multiprefix", req("sum", "chunked", labelsA, m, values), nil); resp.StatusCode != http.StatusOK {
 		t.Fatal("post-warm compute failed")
 	}
 	st = b.s.Stats()

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -72,7 +73,7 @@ func (s *Server) WarmFromFile(path string) (warmed int, err error) {
 	}
 	for _, k := range keys {
 		op, ok := ops[k.Op]
-		if !ok || !serviceBackends[k.Backend] {
+		if !ok || !served(k.Backend) {
 			continue
 		}
 		if len(k.Labels) > s.opts.MaxN || k.M > s.opts.MaxM {
@@ -91,15 +92,31 @@ func (s *Server) WarmFromFile(path string) (warmed int, err error) {
 
 // PersistPlansToFile writes the cache's live key set to path, most
 // recently used first, for the next process's WarmFromFile. Call
-// between Drain/Shutdown and Close (Close empties the cache).
+// between Drain/Shutdown and Close (Close empties the cache). The keys
+// are encoded as compact JSON one at a time through a buffered writer
+// onto a temporary file, renamed into place once whole.
 func (s *Server) PersistPlansToFile(path string) error {
-	keys := s.cache.warmKeys()
-	data, err := json.MarshalIndent(keys, "", "  ")
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	defer f.Close()
+	// A bufio.Writer keeps its first error, so Flush reports any failed
+	// write below.
+	bw := bufio.NewWriter(f)
+	enc := json.NewEncoder(bw)
+	bw.WriteByte('[')
+	for i, k := range s.cache.warmKeys() {
+		if i > 0 {
+			bw.WriteByte(',')
+		}
+		if err := enc.Encode(k); err != nil {
+			return err
+		}
+	}
+	bw.WriteByte(']')
+	if err := errors.Join(bw.Flush(), f.Close()); err != nil {
 		return err
 	}
 	return os.Rename(tmp, path)

@@ -339,11 +339,11 @@ func (s *wireScanner) plainString() ([]byte, bool) {
 // wireNames interns the operator and backend names, so that decoding a
 // canonical body allocates nothing but its slices.
 var wireNames = func() map[string]string {
-	m := make(map[string]string, len(ops)+len(serviceBackends))
+	m := make(map[string]string, len(ops)+len(servedBackends))
 	for k := range ops {
 		m[k] = k
 	}
-	for k := range serviceBackends {
+	for _, k := range servedBackends {
 		m[k] = k
 	}
 	return m

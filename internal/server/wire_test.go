@@ -335,7 +335,7 @@ func FuzzServeCompute(f *testing.F) {
 		`{"op":"sum","m":4,"labels":[0,4,2],"values":[1,2,3]}`,
 		`{"op":"sum","m":4,"labels":[0,"]",2],"values":[1,2,3]}`,
 		`{"op":"sum","backend":"vector","m":4,"labels":[0,1,2],"values":[1,2,3]}`,
-		`{"op":"max","backend":"sorted","m":99,"labels":[0,1,2],"values":[1,2,3]}`,
+		`{"op":"max","backend":"chunked","m":99,"labels":[0,1,2],"values":[1,2,3]}`,
 		`{"op":"sum","m":4,"labels":[` + strings.Repeat("1,", 64) + `1],"values":[1]}`,
 		`{"op":"sum","m":4,"labels":[1],"values":[` + strings.Repeat("1,", 64) + `1]}`,
 		`{"op":"sum","backend":"gpu","m":4,"labels":[` + strings.Repeat("1,", 64) + `1]}`,
@@ -414,7 +414,7 @@ func referenceAnswer(s *Server, body []byte, reduce, batch bool) answer {
 	switch {
 	case !ok:
 		return bad
-	case !serviceBackends[backendName]:
+	case !served(backendName):
 		return answer{status: "400/" + kindUnknownBack}
 	case r.longest() > s.opts.MaxN || r.M > s.opts.MaxM || len(vectors) == 0:
 		return bad
@@ -606,7 +606,7 @@ func TestWarmComputeAllocs(t *testing.T) {
 func TestComputeEncodeParity(t *testing.T) {
 	for _, r := range []computeResponse{
 		{Backend: "auto", Op: "sum", N: 3, M: 2, Multi: []int64{0, 5, -1}, Coalesced: 1},
-		{Backend: "sorted", Op: "max", N: 3, M: 2, Multi: []int64{}, Coalesced: 2},
+		{Backend: "serial", Op: "max", N: 3, M: 2, Multi: []int64{}, Coalesced: 2},
 		{Backend: "chunked", Op: "xor", N: 3, M: 4, Reductions: []int64{1, 2, 3, 4}, Coalesced: 16, Fallback: "serial"},
 		{Backend: "serial", Op: "min", N: 1, M: 1, Multi: []int64{7}, Reductions: []int64{9}},
 		{Backend: "auto", Op: "sum", N: math.MaxInt64, M: math.MinInt64,
@@ -633,7 +633,7 @@ func TestComputeEncodeParity(t *testing.T) {
 			{Error: &apiError{Kind: kindDeadline, Message: "context deadline exceeded"}},
 			{Multi: []int64{1, 2, 3}, Coalesced: 1, Fallback: "serial"},
 		}, Failed: 1},
-		{Backend: "sorted", Op: "max", N: 0, M: 4, Results: []batchItem{
+		{Backend: "serial", Op: "max", N: 0, M: 4, Results: []batchItem{
 			{Reductions: []int64{math.MinInt64, math.MaxInt64, 0, 9}},
 			{Reductions: long},
 			{Multi: []int64{}, Reductions: []int64{}},

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # check_service.sh — service-layer smoke gate (`make check-service`).
 #
-# Boots mpd on a random loopback port with chaos armed, then asserts
-# the whole ladder from outside the process:
+# Asserts that mpd refuses an unserved default backend (-backend
+# sorted) before it listens, naming the served set; then boots mpd on a
+# random loopback port with chaos armed and asserts the whole ladder
+# from outside the process:
 #   1. readiness turns 200,
 #   2. a smoke multiprefix request answers correctly,
 #   3. a chaos-panicked request is still answered (degradation ladder:
@@ -26,10 +28,22 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 GO=${GO:-go}
 BIN=$(mktemp -d)
+MPD_PID=
 trap 'kill "$MPD_PID" 2>/dev/null || true; rm -rf "$BIN"' EXIT
 
 $GO build -o "$BIN/mpd" ./cmd/mpd
 $GO build -o "$BIN/mpload" ./cmd/mpload
+
+# A default backend outside the served set would fail every request
+# that names none, so mpd must exit non-zero before it listens. The
+# timeout ends an mpd that wrongly starts serving.
+if timeout 10 "$BIN/mpd" -addr 127.0.0.1:0 -backend sorted >"$BIN/refuse.log" 2>&1; then
+  echo "check-service: mpd -backend sorted exited 0"; cat "$BIN/refuse.log"; exit 1
+fi
+if grep -q "serving on" "$BIN/refuse.log" || ! grep -q "want one of auto, serial, chunked" "$BIN/refuse.log"; then
+  echo "check-service: mpd -backend sorted: want a refusal naming the served set before listening"
+  cat "$BIN/refuse.log"; exit 1
+fi
 
 PORT=$((20000 + RANDOM % 20000))
 URL="http://127.0.0.1:$PORT"
