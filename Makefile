@@ -9,7 +9,7 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: all build test check check-service trial-smoke shard-smoke vet lint race race-matrix fuzz-smoke bench bench-smoke bench-json bench-service
+.PHONY: all build test check check-service trial-smoke shard-smoke vet lint race race-matrix fuzz-smoke purego bench bench-smoke bench-json bench-service
 
 all: build test
 
@@ -67,11 +67,19 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzIntCodec$$' -fuzztime $(FUZZTIME) ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzServeCompute$$' -fuzztime $(FUZZTIME) ./internal/server
 
+# The integer codec's portable path: the purego build tag leaves out
+# the amd64 kernels (internal/server/codec_amd64.s), so the server suite
+# and the codec's fuzz smokes run on the SWAR Go loops alone.
+purego:
+	$(GO) test -tags purego ./internal/server
+	$(GO) test -tags purego -run '^$$' -fuzz '^FuzzIntCodec$$' -fuzztime $(FUZZTIME) ./internal/server
+	$(GO) test -tags purego -run '^$$' -fuzz '^FuzzComputeDecodeParity$$' -fuzztime $(FUZZTIME) ./internal/server
+
 # Tier-1+: the full robustness gate: lint (vet + the mplint analyzer
-# suite), race, fuzz smoke, a one-iteration pass over every benchmark
+# suite), race, fuzz smoke, the purego pass, a one-iteration pass over every benchmark
 # so a broken benchmark cannot land silently, and the out-of-process
 # service smoke (boot mpd, chaos request, drain).
-check: lint race race-matrix fuzz-smoke bench-smoke trial-smoke shard-smoke check-service
+check: lint race race-matrix fuzz-smoke purego bench-smoke trial-smoke shard-smoke check-service
 	$(GO) build -o /dev/null ./cmd/benchjson
 
 # Service smoke gate: builds mpd + mpload, boots the daemon on a

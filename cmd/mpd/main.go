@@ -28,6 +28,9 @@
 // arrive already cancelled, which exercises the whole ladder end to
 // end. make check-service boots mpd with chaos armed and asserts the
 // ladder holds.
+//
+// The -pprof flag serves net/http/pprof's profiles on a listener of
+// their own (off by default); the service port never serves them.
 package main
 
 import (
@@ -38,6 +41,7 @@ import (
 	"log"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"slices"
@@ -73,6 +77,7 @@ func main() {
 		drainTimeout = flag.Duration("drain-timeout", 15*time.Second, "max time to wait for in-flight requests on SIGTERM")
 		chaos        = flag.String("chaos", "", `deterministic fault injection: "panic=N,cancel=N,seed=S" (0 or absent disables a point)`)
 		warm         = flag.String("warm", "", "plan-cache warm file: pre-build persisted plans before readiness, re-persist the live key set on drain")
+		pprofAddr    = flag.String("pprof", "", "serve net/http/pprof's /debug/pprof/ on this address, apart from the service port (empty = off)")
 	)
 	flag.Parse()
 	if !slices.Contains(served, *backendName) {
@@ -128,6 +133,13 @@ func main() {
 
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
+	if *pprofAddr != "" {
+		ps, err := servePprof(*pprofAddr)
+		if err != nil {
+			log.Fatalf("mpd: pprof listen %s: %v", *pprofAddr, err)
+		}
+		defer ps.Close()
+	}
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)
@@ -160,6 +172,30 @@ func main() {
 	st := srv.Stats()
 	log.Printf("mpd: drained: %d requests, %d ok, %d errors, %d shed, %d fused rounds, %d serial fallbacks",
 		st.Requests, st.OK, st.Errors, st.Shed, st.FusedRounds, st.SerialFallbacks)
+}
+
+// servePprof serves net/http/pprof's handlers on their own listener at
+// addr, so that profiles are never reachable on the service port. The
+// caller closes the returned server.
+func servePprof(addr string) (*http.Server, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	ps := &http.Server{Handler: mux}
+	go func() {
+		if err := ps.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
+			log.Printf("mpd: pprof: %v", err)
+		}
+	}()
+	log.Printf("mpd: pprof on %s", ln.Addr())
+	return ps, nil
 }
 
 // parseChaos fills the chaos fields of opts from a spec like

@@ -29,6 +29,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"multiprefix/internal/server"
@@ -62,6 +63,9 @@ type MixResult struct {
 	// Fallbacks counts responses served by the degradation ladder's
 	// serial rung (nonzero only under chaos).
 	Fallbacks int `json:"fallbacks"`
+	// FirstError describes the mix's first failed request: its HTTP
+	// status and error kind, or the transport error.
+	FirstError string `json:"first_error,omitempty"`
 }
 
 // Report is the whole run.
@@ -157,6 +161,9 @@ func main() {
 		Clients:    *clients,
 		Chaos:      *chaos,
 	}
+	// A mix that got no request through measured nothing but its
+	// refusals: the run reports it and fails.
+	var failed []string
 	for _, mix := range strings.Split(*mixes, ",") {
 		mix = strings.TrimSpace(mix)
 		if mix == "" {
@@ -171,18 +178,23 @@ func main() {
 		rep.Mixes = append(rep.Mixes, r)
 		log.Printf("mpload: %-6s %8.0f qps  mean %6.2fms  p99 %6.2fms  ok %d  err %d  shed %d  coalesced %.2f  text hits %.3f",
 			r.Mix, r.QPS, r.MeanMS, r.P99MS, r.OK, r.Errors, r.Shed, r.CoalescedAvg, r.TextHitShare)
+		if r.OK == 0 {
+			failed = append(failed, fmt.Sprintf("mix %s: 0 of %d requests ok; first error: %s", r.Mix, r.Requests, r.FirstError))
+		}
 	}
 
 	enc, _ := json.MarshalIndent(rep, "", "  ")
 	enc = append(enc, '\n')
 	if *out == "" {
 		os.Stdout.Write(enc)
-		return
-	}
-	if err := os.WriteFile(*out, enc, 0o644); err != nil {
+	} else if err := os.WriteFile(*out, enc, 0o644); err != nil {
 		log.Fatalf("mpload: write %s: %v", *out, err)
+	} else {
+		log.Printf("mpload: wrote %s", *out)
 	}
-	log.Printf("mpload: wrote %s", *out)
+	if len(failed) > 0 {
+		log.Fatalf("mpload: %s", strings.Join(failed, "; "))
+	}
 }
 
 // runMix drives one traffic mix for dur and aggregates the outcome.
@@ -206,6 +218,9 @@ func runMix(base, mix string, bodies [][]byte, clients int, dur time.Duration, n
 		ok, errs, shed, coal, fb int
 	}
 	stats := make([]workerStats, clients)
+	// firstErr is the first failed request of any worker.
+	var firstErr atomic.Pointer[string]
+	fail := func(msg string) { firstErr.CompareAndSwap(nil, &msg) }
 	deadline := time.Now().Add(dur)
 	start := time.Now()
 	var wg sync.WaitGroup
@@ -221,6 +236,7 @@ func runMix(base, mix string, bodies [][]byte, clients int, dur time.Duration, n
 				resp, err := client.Post(endpoint(w+i), "application/json", bytes.NewReader(body))
 				if err != nil {
 					ws.errs++
+					fail(err.Error())
 					continue
 				}
 				var r response
@@ -240,6 +256,11 @@ func runMix(base, mix string, bodies [][]byte, clients int, dur time.Duration, n
 					ws.shed++
 				default:
 					ws.errs++
+					kind := "none"
+					if r.Error != nil {
+						kind = r.Error.Kind
+					}
+					fail(fmt.Sprintf("HTTP %d, error.kind %s", resp.StatusCode, kind))
 				}
 			}
 		}(w)
@@ -254,6 +275,9 @@ func runMix(base, mix string, bodies [][]byte, clients int, dur time.Duration, n
 	}
 	if mix == "mixed" {
 		res.Endpoint += "|" + strings.TrimPrefix(endpoint(1), base)
+	}
+	if p := firstErr.Load(); p != nil {
+		res.FirstError = *p
 	}
 	var all []time.Duration
 	for i := range stats {

@@ -1,5 +1,7 @@
 package backend
 
+import "math/bits"
+
 // Plan construction is O(n log n)-ish work (validation, counting
 // sort, shard decomposition) over a label vector that repeat traffic
 // sends unchanged; a service caches plans keyed by their full
@@ -7,7 +9,7 @@ package backend
 // part — backend and operator names, shapes, and a 64-bit label
 // digest — with the label vector itself left to the cache entry for
 // an equality check on hit. The digest alone is not trusted for
-// identity: an adversarial client that found an FNV collision must
+// identity: an adversarial client that found a digest collision must
 // get a correct answer (a second plan), never another key's plan.
 
 // Key identifies a plan's construction input for caching. Two plans
@@ -38,7 +40,7 @@ type Key struct {
 	Op string
 	// N is the element count, M the label-space size.
 	N, M int
-	// Digest is an FNV-1a hash over the label vector.
+	// Digest is DigestLabels of the label vector.
 	Digest uint64
 }
 
@@ -53,22 +55,21 @@ func KeyFor(backendName, opName string, labels []int, m int) Key {
 	}
 }
 
-// DigestLabels hashes a label vector with 64-bit FNV-1a, feeding each
-// label as eight little-endian bytes. Deterministic across runs and
-// platforms.
+// DigestLabels hashes a label vector one 64-bit word per label: each
+// label is xored in, multiplied by an odd constant and rotated, which
+// is one dependent multiply per label where a byte-wise hash takes
+// eight, and a final avalanche (MurMur3's fmix64) spreads the last
+// labels over every bit. Every step is a bijection of the state for a
+// given label, so vectors that differ in one label always digest
+// differently. Deterministic across runs and platforms.
 func DigestLabels(labels []int) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
+	h := uint64(0x6a09e667f3bcc908)
 	for _, l := range labels {
-		v := uint64(l)
-		for b := 0; b < 8; b++ {
-			h ^= v & 0xff
-			h *= prime64
-			v >>= 8
-		}
+		h = bits.RotateLeft64((h^uint64(l))*0x9e3779b97f4a7c15, 29)
 	}
-	return h
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	return h ^ h>>33
 }

@@ -64,6 +64,23 @@ func TestPlanKey(t *testing.T) {
 	}
 }
 
+// TestDigestGolden pins DigestLabels' values, so that a digest computed
+// on one platform or run names the same vector on every other.
+func TestDigestGolden(t *testing.T) {
+	for _, tc := range []struct {
+		labels []int
+		want   uint64
+	}{
+		{nil, 0xbd0ed0d08a42a70c},
+		{[]int{0}, 0xdb3450160234360b},
+		{[]int{0, 1, 2, 3, 1 << 30}, 0x6f7ea786cbf01dc4},
+	} {
+		if got := DigestLabels(tc.labels); got != tc.want {
+			t.Errorf("DigestLabels(%v) = %#x, want %#x", tc.labels, got, tc.want)
+		}
+	}
+}
+
 func equalInts(a, b []int) bool {
 	if len(a) != len(b) {
 		return false

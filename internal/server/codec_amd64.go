@@ -1,0 +1,77 @@
+//go:build amd64 && !purego
+
+package server
+
+// On amd64 the per-number loops of the integer codec run as two leaf
+// kernels (codec_amd64.s) that do what shortIntsGo and formatIntsGo do,
+// number for number. The Go loops stay as the reference the tests hold
+// the kernels to, and as the path of the purego build tag.
+//
+// A kernel cannot be preempted, so each call does bounded work: the
+// decoder reads at most decodeBlocks new blocks of 64 bytes, the encoder
+// formats at most one chunk of appendInts, intsChunk integers. The Go
+// loops around the calls are where the scheduler can stop the
+// goroutine.
+
+// decodeBlocks caps the 64-byte blocks one decode kernel call reads:
+// 4 KiB of text, about as many short integers as an encode chunk.
+const decodeBlocks = 64
+
+// scanShort64 is shortIntsGo for an int64 destination, with closing the
+// length of d, except that it returns after decodeBlocks blocks: then
+// the mask is zero and base is the last block it finished, whose end is
+// not past closing.
+//
+//go:noescape
+func scanShort64(d []byte, base int, mask uint64, start int, out []int64, k int) (nbase int, nmask uint64, nstart, nk int)
+
+// scanShortInt is scanShort64 for an int destination, 64 bits wide on
+// amd64: the same kernel.
+//
+//go:noescape
+func scanShortInt(d []byte, base int, mask uint64, start int, out []int, k int) (nbase int, nmask uint64, nstart, nk int)
+
+// formatShort is formatIntsGo for the integers of v below 10^8 in
+// magnitude: it formats v from its first integer up to the first of
+// 10^8 or more, or up to the first that could write past len(b), and
+// returns the index after the last comma and how many it formatted.
+//
+//go:noescape
+func formatShort(b []byte, n int, v []int64) (nn, i int)
+
+// shortInts is shortIntsGo on the decode kernel. The kernel reads d only
+// below closing.
+func shortInts[T int | int64](d []byte, base, closing int, mask uint64, start int, out []T, k int) (int, uint64, int, int) {
+	d = d[:closing]
+	for {
+		switch o := any(out).(type) {
+		case []int64:
+			base, mask, start, k = scanShort64(d, base, mask, start, o, k)
+		case []int:
+			base, mask, start, k = scanShortInt(d, base, mask, start, o, k)
+		}
+		if mask != 0 || base+64 > closing {
+			return base, mask, start, k
+		}
+	}
+}
+
+// formatInts is formatIntsGo on the encode kernel.
+func formatInts(b []byte, n int, v []int64) int {
+	for {
+		var i int
+		n, i = formatShort(b, n, v)
+		if v = v[i:]; len(v) == 0 {
+			return n
+		}
+		// v[0] stopped the kernel. The Go loop formats it and the run of
+		// magnitudes of 10^8 or more after it, so that a run of long
+		// values does not enter the kernel once per value.
+		j := 1
+		for j < len(v) && uint64(v[j]+1e8-1) >= 2e8-1 { // |v[j]| ≥ 10^8, one compare whatever the sign
+			j++
+		}
+		n = formatIntsGo(b, n, v[:j])
+		v = v[j:]
+	}
+}

@@ -1,0 +1,14 @@
+//go:build !amd64 || purego
+
+package server
+
+// Without the amd64 kernels (another GOARCH, or the purego build tag),
+// the integer codec runs its SWAR Go loops.
+
+func shortInts[T int | int64](d []byte, base, closing int, mask uint64, start int, out []T, k int) (int, uint64, int, int) {
+	return shortIntsGo(d, base, closing, mask, start, out, k)
+}
+
+func formatInts(b []byte, n int, v []int64) int {
+	return formatIntsGo(b, n, v)
+}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 
@@ -58,36 +59,67 @@ func (s *Server) BeginWarm() { s.warming.Store(true) }
 // (0, nil). Entries that no longer validate (unknown backend or op,
 // shape over the server limits) are skipped, not fatal: the file may
 // come from a different configuration.
+//
+// The file is read as a stream, one key at a time: each key's labels
+// are decoded, built into its plan and dropped before the next key is
+// read, so warming holds one key's text and labels beside the plans it
+// built, never the whole file. A file that stops parsing part way keeps
+// the plans built before the fault and reports it.
 func (s *Server) WarmFromFile(path string) (warmed int, err error) {
 	defer s.warming.Store(false)
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
 			return 0, nil
 		}
 		return 0, fmt.Errorf("reading warm file: %w", err)
 	}
-	var keys []warmKey[int]
-	if err := json.Unmarshal(data, &keys); err != nil {
-		return 0, fmt.Errorf("parsing warm file %s: %w", path, err)
+	defer f.Close()
+	bad := func(err error) (int, error) {
+		return warmed, fmt.Errorf("parsing warm file %s: %w", path, err)
 	}
-	for _, k := range keys {
-		op, ok := ops[k.Op]
-		if !ok || !served(k.Backend) {
-			continue
+	dec := json.NewDecoder(bufio.NewReader(f))
+	switch tok, err := dec.Token(); {
+	case err != nil:
+		return bad(err)
+	case tok == nil: // null: no keys
+	case tok != json.Delim('['):
+		return bad(fmt.Errorf("want an array of plan keys, got %v", tok))
+	default:
+		for dec.More() {
+			var k warmKey[int]
+			if err := dec.Decode(&k); err != nil {
+				return bad(err)
+			}
+			if s.warmOne(k) {
+				warmed++
+				s.st.warmedPlans.Add(1)
+			}
 		}
-		if len(k.Labels) > s.opts.MaxN || k.M > s.opts.MaxM {
-			continue
+		if _, err := dec.Token(); err != nil { // the closing ']'
+			return bad(err)
 		}
-		entry, err := s.cache.acquire(k.Backend, op, k.Labels, k.M)
-		if err != nil {
-			continue // a plan that won't build now won't build for traffic either
-		}
-		s.cache.release(entry)
-		warmed++
-		s.st.warmedPlans.Add(1)
+	}
+	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
+		return bad(errors.New("data after the array of plan keys"))
 	}
 	return warmed, nil
+}
+
+// warmOne builds k's plan into the cache and reports whether it did: an
+// unknown backend or op, a shape over the server limits or a failed
+// build skips the key.
+func (s *Server) warmOne(k warmKey[int]) bool {
+	op, ok := ops[k.Op]
+	if !ok || !served(k.Backend) || len(k.Labels) > s.opts.MaxN || k.M > s.opts.MaxM {
+		return false
+	}
+	entry, err := s.cache.acquire(k.Backend, op, k.Labels, k.M)
+	if err != nil {
+		return false // a plan that won't build now won't build for traffic either
+	}
+	s.cache.release(entry)
+	return true
 }
 
 // PersistPlansToFile writes the cache's live key set to path, most

@@ -518,15 +518,16 @@ func scanInts[T int | int64](s *wireScanner, alloc func(int) []T) ([]T, bool) {
 	}
 }
 
-// shortInts parses the elements that end at the commas mask marks in the
-// block at base, then at the commas of each whole block up to closing,
-// the first of them starting at start, into out from index k on,
-// storing nothing when out is nil. It stops at the first element that
-// is not an optional '-' and one to seven digits without a leading
+// shortIntsGo parses the elements that end at the commas mask marks in
+// the block at base, then at the commas of each whole block up to
+// closing, the first of them starting at start, into out from index k
+// on, storing nothing when out is nil. It stops at the first element
+// that is not an optional '-' and one to seven digits without a leading
 // zero, and returns its block, the mask from its comma on, where it
 // starts and the index it would take; past the last whole block the
-// mask it returns is zero.
-func shortInts[T int | int64](d []byte, base, closing int, mask uint64, start int, out []T, k int) (int, uint64, int, int) {
+// mask it returns is zero. It is shortInts where no kernel serves, and
+// the reference the amd64 kernel is tested against.
+func shortIntsGo[T int | int64](d []byte, base, closing int, mask uint64, start int, out []T, k int) (int, uint64, int, int) {
 	for {
 		for ; mask != 0; mask &= mask - 1 {
 			comma := base + bits.TrailingZeros64(mask)
@@ -763,31 +764,37 @@ func appendInts(b []byte, v []int64) []byte {
 		c := v[:min(len(v), intsChunk)]
 		v = v[len(c):]
 		b = slices.Grow(b, len(c)*maxIntText)
-		n := len(b)
-		b = b[:cap(b)]
-		for _, x := range c {
-			sign := x >> 63 // -1 when x is negative, else 0
-			u := uint64((x ^ sign) - sign)
-			b[n] = '-'
-			n -= int(sign)
-			if u >= 1e8 {
-				n = len(strconv.AppendUint(b[:n], u, 10))
-				b[n] = ','
-				n++
-				continue
-			}
-			hi := u / 1e4
-			w := uint64(digitWords[hi]) | uint64(digitWords[u-hi*1e4])<<32
-			lz := min(bits.TrailingZeros64(w^swarZeros)>>3, 7) // leading zeros, keeping one digit
-			binary.LittleEndian.PutUint64(b[n:], w>>(8*lz&63))
-			n += 8 - lz
-			b[n] = ','
-			n++
-		}
-		b = b[:n]
+		b = b[:formatInts(b[:cap(b)], len(b), c)]
 	}
 	b[len(b)-1] = ']'
 	return b
+}
+
+// formatIntsGo writes each integer of v and a comma into b from index n
+// on and returns the index after the last comma; b must have room for
+// maxIntText bytes per integer. It is formatInts where no kernel serves,
+// and the reference the amd64 kernel is tested against.
+func formatIntsGo(b []byte, n int, v []int64) int {
+	for _, x := range v {
+		sign := x >> 63 // -1 when x is negative, else 0
+		u := uint64((x ^ sign) - sign)
+		b[n] = '-'
+		n -= int(sign)
+		if u >= 1e8 {
+			n = len(strconv.AppendUint(b[:n], u, 10))
+			b[n] = ','
+			n++
+			continue
+		}
+		hi := u / 1e4
+		w := uint64(digitWords[hi]) | uint64(digitWords[u-hi*1e4])<<32
+		lz := min(bits.TrailingZeros64(w^swarZeros)>>3, 7) // leading zeros, keeping one digit
+		binary.LittleEndian.PutUint64(b[n:], w>>(8*lz&63))
+		n += 8 - lz
+		b[n] = ','
+		n++
+	}
+	return n
 }
 
 // appendString appends s as a JSON string. Printable ASCII that needs no

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -230,14 +231,15 @@ func checkDecodeParity(t *testing.T, data []byte) {
 
 // FuzzIntCodec holds both integer loops of the codec to their references
 // at the edges of the 8-byte word and of the decoder's 64-byte block
-// (blockTexts). appendInts must write what
+// (blockTexts, kernelTexts). appendInts must write what
 // strconv.AppendInt joined by commas writes, for x shifted right by
 // every count, so every width of x from 1 to 19 digits, with either
 // sign, repeated past one chunk of the encoder. The decoder must agree
 // with json.Unmarshal on text placed as the elements of a values,
-// labels and batch array.
+// labels and batch array. Beside them, each kernel must do what its Go
+// loop does (checkShortInts, checkFormatInts).
 func FuzzIntCodec(f *testing.F) {
-	for i, t := range append(intTexts, blockTexts...) {
+	for i, t := range slices.Concat(intTexts, blockTexts, kernelTexts) {
 		f.Add([]byte(t), int64(i)*0x0123456789abcdef)
 	}
 	for _, x := range []int64{0, 1, -1, 9999999, 10000000, 99999999, 100000000, math.MaxInt64, math.MinInt64} {
@@ -260,6 +262,10 @@ func FuzzIntCodec(f *testing.F) {
 		want = append(want, ']')
 		if got := appendInts(nil, v); !bytes.Equal(got, want) {
 			t.Fatalf("appendInts of x=%d\n got %s\nwant %s", x, got, want)
+		}
+		checkFormatInts(t, v, 1)
+		for _, prefix := range []string{"[", `{"values":[`} {
+			checkShortInts(t, append([]byte(prefix), append(text, ']')...), len(prefix))
 		}
 		for _, array := range [][2]string{{`{"values":[`, `]}`}, {`{"labels":[`, `]}`}, {`{"batch":[[`, `]]}`}} {
 			body := append([]byte(array[0]), text...)

@@ -22,7 +22,11 @@
 #      exits cleanly with zero dropped in-flight requests,
 #   7. the drain persisted the plan key set (-warm) and a second boot
 #      pre-builds exactly its one plan before readiness,
-# and builds cmd/mpload so the load generator cannot rot.
+#   8. profiles (-pprof) answer on their own listener only: the service
+#      port answers 404 on /debug/pprof/,
+# and that mpload fails a mix in which no request succeeds (-backend
+# sorted, which the service refuses), naming the mix, the status and
+# the error kind.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -45,13 +49,22 @@ if grep -q "serving on" "$BIN/refuse.log" || ! grep -q "want one of auto, serial
   cat "$BIN/refuse.log"; exit 1
 fi
 
+# A load run in which no request succeeds must fail, and say why.
+if "$BIN/mpload" -backend sorted -dur 1s -n 1024 -m 16 -mix reduce -o "$BIN/load.json" 2>"$BIN/load.log"; then
+  echo "check-service: mpload exited 0 with no request ok"; cat "$BIN/load.log"; exit 1
+fi
+if ! grep -q "mix reduce: 0 of [0-9]* requests ok; first error: HTTP 400, error.kind unknown_backend" "$BIN/load.log"; then
+  echo "check-service: mpload's failure does not name the mix, status and kind"; cat "$BIN/load.log"; exit 1
+fi
+
 PORT=$((20000 + RANDOM % 20000))
+PPROF_PORT=$((PORT + 1))
 URL="http://127.0.0.1:$PORT"
 # panic=2: every second request hits an engine panic, so the ladder is
 # exercised by the smoke traffic itself. -max-body 4096 is small enough
 # for the oversized-body check below and large enough for the rest.
 "$BIN/mpd" -addr "127.0.0.1:$PORT" -backend chunked -chaos "panic=2,seed=9" \
-  -max-body 4096 -warm "$BIN/warm.json" >"$BIN/mpd.log" 2>&1 &
+  -max-body 4096 -warm "$BIN/warm.json" -pprof "127.0.0.1:$PPROF_PORT" >"$BIN/mpd.log" 2>&1 &
 MPD_PID=$!
 
 for i in $(seq 1 100); do
@@ -62,6 +75,14 @@ for i in $(seq 1 100); do
   sleep 0.1
 done
 curl -sf "$URL/readyz" >/dev/null || { echo "check-service: never ready"; exit 1; }
+
+# Profiles answer on the -pprof listener, never on the service port.
+curl -sf "http://127.0.0.1:$PPROF_PORT/debug/pprof/" | grep -q goroutine ||
+  { echo "check-service: no profile index on the -pprof listener"; cat "$BIN/mpd.log"; exit 1; }
+CODE=$(curl -s -o /dev/null -w '%{http_code}' "$URL/debug/pprof/")
+if [ "$CODE" != 404 ]; then
+  echo "check-service: the service port answers $CODE on /debug/pprof/, want 404"; exit 1
+fi
 
 BODY='{"op":"sum","m":2,"labels":[0,1,0,1,0],"values":[1,2,3,4,5]}'
 WANT_MULTI='[0,0,1,2,4]'
@@ -185,4 +206,4 @@ for i in $(seq 1 100); do
 done
 wait "$MPD_PID" || { echo "check-service: warmed mpd exited nonzero"; cat "$BIN/mpd2.log"; exit 1; }
 
-echo "check-service: ok (smoke, chaos ladder on one plan, typed errors, stateful plans, metrics, drain, warm)"
+echo "check-service: ok (mpload failure, pprof apart, smoke, chaos ladder on one plan, typed errors, stateful plans, metrics, drain, warm)"
