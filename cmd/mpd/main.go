@@ -125,7 +125,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("mpd: listen %s: %v", *addr, err)
 	}
-	log.Printf("mpd: serving on %s (backend=%s)", ln.Addr(), *backendName)
+	log.Printf("mpd: serving on %s (backend=%s, codec=%s)", ln.Addr(), *backendName, server.Codec())
 	if opts.ChaosPanicEvery > 0 || opts.ChaosCancelEvery > 0 {
 		log.Printf("mpd: chaos armed: panic every %d, cancel every %d, seed %d",
 			opts.ChaosPanicEvery, opts.ChaosCancelEvery, opts.ChaosSeed)

@@ -2,25 +2,50 @@
 
 package server
 
-// On amd64 the per-number loops of the integer codec run as two leaf
+// On an amd64 CPU with AVX2, BMI1 and BMI2, whose OS saves the YMM
+// registers, the per-number loops of the integer codec run as two
 // kernels (codec_amd64.s) that do what shortIntsGo and formatIntsGo do,
-// number for number. The Go loops stay as the reference the tests hold
-// the kernels to, and as the path of the purego build tag.
+// number for number, four numbers per vector step. Any other CPU runs
+// the Go loops, which are also the purego build's path and the
+// reference the tests hold the kernels to.
 //
 // A kernel cannot be preempted, so each call does bounded work: the
-// decoder reads at most decodeBlocks new blocks of 64 bytes, the encoder
-// formats at most one chunk of appendInts, intsChunk integers. The Go
-// loops around the calls are where the scheduler can stop the
+// decoder enters at most decodeBlocks new blocks of 64 bytes, the
+// encoder formats at most one chunk of appendInts, intsChunk integers.
+// The Go loops around the calls are where the scheduler can stop the
 // goroutine.
 
-// decodeBlocks caps the 64-byte blocks one decode kernel call reads:
+// useKernels reports whether the codec runs the kernels. It is set once
+// from the CPU at package init, and only tests change it afterwards.
+var useKernels = kernelsSupported()
+
+// kernelsSupported reports whether this CPU and OS run the kernels:
+// CPUID's AVX and OSXSAVE (leaf 1, ECX bits 28 and 27), AVX2, BMI1 and
+// BMI2 (leaf 7, EBX bits 5, 3 and 8; the kernels use TZCNT, BLSR, SHLX
+// and SHRX), and XCR0's SSE and AVX state bits (1 and 2), which say that
+// the OS saves the YMM registers.
+func kernelsSupported() bool {
+	const (
+		leaf1  = 1<<28 | 1<<27
+		leaf7  = 1<<5 | 1<<3 | 1<<8
+		xmmYmm = 1<<1 | 1<<2
+	)
+	ecx1, ebx7, xcr0 := cpuFeatures()
+	return ecx1&leaf1 == leaf1 && ebx7&leaf7 == leaf7 && xcr0&xmmYmm == xmmYmm
+}
+
+// cpuFeatures returns CPUID leaf 1's ECX, leaf 7's EBX and XCR0's low
+// word, or 0 for a leaf the CPU lacks or for XCR0 without OSXSAVE.
+func cpuFeatures() (ecx1, ebx7, xcr0 uint32)
+
+// decodeBlocks caps the 64-byte blocks one decode kernel call enters:
 // 4 KiB of text, about as many short integers as an encode chunk.
 const decodeBlocks = 64
 
 // scanShort64 is shortIntsGo for an int64 destination, with closing the
-// length of d, except that it returns after decodeBlocks blocks: then
-// the mask is zero and base is the last block it finished, whose end is
-// not past closing.
+// length of d, except that it returns after entering decodeBlocks
+// blocks: then the mask is zero and base is the last block it finished,
+// whose end is not past closing.
 //
 //go:noescape
 func scanShort64(d []byte, base int, mask uint64, start int, out []int64, k int) (nbase int, nmask uint64, nstart, nk int)
@@ -39,9 +64,12 @@ func scanShortInt(d []byte, base int, mask uint64, start int, out []int, k int) 
 //go:noescape
 func formatShort(b []byte, n int, v []int64) (nn, i int)
 
-// shortInts is shortIntsGo on the decode kernel. The kernel reads d only
-// below closing.
+// shortInts is shortIntsGo, on the decode kernel where the CPU runs it.
+// The kernel reads d only below closing.
 func shortInts[T int | int64](d []byte, base, closing int, mask uint64, start int, out []T, k int) (int, uint64, int, int) {
+	if !useKernels {
+		return shortIntsGo(d, base, closing, mask, start, out, k)
+	}
 	d = d[:closing]
 	for {
 		switch o := any(out).(type) {
@@ -56,8 +84,12 @@ func shortInts[T int | int64](d []byte, base, closing int, mask uint64, start in
 	}
 }
 
-// formatInts is formatIntsGo on the encode kernel.
+// formatInts is formatIntsGo, on the encode kernel where the CPU runs
+// it.
 func formatInts(b []byte, n int, v []int64) int {
+	if !useKernels {
+		return formatIntsGo(b, n, v)
+	}
 	for {
 		var i int
 		n, i = formatShort(b, n, v)

@@ -5,6 +5,9 @@ package server
 // Without the amd64 kernels (another GOARCH, or the purego build tag),
 // the integer codec runs its SWAR Go loops.
 
+// useKernels is false: there are no kernels to run.
+var useKernels = false
+
 func shortInts[T int | int64](d []byte, base, closing int, mask uint64, start int, out []T, k int) (int, uint64, int, int) {
 	return shortIntsGo(d, base, closing, mask, start, out, k)
 }

@@ -2,8 +2,11 @@ package server
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/bits"
+	"os"
+	"regexp"
 	"slices"
 	"strconv"
 	"strings"
@@ -43,6 +46,36 @@ var kernelTexts = func() []string {
 			}
 			t = append(t, b)
 		}
+	}
+	return t
+}()
+
+// groupTexts are integer array texts for the decode kernel's groups of
+// four: an element at the edge of the short shape (00, a lone '-', eight
+// digits and eight digits with a sign, which it must not take; -0, 0, a
+// '-' and seven digits and seven digits, which it must) at each lane of
+// a group (groups start after the array's first element) and in a group
+// that straddles a 64-byte block edge, and arrays of 1 to 13 elements,
+// which leave 1 to 3 after their last group.
+var groupTexts = func() []string {
+	var t []string
+	short := []string{"12", "-3", "456", "7", "-89", "0", "-1000", "1000", "5", "-6"}
+	for _, e := range []string{"-0", "00", "-", "12345678", "-12345678", "-1234567", "1234567", "0"} {
+		for pos := range 9 {
+			elems := slices.Clone(short)
+			elems[pos] = e
+			t = append(t, strings.Join(elems, ","))
+		}
+		for pad := 40; pad < 80; pad += 3 { // e from byte 40 to 79 of the first block on
+			b := strings.Repeat("1,", pad/2) + e + "," + strings.Repeat("23,", 12) + "4"
+			if pad%2 == 1 {
+				b = "9" + b
+			}
+			t = append(t, b)
+		}
+	}
+	for m := 1; m <= 13; m++ {
+		t = append(t, strings.Repeat("12,", m-1)+"3", strings.Repeat("-1234567,", m-1)+"-7654321")
 	}
 	return t
 }()
@@ -110,7 +143,7 @@ func checkFormatInts(t *testing.T, v []int64, n int) {
 // and with its ']' as the last byte of the text or followed by more, and
 // on encode runs of every width with long values around chunk edges.
 func TestCodecKernels(t *testing.T) {
-	for _, text := range slices.Concat(intTexts, blockTexts, kernelTexts) {
+	for _, text := range slices.Concat(intTexts, blockTexts, kernelTexts, groupTexts) {
 		for _, prefix := range []string{"[", `{"values":[`} {
 			for _, suffix := range []string{"]", "]}"} {
 				checkShortInts(t, []byte(prefix+text+suffix), len(prefix))
@@ -128,6 +161,17 @@ func TestCodecKernels(t *testing.T) {
 	v = append(v, 0, 99999999, -99999999, 1e8, -1e8, math.MaxInt64, math.MinInt64)
 	for n := range 3 {
 		checkFormatInts(t, v, n)
+	}
+	// The edges of the encode kernel's range at each lane of its first two
+	// iterations of eight, among short values.
+	for _, x := range []int64{math.MinInt64, math.MaxInt64, 99999999, -99999999, 1e8, -1e8, 999999, -999999, 1e6, -1e6} {
+		for lane := range 16 {
+			v := []int64{5, -67, 890, -1, 23456, -7, 8, 9, 10, -11, 12, 13, -1234, 56789, 0, -42, 7, 77, -777, 7777}
+			v[lane] = x
+			for n := range 3 {
+				checkFormatInts(t, v, n)
+			}
+		}
 	}
 	// Runs of long values that straddle the chunk edge, and chunks that
 	// end and start on a long value.
@@ -153,4 +197,72 @@ func TestCodecKernels(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestKernelVEXOnly holds codec_amd64.s to the rule the kernels' speed
+// rests on, which no test of their results can see: every instruction
+// that names an X or Y register is VEX-encoded (its mnemonic starts with
+// V), and each TEXT body that names one runs VZEROUPPER before every
+// RET, in the RET's own run of instructions (from the last label or
+// jump) and after the last instruction there that names a vector
+// register. A body that names none, as the CPUID and XGETBV helper, runs
+// no VZEROUPPER, which faults on a CPU without AVX.
+func TestKernelVEXOnly(t *testing.T) {
+	src, err := os.ReadFile("codec_amd64.s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if errs := vexErrors(string(src)); len(errs) > 0 {
+		t.Fatalf("codec_amd64.s:\n%s", strings.Join(errs, "\n"))
+	}
+}
+
+// vexErrors returns a line for each break of TestKernelVEXOnly's rule in
+// the assembly text src.
+func vexErrors(src string) []string {
+	vecReg := regexp.MustCompile(`\b[XY](1[0-5]|[0-9])\b`)
+	type stmt struct {
+		line     int
+		text, op string
+		vec      bool // names a vector register
+	}
+	var bodies [][]stmt
+	for i, line := range strings.Split(src, "\n") {
+		line, _, _ = strings.Cut(line, "//")
+		if line = strings.TrimSpace(line); line == "" || line[0] == '#' {
+			continue
+		}
+		for _, text := range strings.Split(line, ";") {
+			text = strings.TrimSpace(text)
+			op := strings.Fields(text)[0]
+			if op == "TEXT" {
+				bodies = append(bodies, nil)
+			} else if len(bodies) > 0 {
+				bodies[len(bodies)-1] = append(bodies[len(bodies)-1], stmt{i + 1, text, op, vecReg.MatchString(text)})
+			}
+		}
+	}
+	var errs []string
+	for _, body := range bodies {
+		vec := slices.ContainsFunc(body, func(s stmt) bool { return s.vec })
+		for i, s := range body {
+			switch {
+			case s.vec && s.op[0] != 'V':
+				errs = append(errs, fmt.Sprintf("line %d: %q names a vector register without VEX encoding", s.line, s.text))
+			case s.op == "VZEROUPPER" && !vec:
+				errs = append(errs, fmt.Sprintf("line %d: VZEROUPPER in a body that names no vector register", s.line))
+			case s.op == "RET" && vec:
+				// Walk back through the RET's run, which starts after the
+				// last label or jump.
+				j := i - 1
+				for j >= 0 && body[j].op != "VZEROUPPER" && !body[j].vec && !strings.HasSuffix(body[j].op, ":") && body[j].op[0] != 'J' {
+					j--
+				}
+				if j < 0 || body[j].op != "VZEROUPPER" {
+					errs = append(errs, fmt.Sprintf("line %d: RET without VZEROUPPER after the last vector instruction before it", s.line))
+				}
+			}
+		}
+	}
+	return errs
 }

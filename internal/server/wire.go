@@ -414,6 +414,16 @@ func (s *wireScanner) arrayText() ([]byte, bool) {
 	return b, true
 }
 
+// Codec names the integer codec's loops this process runs: "avx2" for
+// the amd64 kernels, chosen at start-up where the CPU has AVX2, or "go"
+// for the SWAR Go loops.
+func Codec() string {
+	if useKernels {
+		return "avx2"
+	}
+	return "go"
+}
+
 // The SWAR ("SIMD within a register") constants of the integer codec:
 // each holds one value in every byte lane of a 64-bit word.
 const (

@@ -230,8 +230,8 @@ func checkDecodeParity(t *testing.T, data []byte) {
 }
 
 // FuzzIntCodec holds both integer loops of the codec to their references
-// at the edges of the 8-byte word and of the decoder's 64-byte block
-// (blockTexts, kernelTexts). appendInts must write what
+// at the edges of the 8-byte word, of the decoder's 64-byte block and of
+// its groups of four (blockTexts, kernelTexts, groupTexts). appendInts must write what
 // strconv.AppendInt joined by commas writes, for x shifted right by
 // every count, so every width of x from 1 to 19 digits, with either
 // sign, repeated past one chunk of the encoder. The decoder must agree
@@ -239,10 +239,10 @@ func checkDecodeParity(t *testing.T, data []byte) {
 // labels and batch array. Beside them, each kernel must do what its Go
 // loop does (checkShortInts, checkFormatInts).
 func FuzzIntCodec(f *testing.F) {
-	for i, t := range slices.Concat(intTexts, blockTexts, kernelTexts) {
+	for i, t := range slices.Concat(intTexts, blockTexts, kernelTexts, groupTexts) {
 		f.Add([]byte(t), int64(i)*0x0123456789abcdef)
 	}
-	for _, x := range []int64{0, 1, -1, 9999999, 10000000, 99999999, 100000000, math.MaxInt64, math.MinInt64} {
+	for _, x := range []int64{0, 1, -1, 999999, 1000000, 9999999, 10000000, 99999999, -99999999, 100000000, -100000000, math.MaxInt64, math.MinInt64} {
 		f.Add([]byte("1"), x)
 	}
 	f.Fuzz(func(t *testing.T, text []byte, x int64) {
@@ -725,16 +725,28 @@ func digitsValues(n, digits int) []int64 {
 	return v
 }
 
+// codecRows runs the codec benchmark row f as name, on the amd64
+// kernels where the CPU runs them, and as name_go on the Go loops.
+func codecRows(b *testing.B, name string, f func(*testing.B)) {
+	b.Run(name, f)
+	b.Run(name+"_go", func(b *testing.B) {
+		defer func(on bool) { useKernels = on }(useKernels)
+		useKernels = false
+		f(b)
+	})
+}
+
 // The codec benchmarks run at the service benchmark's shape, n=2^16 and
-// m=256, each beside encoding/json doing the same job. BenchmarkComputeDecode's
-// codec row parses the labels, as a text-index miss does; its text_hit
-// row decodes the rest of the body and finds the labels by their bytes
-// instead, as a warm request does. The digits=w rows decode a body whose
-// values all have w digits, leaving its labels as text. Each row hands
-// its value vectors back to the pool, as the handler does.
+// m=256, each beside encoding/json doing the same job and each codec row
+// beside its _go row (codecRows). BenchmarkComputeDecode's codec row
+// parses the labels, as a text-index miss does; its text_hit row decodes
+// the rest of the body and finds the labels by their bytes instead, as a
+// warm request does. The digits=w rows decode a body whose values all
+// have w digits, leaving its labels as text. Each row hands its value
+// vectors back to the pool, as the handler does.
 func BenchmarkComputeDecode(b *testing.B) {
 	body := wireBody(b, 1<<16, 256)
-	b.Run("codec", func(b *testing.B) {
+	codecRows(b, "codec", func(b *testing.B) {
 		b.SetBytes(int64(len(body)))
 		b.ReportAllocs()
 		for b.Loop() {
@@ -745,7 +757,7 @@ func BenchmarkComputeDecode(b *testing.B) {
 			req.putVectors()
 		}
 	})
-	b.Run("text_hit", func(b *testing.B) {
+	codecRows(b, "text_hit", func(b *testing.B) {
 		var st stats
 		c := newPlanCache(1, 1, &st)
 		defer c.closeAll()
@@ -794,7 +806,7 @@ func BenchmarkComputeDecode(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run(fmt.Sprintf("digits=%d", digits), func(b *testing.B) {
+		codecRows(b, fmt.Sprintf("digits=%d", digits), func(b *testing.B) {
 			b.SetBytes(int64(len(body)))
 			b.ReportAllocs()
 			for b.Loop() {
@@ -822,7 +834,7 @@ func BenchmarkComputeEncode(b *testing.B) {
 	}
 	resp := computeResponse{Backend: "auto", Op: req.Op, N: len(req.Labels), M: req.M, Multi: res.Multi, Coalesced: 1}
 	out := appendCompute(nil, &resp)
-	b.Run("codec", func(b *testing.B) {
+	codecRows(b, "codec", func(b *testing.B) {
 		b.SetBytes(int64(len(out)))
 		b.ReportAllocs()
 		for b.Loop() {
@@ -843,7 +855,7 @@ func BenchmarkComputeEncode(b *testing.B) {
 	for _, digits := range sweepDigits {
 		resp := computeResponse{Backend: "auto", Op: "sum", N: 1 << 16, M: 256, Multi: digitsValues(1<<16, digits), Coalesced: 1}
 		out := appendCompute(nil, &resp)
-		b.Run(fmt.Sprintf("digits=%d", digits), func(b *testing.B) {
+		codecRows(b, fmt.Sprintf("digits=%d", digits), func(b *testing.B) {
 			b.SetBytes(int64(len(out)))
 			b.ReportAllocs()
 			for b.Loop() {

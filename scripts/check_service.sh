@@ -24,6 +24,9 @@
 #      pre-builds exactly its one plan before readiness,
 #   8. profiles (-pprof) answer on their own listener only: the service
 #      port answers 404 on /debug/pprof/,
+#   9. the startup line names the integer codec: codec=avx2 where
+#      /proc/cpuinfo lists the AVX2, BMI1 and BMI2 the amd64 kernels
+#      use, codec=go elsewhere and in a -tags purego build,
 # and that mpload fails a mix in which no request succeeds (-backend
 # sorted, which the service refuses), naming the mix, the status and
 # the error kind.
@@ -36,6 +39,7 @@ MPD_PID=
 trap 'kill "$MPD_PID" 2>/dev/null || true; rm -rf "$BIN"' EXIT
 
 $GO build -o "$BIN/mpd" ./cmd/mpd
+$GO build -o "$BIN/mpd-purego" -tags purego ./cmd/mpd
 $GO build -o "$BIN/mpload" ./cmd/mpload
 
 # A default backend outside the served set would fail every request
@@ -75,6 +79,18 @@ for i in $(seq 1 100); do
   sleep 0.1
 done
 curl -sf "$URL/readyz" >/dev/null || { echo "check-service: never ready"; exit 1; }
+
+# The startup line names the codec the CPU runs.
+WANT_CODEC=go
+if [ "$($GO env GOARCH)" = amd64 ] && [ -r /proc/cpuinfo ]; then
+  FLAGS=$(grep -m1 '^flags' /proc/cpuinfo)
+  WANT_CODEC=avx2
+  for f in avx2 bmi1 bmi2; do
+    case " $FLAGS " in *" $f "*) ;; *) WANT_CODEC=go ;; esac
+  done
+fi
+grep -q "serving on 127.0.0.1:$PORT (backend=chunked, codec=$WANT_CODEC)" "$BIN/mpd.log" ||
+  { echo "check-service: startup line does not name codec=$WANT_CODEC"; cat "$BIN/mpd.log"; exit 1; }
 
 # Profiles answer on the -pprof listener, never on the service port.
 curl -sf "http://127.0.0.1:$PPROF_PORT/debug/pprof/" | grep -q goroutine ||
@@ -206,4 +222,16 @@ for i in $(seq 1 100); do
 done
 wait "$MPD_PID" || { echo "check-service: warmed mpd exited nonzero"; cat "$BIN/mpd2.log"; exit 1; }
 
-echo "check-service: ok (mpload failure, pprof apart, smoke, chaos ladder on one plan, typed errors, stateful plans, metrics, drain, warm)"
+# A purego build runs the Go loops whatever the CPU, and says so.
+"$BIN/mpd-purego" -addr 127.0.0.1:0 >"$BIN/purego.log" 2>&1 &
+MPD_PID=$!
+for i in $(seq 1 100); do
+  grep -q "serving on" "$BIN/purego.log" && break
+  sleep 0.1
+done
+kill -TERM "$MPD_PID"
+wait "$MPD_PID" || true
+grep -q "serving on .* (backend=auto, codec=go)" "$BIN/purego.log" ||
+  { echo "check-service: the purego build does not name codec=go"; cat "$BIN/purego.log"; exit 1; }
+
+echo "check-service: ok (codec=$WANT_CODEC, purego codec=go, mpload failure, pprof apart, smoke, chaos ladder on one plan, typed errors, stateful plans, metrics, drain, warm)"
