@@ -44,11 +44,13 @@ race:
 # the reuse of pooled request vectors (batch calls write no destination
 # once they return; early exits hand vectors back only once unused),
 # concurrent first use of a plan's lazily allocated result storage, the
-# cache's collision check against a building entry, and the serial
-# rung on an entry's own plan.
+# cache's collision check against a building entry, the serial rung on
+# an entry's own plan, and an auto plan's switch of engine in place
+# (Promote) and its trial at the 4th cache hit under concurrent compute
+# and update traffic.
 race-matrix:
-	$(GO) test -race -count=2 -run 'Sorted|Sharded|Batch|Chunk|Plan|Update|Incremental|PanicInjection|PooledEngines|LabelWidth' ./internal/backend ./internal/core
-	$(GO) test -race -count=2 -run 'Update|Query|Warm|Metrics|Eviction|Stateful|TextIndex|ServeCompute|OverLimit|Coalesc|Drain|Batch|SoloRound|VectorReuse|Collision|EntryBytes|SerialRung' ./internal/server
+	$(GO) test -race -count=2 -run 'Sorted|Sharded|Batch|Chunk|Plan|Update|Incremental|PanicInjection|PooledEngines|LabelWidth|Promote' ./internal/backend ./internal/core
+	$(GO) test -race -count=2 -run 'Update|Query|Warm|Metrics|Eviction|Stateful|TextIndex|ServeCompute|OverLimit|Coalesc|Drain|Batch|SoloRound|VectorReuse|Collision|EntryBytes|SerialRung|Promote|AutoTrial' ./internal/server
 
 # Each fuzz target runs briefly from its seed corpus plus FUZZTIME of
 # random inputs; failures minimize and persist under testdata/fuzz.
@@ -113,7 +115,9 @@ bench-smoke:
 bench-json:
 	$(GO) run ./cmd/benchjson -o BENCH_engines.json
 
-# Regenerate the committed service-performance snapshot: mpload boots
-# an in-process server and measures QPS/latency per traffic mix.
+# Regenerate the committed service-performance snapshot: mpload boots a
+# fresh in-process server per sample and measures QPS/latency, three
+# samples a point, for the three traffic mixes over 4, 64 and 128 label
+# vectors in cyclic order (the plan cache holds 64), on auto and serial.
 bench-service:
-	$(GO) run ./cmd/mpload -dur 5s -mix reduce,multi,mixed -o BENCH_service.json
+	$(GO) run ./cmd/mpload -c 2 -dur 3s -seed 11 -mix reduce,multi,mixed -plans 4,64,128 -backend auto,serial -o BENCH_service.json

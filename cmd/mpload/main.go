@@ -6,15 +6,20 @@
 // repo root is its reference snapshot (`make bench-service`
 // regenerates it).
 //
-// With -url it targets a running daemon; without, it boots an
-// in-process server on a loopback listener so a benchmark run is one
-// command. Each worker rotates through a small set of distinct label
-// vectors (-plans), so the run exercises the plan cache's hit path
-// and, with many workers on few plans, the cross-request batch
-// coalescer.
+// With -url it targets a running daemon; without, it boots a fresh
+// in-process server on a loopback listener for every sample, so a
+// sample starts from an empty plan cache and a benchmark run is one
+// command. Each worker rotates cyclically through a set of distinct
+// label vectors (-plans), so the run exercises the plan cache's hit
+// path and, with many workers on few plans, the cross-request batch
+// coalescer; a set larger than the cache (64 plans by default) makes
+// almost every request a miss, LRU's worst case. -backend and -plans
+// take comma-separated lists, and every (backend, plans, mix) point is
+// measured three times and reported with its median and quartiles.
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"flag"
@@ -25,8 +30,11 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"os/exec"
 	"runtime"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -35,7 +43,11 @@ import (
 	"multiprefix/internal/server"
 )
 
-// MixResult is one traffic mix's measurement.
+// samples is how many times each point is measured: enough for a median
+// and quartiles, few enough that a sweep of 18 points runs in minutes.
+const samples = 3
+
+// MixResult is one sample of one traffic mix.
 type MixResult struct {
 	// Mix names the traffic shape: "reduce" (multireduce only),
 	// "multi" (full multiprefix only), or "mixed" (alternating).
@@ -60,6 +72,10 @@ type MixResult struct {
 	// TextHitShare is the share of the mix's requests whose plan the
 	// server found by the labels array's wire bytes, from /v1/stats.
 	TextHitShare float64 `json:"text_hit_share"`
+	// CacheMisses and AutoTrials are the plan builds and the auto plans'
+	// trials during the sample, from /v1/stats.
+	CacheMisses uint64 `json:"cache_misses"`
+	AutoTrials  uint64 `json:"auto_trials"`
 	// Fallbacks counts responses served by the degradation ladder's
 	// serial rung (nonzero only under chaos).
 	Fallbacks int `json:"fallbacks"`
@@ -68,18 +84,52 @@ type MixResult struct {
 	FirstError string `json:"first_error,omitempty"`
 }
 
+// Spread is a figure's median and quartiles over a point's samples
+// (Python's statistics.quantiles, exclusive method).
+type Spread struct {
+	Median float64 `json:"median"`
+	Q1     float64 `json:"q1"`
+	Q3     float64 `json:"q3"`
+}
+
+// Point is one (backend, plans, mix) measurement: its samples and the
+// spread of the figures read from them.
+type Point struct {
+	Backend      string      `json:"backend"`
+	Plans        int         `json:"plans"`
+	Mix          string      `json:"mix"`
+	QPS          Spread      `json:"qps"`
+	P50MS        Spread      `json:"p50_ms"`
+	P99MS        Spread      `json:"p99_ms"`
+	TextHitShare Spread      `json:"text_hit_share"`
+	Samples      []MixResult `json:"samples"`
+}
+
+// Provenance says where a report came from.
+type Provenance struct {
+	Commit     string `json:"commit"`
+	GoVersion  string `json:"go"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	NumCPU     int    `json:"nproc"`
+	CPU        string `json:"cpu"`
+	Host       string `json:"host"`
+}
+
 // Report is the whole run.
 type Report struct {
-	Host       string      `json:"host"`
-	GoMaxProcs int         `json:"gomaxprocs"`
-	Backend    string      `json:"backend"`
-	Op         string      `json:"op"`
-	N          int         `json:"n"`
-	M          int         `json:"m"`
-	Plans      int         `json:"plans"`
-	Clients    int         `json:"clients"`
-	Chaos      string      `json:"chaos,omitempty"`
-	Mixes      []MixResult `json:"mixes"`
+	Provenance Provenance `json:"provenance"`
+	// Target is "in-process" (a fresh server per sample) or the -url.
+	Target  string  `json:"target"`
+	Op      string  `json:"op"`
+	N       int     `json:"n"`
+	M       int     `json:"m"`
+	Clients int     `json:"clients"`
+	DurSec  float64 `json:"dur_sec"`
+	Seed    int64   `json:"seed"`
+	// Order is how each client walks the label vectors: "cyclic".
+	Order  string  `json:"order"`
+	Chaos  string  `json:"chaos,omitempty"`
+	Points []Point `json:"points"`
 }
 
 // response is the part of a reply mpload reads. It leaves out multi and
@@ -95,91 +145,72 @@ type response struct {
 
 func main() {
 	var (
-		url     = flag.String("url", "", "base URL of a running mpd (empty = boot an in-process server)")
-		clients = flag.Int("c", 2*runtime.GOMAXPROCS(0), "concurrent client workers")
-		dur     = flag.Duration("dur", 3*time.Second, "measurement duration per mix")
-		n       = flag.Int("n", 1<<16, "elements per request")
-		m       = flag.Int("m", 256, "label-space size")
-		plans   = flag.Int("plans", 4, "distinct label vectors rotated through (plan-cache working set)")
-		backend = flag.String("backend", "auto", "backend requested per request")
-		op      = flag.String("op", "sum", "operator requested per request")
-		mixes   = flag.String("mix", "reduce,multi", "comma-separated mixes to run: reduce, multi, mixed")
-		seed    = flag.Int64("seed", 1, "input generation seed")
-		chaos   = flag.String("chaos", "", "chaos spec for the in-process server (ignored with -url)")
-		out     = flag.String("o", "", "write the JSON report here (default stdout)")
+		url      = flag.String("url", "", "base URL of a running mpd (empty = boot an in-process server per sample)")
+		clients  = flag.Int("c", 2*runtime.GOMAXPROCS(0), "concurrent client workers")
+		dur      = flag.Duration("dur", 3*time.Second, "measurement duration per sample")
+		n        = flag.Int("n", 1<<16, "elements per request")
+		m        = flag.Int("m", 256, "label-space size")
+		plansArg = flag.String("plans", "4", "comma-separated counts of distinct label vectors rotated through (plan-cache working set)")
+		backends = flag.String("backend", "auto", "comma-separated backends requested per request")
+		op       = flag.String("op", "sum", "operator requested per request")
+		mixes    = flag.String("mix", "reduce,multi", "comma-separated mixes to run: reduce, multi, mixed")
+		seed     = flag.Int64("seed", 1, "input generation seed")
+		chaos    = flag.String("chaos", "", "chaos spec for the in-process server (ignored with -url)")
+		out      = flag.String("o", "", "write the JSON report here (default stdout)")
 	)
 	flag.Parse()
 
-	base := *url
-	if base == "" {
-		opts := server.Options{Backend: *backend}
-		if err := parseChaos(*chaos, &opts); err != nil {
-			log.Fatalf("mpload: bad -chaos: %v", err)
-		}
-		srv := server.New(opts)
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			log.Fatalf("mpload: listen: %v", err)
-		}
-		hs := &http.Server{Handler: srv.Handler()}
-		go hs.Serve(ln)
-		defer func() { hs.Close(); srv.Close() }()
-		base = "http://" + ln.Addr().String()
-		log.Printf("mpload: in-process server on %s", base)
+	opts := server.Options{}
+	if err := parseChaos(*chaos, &opts); err != nil {
+		log.Fatalf("mpload: bad -chaos: %v", err)
 	}
-	base = strings.TrimRight(base, "/")
-
-	// Pre-encode one request body per (plan, kind): the generator must
-	// not spend its measurement window in JSON marshalling.
-	rng := rand.New(rand.NewSource(*seed))
-	bodies := make([][]byte, *plans)
-	for p := 0; p < *plans; p++ {
-		labels := make([]int, *n)
-		values := make([]int64, *n)
-		for i := range labels {
-			labels[i] = rng.Intn(*m)
-			values[i] = int64(rng.Intn(100))
+	var plansList []int
+	for _, f := range splitList(*plansArg) {
+		p, err := strconv.Atoi(f)
+		if err != nil || p < 1 {
+			log.Fatalf("mpload: bad -plans entry %q", f)
 		}
-		b, err := json.Marshal(map[string]any{
-			"op": *op, "backend": *backend, "m": *m,
-			"labels": labels, "values": values,
-		})
-		if err != nil {
-			log.Fatalf("mpload: marshal: %v", err)
-		}
-		bodies[p] = b
+		plansList = append(plansList, p)
 	}
 
 	rep := Report{
-		Host:       hostname(),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		Backend:    *backend,
+		Provenance: provenance(),
+		Target:     "in-process",
 		Op:         *op,
 		N:          *n,
 		M:          *m,
-		Plans:      *plans,
 		Clients:    *clients,
+		DurSec:     dur.Seconds(),
+		Seed:       *seed,
+		Order:      "cyclic",
 		Chaos:      *chaos,
+	}
+	if *url != "" {
+		rep.Target = *url
 	}
 	// A mix that got no request through measured nothing but its
 	// refusals: the run reports it and fails.
 	var failed []string
-	for _, mix := range strings.Split(*mixes, ",") {
-		mix = strings.TrimSpace(mix)
-		if mix == "" {
-			continue
-		}
-		before := serverStats(base)
-		r := runMix(base, mix, bodies, *clients, *dur, *n)
-		after := serverStats(base)
-		if d := after.Requests - before.Requests; d > 0 {
-			r.TextHitShare = float64(after.LabelTextHits-before.LabelTextHits) / float64(d)
-		}
-		rep.Mixes = append(rep.Mixes, r)
-		log.Printf("mpload: %-6s %8.0f qps  mean %6.2fms  p99 %6.2fms  ok %d  err %d  shed %d  coalesced %.2f  text hits %.3f",
-			r.Mix, r.QPS, r.MeanMS, r.P99MS, r.OK, r.Errors, r.Shed, r.CoalescedAvg, r.TextHitShare)
-		if r.OK == 0 {
-			failed = append(failed, fmt.Sprintf("mix %s: 0 of %d requests ok; first error: %s", r.Mix, r.Requests, r.FirstError))
+	for _, be := range splitList(*backends) {
+		for _, plans := range plansList {
+			bodies := makeBodies(*seed, plans, *n, *m, *op, be)
+			for _, mix := range splitList(*mixes) {
+				pt := Point{Backend: be, Plans: plans, Mix: mix}
+				for range samples {
+					r := sample(*url, opts, mix, bodies, *clients, *dur, *n)
+					pt.Samples = append(pt.Samples, r)
+					log.Printf("mpload: %-7s plans %-4d %-6s %8.0f qps  mean %6.2fms  p99 %6.2fms  ok %d  err %d  shed %d  coalesced %.2f  text hits %.3f  misses %d  trials %d",
+						be, plans, r.Mix, r.QPS, r.MeanMS, r.P99MS, r.OK, r.Errors, r.Shed, r.CoalescedAvg, r.TextHitShare, r.CacheMisses, r.AutoTrials)
+					if r.OK == 0 {
+						failed = append(failed, fmt.Sprintf("mix %s: 0 of %d requests ok; first error: %s", r.Mix, r.Requests, r.FirstError))
+					}
+				}
+				pt.QPS = spreadOf(pt.Samples, func(r MixResult) float64 { return r.QPS })
+				pt.P50MS = spreadOf(pt.Samples, func(r MixResult) float64 { return r.P50MS })
+				pt.P99MS = spreadOf(pt.Samples, func(r MixResult) float64 { return r.P99MS })
+				pt.TextHitShare = spreadOf(pt.Samples, func(r MixResult) float64 { return r.TextHitShare })
+				rep.Points = append(rep.Points, pt)
+			}
 		}
 	}
 
@@ -195,6 +226,130 @@ func main() {
 	if len(failed) > 0 {
 		log.Fatalf("mpload: %s", strings.Join(failed, "; "))
 	}
+}
+
+// splitList splits a comma-separated flag value, dropping empty items.
+func splitList(s string) []string {
+	var out []string
+	for _, f := range strings.Split(s, ",") {
+		if f = strings.TrimSpace(f); f != "" {
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
+// makeBodies pre-encodes one request body per label vector: the
+// generator must not spend its measurement window in JSON marshalling.
+// The vectors depend on the seed alone, so a smaller -plans count
+// rotates through a prefix of a larger one's.
+func makeBodies(seed int64, plans, n, m int, op, backend string) [][]byte {
+	rng := rand.New(rand.NewSource(seed))
+	bodies := make([][]byte, plans)
+	labels := make([]int, n)
+	values := make([]int64, n)
+	for p := range bodies {
+		for i := range labels {
+			labels[i] = rng.Intn(m)
+			values[i] = int64(rng.Intn(100))
+		}
+		b, err := json.Marshal(map[string]any{
+			"op": op, "backend": backend, "m": m,
+			"labels": labels, "values": values,
+		})
+		if err != nil {
+			log.Fatalf("mpload: marshal: %v", err)
+		}
+		bodies[p] = b
+	}
+	return bodies
+}
+
+// sample measures one mix once: against url, or else against a fresh
+// in-process server built from opts, closed once the sample ends. It
+// collects first, so an earlier point's bodies and plans are not
+// collected on its time.
+func sample(url string, opts server.Options, mix string, bodies [][]byte, clients int, dur time.Duration, n int) MixResult {
+	runtime.GC()
+	base := url
+	if base == "" {
+		srv := server.New(opts)
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			log.Fatalf("mpload: listen: %v", err)
+		}
+		hs := &http.Server{Handler: srv.Handler()}
+		go hs.Serve(ln)
+		defer func() { hs.Close(); srv.Close() }()
+		base = "http://" + ln.Addr().String()
+	}
+	base = strings.TrimRight(base, "/")
+	before := serverStats(base)
+	r := runMix(base, mix, bodies, clients, dur, n)
+	after := serverStats(base)
+	if d := after.Requests - before.Requests; d > 0 {
+		r.TextHitShare = float64(after.LabelTextHits-before.LabelTextHits) / float64(d)
+	}
+	r.CacheMisses = after.CacheMisses - before.CacheMisses
+	r.AutoTrials = after.AutoTrials - before.AutoTrials
+	return r
+}
+
+// spreadOf is the Spread of one figure over a point's samples.
+func spreadOf(runs []MixResult, figure func(MixResult) float64) Spread {
+	v := make([]float64, len(runs))
+	for i, r := range runs {
+		v[i] = figure(r)
+	}
+	slices.Sort(v)
+	if len(v) == 1 {
+		return Spread{Median: v[0], Q1: v[0], Q3: v[0]}
+	}
+	// statistics.quantiles(n=4), exclusive method: cut point i of 3
+	// lies at rank i·(len+1)/4, interpolated.
+	var q [3]float64
+	for i := 1; i <= 3; i++ {
+		j := min(max(i*(len(v)+1)/4, 1), len(v)-1)
+		delta := float64(i*(len(v)+1) - j*4)
+		q[i-1] = (v[j-1]*(4-delta) + v[j]*delta) / 4
+	}
+	return Spread{Q1: q[0], Median: q[1], Q3: q[2]}
+}
+
+// provenance records the commit (when the working directory is the top
+// of a git checkout, marked -dirty when tracked files differ from it),
+// the Go version, GOMAXPROCS, the CPU count and model, and the host
+// name.
+func provenance() Provenance {
+	p := Provenance{
+		Commit:     "none",
+		GoVersion:  runtime.Version(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		NumCPU:     runtime.NumCPU(),
+		CPU:        "unknown",
+		Host:       hostname(),
+	}
+	if _, err := os.Stat(".git"); err == nil {
+		if out, err := exec.Command("git", "rev-parse", "HEAD").Output(); err == nil {
+			p.Commit = strings.TrimSpace(string(out))
+			// Tracked files that differ from HEAD: the code measured is
+			// not the commit's.
+			if diff, err := exec.Command("git", "status", "--porcelain", "--untracked-files=no").Output(); err == nil && len(diff) > 0 {
+				p.Commit += "-dirty"
+			}
+		}
+	}
+	if f, err := os.Open("/proc/cpuinfo"); err == nil {
+		defer f.Close()
+		sc := bufio.NewScanner(f)
+		for sc.Scan() {
+			if k, v, ok := strings.Cut(sc.Text(), ":"); ok && strings.TrimSpace(k) == "model name" {
+				p.CPU = strings.TrimSpace(v)
+				break
+			}
+		}
+	}
+	return p
 }
 
 // runMix drives one traffic mix for dur and aggregates the outcome.

@@ -82,6 +82,8 @@ func (p *Plan[T]) SerialBatchCall(c Call, dsts, srcs [][]T, withMulti bool) erro
 
 // batch is the locked batch body shared by the multi and reduce
 // forms: validation, dispatch, and the degraded-auto serial retry.
+//
+//mp:locked
 func (p *Plan[T]) batch(dsts, srcs [][]T, withMulti bool) error {
 	if err := p.checkBatch(dsts, srcs, withMulti); err != nil {
 		return err

@@ -85,7 +85,10 @@ type Plan[T any] struct {
 	// Close) at a time per Plan.
 	mu sync.Mutex
 
-	backend  string
+	backend string
+	// exec is how the plan runs; an auto plan's Promote may switch it
+	// between planSerial and planChunked, with team and chunks.
+	//mp:guarded-by mu
 	exec     planKind
 	fallback bool // auto: degrade to the serial pass on internal failure
 	op       core.Op[T]
@@ -108,17 +111,22 @@ type Plan[T any] struct {
 	//mp:guarded-by mu
 	red []T
 
-	// the persistent worker team of the chunked and sharded plans, and
-	// the sharded bodies' per-run state
-	team  *par.Team
-	guard core.Guard
-	fast  core.FastOp
+	// the persistent worker team of the chunked and sharded plans, the
+	// cleanup that closes it if the plan is dropped, and the sharded
+	// bodies' per-run state
+	//mp:guarded-by mu
+	team *par.Team
+	//mp:guarded-by mu
+	teamCleanup runtime.Cleanup
+	guard       core.Guard
+	fast        core.FastOp
 	//mp:guarded-by mu
 	runMulti bool // current run wants Multi (read by worker bodies)
 	//mp:guarded-by mu
 	values []T // current run's values (read by worker bodies)
 
 	// chunked state: core's runner, planned over the labels
+	//mp:guarded-by mu
 	chunks *core.ChunkRunner[T, int32]
 
 	// sorted-family state (see sharded.go): S contiguous element
@@ -145,9 +153,13 @@ type Plan[T any] struct {
 	//mp:guarded-by mu
 	batchDsts, batchSrcs [][]T
 
-	// trial is an auto plan's build-time trial record; nil when the
-	// plan ran none. Set once before the plan is returned.
+	// trial is an auto plan's trial record; nil when the plan ran none.
+	// A library auto plan sets it before the plan is returned; a
+	// RulePlan plan (deferred) sets it at most once, in Promote.
+	//mp:guarded-by mu
 	trial *AutoTrial
+	//mp:guarded-by mu
+	deferred bool
 
 	// spinetree / parallel delegate state
 	buf     *core.Buffers[T]
@@ -205,31 +217,70 @@ type Plan[T any] struct {
 // labels. The label vector is copied, narrowed to int32; later mutation
 // of the caller's slice does not affect the plan. A label space beyond
 // int32 (m > math.MaxInt32) is refused with ErrBadInput before anything
-// m-sized is allocated.
+// m-sized is allocated. An auto plan chooses its engine by trial here,
+// at build time (see trialPlan).
 func (b impl[T]) Plan(op core.Op[T], labels []int, m int, cfg core.Config) (*Plan[T], error) {
-	if err := core.ValidatePlan(op, labels, m); err != nil {
+	if err := checkPlan(op, labels, m); err != nil {
 		return nil, err
 	}
-	if m > math.MaxInt32 {
-		return nil, fmt.Errorf("%w: m=%d exceeds a plan's int32 label space", core.ErrBadInput, m)
-	}
+	l32, classes := narrow(labels), core.CountClasses(labels, m)
 	if b.k == kindAuto && runsTrial(len(labels), m, cfg) {
-		return trialPlan(op, labels, m, cfg)
+		return trialPlan(op, l32, m, classes, cfg)
 	}
+	return newPlan(b.k, b.name, op, l32, m, classes, cfg)
+}
+
+// RulePlan builds an auto plan like Open("auto").Plan, except that it
+// runs no trial at build time: it starts on the one-shot rule's engine
+// (core.AutoChoice) and leaves the trial to Promote, on the live plan.
+// A cache that may evict a plan before its second use builds this way,
+// so a plan pays for the trial only once it has proved hot.
+func RulePlan[T any](op core.Op[T], labels []int, m int, cfg core.Config) (*Plan[T], error) {
+	if err := checkPlan(op, labels, m); err != nil {
+		return nil, err
+	}
+	p, err := newPlan(kindAuto, "auto", op, narrow(labels), m, core.CountClasses(labels, m), cfg)
+	if err != nil {
+		return nil, err
+	}
+	p.mu.Lock()
+	p.deferred = true
+	p.mu.Unlock()
+	return p, nil
+}
+
+// checkPlan validates a plan's inputs: the labels against m, and m
+// against the plans' int32 label space.
+func checkPlan[T any](op core.Op[T], labels []int, m int) error {
+	if err := core.ValidatePlan(op, labels, m); err != nil {
+		return err
+	}
+	if m > math.MaxInt32 {
+		return fmt.Errorf("%w: m=%d exceeds a plan's int32 label space", core.ErrBadInput, m)
+	}
+	return nil
+}
+
+// newPlan builds a plan of kind k, registered as name, over validated
+// labels already narrowed to int32 (the plan keeps that slice as its
+// own) with classes distinct labels. An auto kind applies the one-shot
+// rule. The plan is unpublished until it returns.
+//
+//mp:locked
+func newPlan[T any](k kind, name string, op core.Op[T], labels []int32, m, classes int, cfg core.Config) (*Plan[T], error) {
 	p := &Plan[T]{
-		backend: b.name,
+		backend: name,
 		op:      op,
 		cfg:     cfg,
 		n:       len(labels),
 		m:       m,
-		classes: core.CountClasses(labels, m),
-		labels:  narrow(labels),
+		classes: classes,
+		labels:  labels,
 	}
-	k := b.k
 	if k == kindAuto {
-		// No trial (see trialPlan): the one-shot rule decides, once,
-		// at plan time. The fallback-to-serial degradation of the
-		// one-shot Auto engine is preserved per run.
+		// No trial here (see trialPlan and Promote): the one-shot rule
+		// decides. The fallback-to-serial degradation of the one-shot
+		// Auto engine is preserved per run.
 		p.fallback = true
 		k = kindSerial
 		if core.AutoPlanChoice(p.n, m, cfg) == "chunked" {
@@ -248,7 +299,7 @@ func (b impl[T]) Plan(op core.Op[T], labels []int, m int, cfg core.Config) (*Pla
 			k = kindSerial
 		}
 	case kindPram:
-		if err := pramCheck(b.name, op); err != nil {
+		if err := pramCheck(name, op); err != nil {
 			return nil, err
 		}
 		if p.n == 0 {
@@ -297,15 +348,42 @@ func narrow(labels []int) []int32 {
 	return out
 }
 
-// startTeam starts the plan's persistent worker team. A plan dropped
-// without Close must not leak the team's parked goroutines, so a
-// cleanup closes it.
+// startTeam starts the plan's persistent worker team.
 //
 //mp:locked
 func (p *Plan[T]) startTeam(workers int) {
-	t := par.NewTeam(workers)
-	p.team = t
-	runtime.AddCleanup(p, func(t *par.Team) { t.Close() }, t)
+	p.team = par.NewTeam(workers)
+	p.watchTeam()
+}
+
+// watchTeam registers the cleanup that closes p's team if p is dropped
+// without Close, so the team's parked goroutines do not leak. It
+// replaces any earlier one: a plan whose team moved (swapEngine) must
+// not close it when it is collected, and the team's new owner must.
+//
+//mp:locked
+func (p *Plan[T]) watchTeam() {
+	p.teamCleanup.Stop()
+	p.teamCleanup = runtime.Cleanup{}
+	if p.team != nil {
+		p.teamCleanup = runtime.AddCleanup(p, func(t *par.Team) { t.Close() }, p.team)
+	}
+}
+
+// swapEngine exchanges p's engine with c's: the execution kind, the
+// chunk runner and the worker team, each team's cleanup moving with
+// it. c is a trial candidate built over p's own labels (trial.go), so
+// a chunk runner planned for c is planned for p. Nothing else moves:
+// p keeps its labels, result storage, resident state and version.
+// Callers hold p.mu; c is unpublished.
+//
+//mp:locked
+func (p *Plan[T]) swapEngine(c *Plan[T]) {
+	p.exec, c.exec = c.exec, p.exec
+	p.team, c.team = c.team, p.team
+	p.chunks, c.chunks = c.chunks, p.chunks
+	p.watchTeam()
+	c.watchTeam()
 }
 
 // interrupted is the sharded bodies' stride poll: the plan's guard

@@ -1,6 +1,7 @@
 package backend
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"strings"
@@ -10,13 +11,16 @@ import (
 )
 
 // This file is the auto plan's choice: a plan evaluates many vectors
-// against one label vector, so it can afford to measure. At build time
-// an auto plan with no explicit Config.AutoCal, more than one worker,
-// m ≤ n and a live context builds a serial and a chunked candidate
-// through the registry, warm-runs each on its own labels and keeps the
-// faster — FFTW's "measure" planner, and Träff's per-shape choice of
-// MPI_Exscan variants by measurement. Any other auto plan applies the
-// one-shot rule (core.AutoChoice).
+// against one label vector, so it can afford to measure. An auto plan
+// with no explicit Config.AutoCal, more than one worker, m ≤ n and a
+// live context times a serial and a chunked candidate on its own labels
+// and keeps the faster — FFTW's "measure" planner, and Träff's
+// per-shape choice of MPI_Exscan variants by measurement. A library
+// plan (Open("auto").Plan) runs the trial at build time. A RulePlan
+// plan starts on the one-shot rule's engine (core.AutoChoice) and runs
+// the same trial later, when Promote is called on the live plan, and
+// switches engine in place if the other candidate wins. Any other auto
+// plan applies the rule.
 
 // Trial parameters: one warm-up run per candidate, then up to
 // trialPairs timed pairs alternating which candidate runs first.
@@ -34,7 +38,10 @@ const (
 
 // trialEngines are the candidates, serial first: it is the pick when
 // both fail.
-var trialEngines = [...]string{"serial", "chunked"}
+var trialEngines = [...]struct {
+	name string
+	k    kind
+}{{"serial", kindSerial}, {"chunked", kindChunked}}
 
 // TrialCandidate is one engine the trial timed.
 type TrialCandidate struct {
@@ -47,7 +54,7 @@ type TrialCandidate struct {
 	Err error
 }
 
-// AutoTrial is the record of an auto plan's build-time trial.
+// AutoTrial is the record of an auto plan's trial.
 type AutoTrial struct {
 	Candidates []TrialCandidate
 	// Pick is the engine the plan runs.
@@ -71,11 +78,15 @@ func (t AutoTrial) String() string {
 	return b.String()
 }
 
-// Trial reports the plan's build-time trial record, and false when the
-// plan ran none (every non-auto plan, and auto plans that applied the
-// rule, a trial stopped by its budget or its context included). The
-// record is fixed at build time.
+// Trial reports the plan's trial record, and false when the plan ran
+// none (every non-auto plan, and auto plans that applied the rule, a
+// trial stopped by its budget or its context included). A library auto
+// plan's record is fixed at build time. A RulePlan plan reports false
+// until a Promote call's trial runs to a pick, and that record from
+// then on.
 func (p *Plan[T]) Trial() (AutoTrial, bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	if p.trial == nil {
 		return AutoTrial{}, false
 	}
@@ -89,77 +100,149 @@ func runsTrial(n, m int, cfg core.Config) bool {
 	return cfg.AutoCal == nil && m <= n && core.ChunkWorkers(cfg.Workers, n) > 1 && ctxDone(cfg) == nil
 }
 
-// trialPlan builds an auto plan by trial. The candidates run without
-// the fault hook, so the trial consumes no injected faults; the caller's
-// context is polled between runs, and when it ends the trial stops and
-// the plan applies the rule, as it does when the trial would overrun
-// trialBudget. Either way the plan records no trial. The winner gets
-// the caller's Config back. labels must already be validated.
-func trialPlan[T any](op core.Op[T], labels []int, m int, cfg core.Config) (*Plan[T], error) {
-	start := time.Now()
-	quiet := cfg
-	quiet.FaultHook, quiet.Ctx = nil, nil
+// trialPlan builds an auto plan by trial over labels, validated and
+// narrowed, with classes distinct labels; every candidate shares the
+// one label vector. The candidates run without the fault hook, so the
+// trial consumes no injected faults; the caller's context is polled
+// between runs, and when it ends the trial stops and the plan applies
+// the rule, as it does when the trial would overrun trialBudget.
+// Either way the plan records no trial. The winner gets the caller's
+// Config back.
+func trialPlan[T any](op core.Op[T], labels []int32, m, classes int, cfg core.Config) (*Plan[T], error) {
 	var plans [len(trialEngines)]*Plan[T]
-	build := func(i int) error {
-		be, err := Open[T](trialEngines[i])
-		if err == nil {
-			plans[i], err = be.Plan(op, labels, m, quiet)
-		}
+	build := func(i int) (err error) {
+		plans[i], err = newPlan(trialEngines[i].k, trialEngines[i].name, op, labels, m, classes, quietConfig(cfg))
 		return err
 	}
-	// adopt makes candidate pick the auto plan, building it if the
-	// trial stopped before it did, and closes the others.
-	adopt := func(pick int, rec *AutoTrial) (*Plan[T], error) {
-		var err error
+	rec, pick, err := timeTrial(op, len(labels), &plans, build, func() bool { return ctxDone(cfg) != nil })
+	if err == nil && rec == nil {
+		// Cut short: the rule's engine, built now if the trial had not.
+		pick = 0
+		if core.AutoPlanChoice(len(labels), m, cfg) == "chunked" {
+			pick = 1
+		}
 		if plans[pick] == nil {
 			err = build(pick)
 		}
-		for i, p := range plans {
-			if p != nil && (i != pick || err != nil) {
-				p.Close()
-			}
-		}
-		if err != nil {
-			return nil, err
-		}
-		if rec != nil {
-			rec.Pick = trialEngines[pick]
-			rec.Elapsed = time.Since(start)
-		}
-		w := plans[pick]
-		w.mu.Lock()
-		w.backend, w.fallback, w.cfg, w.trial = "auto", true, cfg, rec
-		w.mu.Unlock()
-		return w, nil
 	}
-	rule := 0
-	if core.AutoPlanChoice(len(labels), m, cfg) == "chunked" {
-		rule = 1
+	for i, p := range plans {
+		if p != nil && (i != pick || err != nil) {
+			p.Close()
+		}
 	}
-	stopped := func() bool { return ctxDone(cfg) != nil }
+	if err != nil {
+		return nil, err
+	}
+	w := plans[pick]
+	w.mu.Lock()
+	w.backend, w.fallback, w.cfg, w.trial = "auto", true, cfg, rec
+	w.mu.Unlock()
+	return w, nil
+}
 
-	// The candidates run through RunBatch into trial-owned storage, so
-	// the winner keeps no result vector of the trial's.
-	values, dst := make([]T, len(labels)), make([]T, len(labels))
+// Promote runs the trial on a live auto plan that RulePlan built, once.
+// It builds the candidate the plan is not running, over the plan's own
+// labels, and times the two exactly as a build-time trial does; the
+// plan's own runs take its lock one at a time, so traffic on the plan
+// goes on between them. When the other candidate wins, the plan
+// switches to it in place under its lock: the plan pointer, its labels,
+// its resident values and Version() all survive. Only an integer
+// element type may switch, where serial and chunked agree bit for bit,
+// so a switch changes no answer. ctx is polled between runs.
+//
+// Promote reports whether the trial ran to a pick, which Trial then
+// returns, and whether the engine changed. It runs none, and the plan
+// stays on its engine and records nothing, for a plan RulePlan did not
+// build or that was promoted before, a floating-point element type, a
+// shape the trial does not cover (one worker, m > n, an explicit
+// Config.AutoCal), or a trial cut short by ctx or by its budget.
+func (p *Plan[T]) Promote(ctx context.Context) (ok, switched bool) {
+	p.mu.Lock()
+	eligible := p.deferred && !p.closed
+	p.deferred = false
+	cfg := p.cfg
+	cur := 0
+	if p.exec == planChunked {
+		cur = 1
+	}
+	p.mu.Unlock()
+	cfg.Ctx = ctx
+	if !eligible || !exactElem[T]() || !runsTrial(p.n, p.m, cfg) {
+		return false, false
+	}
+	var plans [len(trialEngines)]*Plan[T]
+	plans[cur] = p
+	build := func(i int) (err error) {
+		plans[i], err = newPlan(trialEngines[i].k, trialEngines[i].name, p.op, p.labels, p.m, p.classes, quietConfig(cfg))
+		return err
+	}
+	r, pick, err := timeTrial(p.op, p.n, &plans, build, func() bool { return ctx.Err() != nil })
+	cand := plans[1-cur]
+	p.mu.Lock()
+	if err == nil && r != nil && !p.closed {
+		if pick != cur {
+			p.swapEngine(cand)
+			switched = true
+		}
+		p.trial, ok = r, true
+	}
+	p.mu.Unlock()
+	if cand != nil {
+		cand.Close() // after a switch it holds the engine p left
+	}
+	return ok, switched
+}
+
+// quietConfig is cfg for a trial candidate: no fault hook and no
+// context, which the trial polls itself between runs.
+func quietConfig(cfg core.Config) core.Config {
+	cfg.FaultHook, cfg.Ctx = nil, nil
+	return cfg
+}
+
+// exactElem reports whether T is an integer type. There every engine's
+// grouping of an associative operator gives the same bits, so a live
+// plan may switch engine; floating-point rounding depends on the
+// grouping.
+func exactElem[T any]() bool {
+	switch any(*new(T)).(type) {
+	case int, int8, int16, int32, int64, uint, uint8, uint16, uint32, uint64:
+		return true
+	}
+	return false
+}
+
+// timeTrial is the trial's one timing loop, over the candidates in
+// trialEngines order. It builds each candidate still nil in plans
+// through build, warm-runs each once, then times up to trialPairs
+// pairs, alternating which candidate runs first, and picks chunked
+// only when it beats serial's median by trialMargin. It returns the
+// record and the pick's index into plans, or a nil record when the
+// trial was cut short: stopped reported true between runs, or serial's
+// warm-up alone took a quarter of trialBudget. Elapsed counts the
+// builds. The candidates run into trial-owned storage, so none keeps a
+// result vector of the trial's; a build error ends the trial with it.
+func timeTrial[T any](op core.Op[T], n int, plans *[len(trialEngines)]*Plan[T], build func(i int) error, stopped func() bool) (*AutoTrial, int, error) {
+	start := time.Now()
+	values, dst := make([]T, n), make([]T, n)
 	core.FillIdentity(op, values)
 	rec := &AutoTrial{Candidates: make([]TrialCandidate, len(plans))}
 	samples := make([][]time.Duration, len(plans))
-	for i, name := range trialEngines {
-		if err := build(i); err != nil {
-			for _, p := range plans[:i] {
-				p.Close()
+	for i, e := range trialEngines {
+		if plans[i] == nil {
+			if err := build(i); err != nil {
+				return nil, 0, err
 			}
-			return nil, err
 		}
 		t0 := time.Now()
-		rec.Candidates[i] = TrialCandidate{Engine: name, Err: trialRun(plans[i], values, dst, nil)}
+		rec.Candidates[i] = TrialCandidate{Engine: e.name, Err: trialRun(plans[i], values, dst, nil)}
 		if stopped() || (i == 0 && time.Since(t0) > trialBudget/4) {
-			return adopt(rule, nil)
+			return nil, 0, nil
 		}
 	}
 	for k := 0; k < trialPairs && (k == 0 || time.Since(start) < trialBudget); k++ {
 		if stopped() {
-			return adopt(rule, nil)
+			return nil, 0, nil
 		}
 		for j := range plans {
 			i := (j + k) % len(plans)
@@ -182,18 +265,24 @@ func trialPlan[T any](op core.Op[T], labels []int, m int, cfg core.Config) (*Pla
 		(s.Err != nil || float64(ch.Median) <= trialMargin*float64(s.Median)) {
 		pick = 1
 	}
-	return adopt(pick, rec)
+	rec.Pick, rec.Elapsed = trialEngines[pick].name, time.Since(start)
+	return rec, pick, nil
 }
 
 // trialRun runs p once over values as a one-vector prefix batch into
-// dst, appending the run's wall time to samples when it is non-nil. A
-// panic the plan's own shields miss comes back as the candidate's
-// error.
+// dst, appending the run's wall time to samples when it is non-nil. It
+// runs the plan's own engine with no serial fallback, so a live auto
+// plan's failure counts against it as a candidate's does; a panic the
+// plan's own shields miss comes back as the candidate's error.
 func trialRun[T any](p *Plan[T], values, dst []T, samples *[]time.Duration) (err error) {
 	defer recoverPlanPanic("plan/trial", &err)
 	d, src := [1][]T{dst}, [1][]T{values}
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	t0 := time.Now()
-	err = p.RunBatch(d[:], src[:])
+	if err = p.checkBatch(d[:], src[:], true); err == nil {
+		err = p.runBatch(d[:], src[:], true)
+	}
 	if samples != nil {
 		*samples = append(*samples, time.Since(t0))
 	}

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"container/list"
+	"context"
 	"hash/maphash"
 	"sync"
 
@@ -39,6 +40,14 @@ import (
 // digests its labels (acquireText). Its hash is likewise only a lookup
 // accelerator: a hit needs the request's text equal, byte for byte, to
 // the text the entry stores.
+//
+// An auto plan is built on the one-shot rule's engine, with no trial
+// (backend.RulePlan): most of a cold plan's cost would be the trial,
+// and a plan evicted before its second use never earns it back. The
+// request that makes an auto entry's trialHits-th hit runs the trial
+// (Plan.Promote) on its own goroutine, outside the cache lock and at
+// most one at a time per cache, and the plan switches engine in place
+// if the trial says so.
 type planCache struct {
 	mu      sync.Mutex
 	cap     int
@@ -48,7 +57,15 @@ type planCache struct {
 	seed    maphash.Seed
 	lru     *list.List // of *planEntry, front = most recently used
 	st      *stats
+	// trialRunning is set while a request runs an entry's trial.
+	trialRunning bool
 }
+
+// trialHits is the cache hit at which an auto entry runs its trial. The
+// build is not a hit, so the trial runs at the plan's fifth request:
+// by then the plan has served four, and a trial that picks the faster
+// engine pays for itself over the many it is still likely to serve.
+const trialHits = 4
 
 // textKey indexes an entry by a labels array's wire text: the plan
 // identity the text leaves out, and a maphash of the text under the
@@ -75,6 +92,10 @@ type planEntry struct {
 	// indexed. nil when none is, and always once the entry is dead.
 	text    []byte
 	textKey textKey
+	// hits counts the entry's cache hits; tried is set once a request
+	// has taken the entry's trial.
+	hits  int
+	tried bool
 }
 
 func newPlanCache(capacity, workers int, st *stats) *planCache {
@@ -91,8 +112,9 @@ func newPlanCache(capacity, workers int, st *stats) *planCache {
 
 // acquire returns a pinned entry whose plan is built and ready. The
 // caller must release it exactly once, after its last use of
-// entry.plan. On error nothing is pinned.
-func (c *planCache) acquire(backendName string, op core.Op[int64], labels []int, m int) (*planEntry, error) {
+// entry.plan. On error nothing is pinned. A hit may run the entry's
+// trial under ctx before it returns (see hitLocked).
+func (c *planCache) acquire(ctx context.Context, backendName string, op core.Op[int64], labels []int, m int) (*planEntry, error) {
 	key := backend.KeyFor(backendName, op.Name, labels, m)
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
@@ -103,7 +125,12 @@ func (c *planCache) acquire(backendName string, op core.Op[int64], labels []int,
 		c.mu.Unlock()
 		<-e.ready
 		if e.err == nil && equalLabels(e.plan.Labels(), labels) {
-			c.st.cacheHits.Add(1)
+			c.mu.Lock()
+			trial := c.hitLocked(e)
+			c.mu.Unlock()
+			if trial {
+				c.promote(ctx, e)
+			}
 			return e, nil
 		}
 		// A digest collision between distinct label vectors, or a build
@@ -154,19 +181,56 @@ func (c *planCache) textKey(backendName, opName string, m int, text []byte) text
 // labels are what text parses to, with n and the label range already
 // checked, so the caller takes them from the entry and skips the
 // parse, the digest and the label compare of acquire. A hit counts as
-// a cache hit and as a text hit.
-func (c *planCache) acquireText(k textKey, text []byte) *planEntry {
+// a cache hit and as a text hit, and may run the entry's trial under
+// ctx before it returns.
+func (c *planCache) acquireText(ctx context.Context, k textKey, text []byte) *planEntry {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	e := c.texts[k]
 	if e == nil || !bytes.Equal(e.text, text) {
+		c.mu.Unlock()
 		return nil
 	}
 	e.refs++
 	c.lru.MoveToFront(e.elem)
-	c.st.cacheHits.Add(1)
 	c.st.textHits.Add(1)
+	trial := c.hitLocked(e)
+	c.mu.Unlock()
+	if trial {
+		c.promote(ctx, e)
+	}
 	return e
+}
+
+// hitLocked counts one cache hit on e, which the caller has pinned, and
+// reports whether the caller runs e's trial: e is a live auto entry at
+// its trialHits-th hit or later whose trial no request has taken, and
+// no other trial is running (a hit that finds one running leaves the
+// trial to a later hit). Callers hold c.mu.
+func (c *planCache) hitLocked(e *planEntry) bool {
+	c.st.cacheHits.Add(1)
+	e.hits++
+	if e.key.Backend != "auto" || e.hits < trialHits || e.tried || e.dead || c.trialRunning {
+		return false
+	}
+	e.tried, c.trialRunning = true, true
+	return true
+}
+
+// promote runs e's trial on the calling goroutine, outside the cache
+// lock; the caller's pin keeps the plan open. The trial polls ctx, the
+// request's own. A trial that ran to a pick is counted, and so is a
+// switch of engine.
+func (c *planCache) promote(ctx context.Context, e *planEntry) {
+	ok, switched := e.plan.Promote(ctx)
+	c.mu.Lock()
+	c.trialRunning = false
+	c.mu.Unlock()
+	if ok {
+		c.st.autoTrials.Add(1)
+		if switched {
+			c.st.autoSwitches.Add(1)
+		}
+	}
 }
 
 // storeText indexes e under k by a copy of text, which must parse to
@@ -298,12 +362,18 @@ func (c *planCache) buildUncached(key backend.Key, op core.Op[int64], labels []i
 	return e, nil
 }
 
+// build builds a plan for the cache. An auto plan starts on the rule's
+// engine; its trial waits for the plan's trialHits-th hit.
 func (c *planCache) build(backendName string, op core.Op[int64], labels []int, m int) (*backend.Plan[int64], error) {
+	cfg := core.Config{Workers: c.workers}
+	if backendName == "auto" {
+		return backend.RulePlan(op, labels, m, cfg)
+	}
 	be, err := backend.Open[int64](backendName)
 	if err != nil {
 		return nil, err
 	}
-	return be.Plan(op, labels, m, core.Config{Workers: c.workers})
+	return be.Plan(op, labels, m, cfg)
 }
 
 // equalLabels reports whether a plan's int32 labels equal a request's.

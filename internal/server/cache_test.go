@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -39,7 +40,7 @@ func TestCacheSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			e, err := c.acquire("chunked", core.AddInt64, labels, 17)
+			e, err := c.acquire(context.Background(), "chunked", core.AddInt64, labels, 17)
 			if err != nil {
 				t.Errorf("acquire: %v", err)
 				return
@@ -78,18 +79,18 @@ func TestCacheLRUEviction(t *testing.T) {
 	c := newPlanCache(2, 1, &st)
 	defer c.closeAll()
 
-	e0, err := c.acquire("serial", core.AddInt64, testLabels(64, 4, 0), 4)
+	e0, err := c.acquire(context.Background(), "serial", core.AddInt64, testLabels(64, 4, 0), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.release(e0)
-	e1, err := c.acquire("serial", core.AddInt64, testLabels(64, 4, 1), 4)
+	e1, err := c.acquire(context.Background(), "serial", core.AddInt64, testLabels(64, 4, 1), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.release(e1)
 	// Third key: capacity 2, so the LRU tail (e0) must go.
-	e2, err := c.acquire("serial", core.AddInt64, testLabels(64, 4, 2), 4)
+	e2, err := c.acquire(context.Background(), "serial", core.AddInt64, testLabels(64, 4, 2), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,13 +109,13 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 
 	// A pinned entry is never evicted: pin e1 and e2, then add keys.
-	e1b, err := c.acquire("serial", core.AddInt64, testLabels(64, 4, 1), 4)
+	e1b, err := c.acquire(context.Background(), "serial", core.AddInt64, testLabels(64, 4, 1), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.release(e1b)
 	for salt := 3; salt < 6; salt++ {
-		e, err := c.acquire("serial", core.AddInt64, testLabels(64, 4, salt), 4)
+		e, err := c.acquire(context.Background(), "serial", core.AddInt64, testLabels(64, 4, salt), 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,12 +136,12 @@ func TestCachePinnedSurvivesPressure(t *testing.T) {
 	defer c.closeAll()
 	labels := testLabels(256, 8, 0)
 
-	e0, err := c.acquire("chunked", core.AddInt64, labels, 8)
+	e0, err := c.acquire(context.Background(), "chunked", core.AddInt64, labels, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Over capacity while e0 is pinned: e0 must survive.
-	e1, err := c.acquire("chunked", core.AddInt64, testLabels(256, 8, 1), 8)
+	e1, err := c.acquire(context.Background(), "chunked", core.AddInt64, testLabels(256, 8, 1), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +165,7 @@ func TestCachePinnedSurvivesPressure(t *testing.T) {
 	// Pin dropped: the next insertion trims the overflow back to
 	// capacity, closing the now-unpinned entries.
 	c.release(e0)
-	e2, err := c.acquire("chunked", core.AddInt64, testLabels(256, 8, 2), 8)
+	e2, err := c.acquire(context.Background(), "chunked", core.AddInt64, testLabels(256, 8, 2), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +190,7 @@ func TestCacheDigestCollision(t *testing.T) {
 	labelsA := testLabels(128, 8, 0)
 	labelsB := testLabels(128, 8, 3) // different vector
 
-	eA, err := c.acquire("serial", core.AddInt64, labelsA, 8)
+	eA, err := c.acquire(context.Background(), "serial", core.AddInt64, labelsA, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +203,7 @@ func TestCacheDigestCollision(t *testing.T) {
 	c.entries[keyB] = eA
 	c.mu.Unlock()
 
-	eB, err := c.acquire("serial", core.AddInt64, labelsB, 8)
+	eB, err := c.acquire(context.Background(), "serial", core.AddInt64, labelsB, 8)
 	if err != nil {
 		t.Fatalf("collision acquire: %v", err)
 	}
@@ -246,7 +247,7 @@ func TestCacheDigestCollision(t *testing.T) {
 	c.mu.Unlock()
 	got := make(chan *planEntry, 1)
 	go func() {
-		e, err := c.acquire("serial", core.AddInt64, labelsB, 8)
+		e, err := c.acquire(context.Background(), "serial", core.AddInt64, labelsB, 8)
 		if err != nil {
 			t.Errorf("acquire against a building entry: %v", err)
 		}
@@ -292,13 +293,13 @@ func TestCacheBuildErrorNotCached(t *testing.T) {
 	c := newPlanCache(8, 1, &st)
 	defer c.closeAll()
 	bad := []int{0, 99} // label out of range for m=4
-	if _, err := c.acquire("serial", core.AddInt64, bad, 4); err == nil {
+	if _, err := c.acquire(context.Background(), "serial", core.AddInt64, bad, 4); err == nil {
 		t.Fatal("expected build error")
 	}
 	if c.plans() != 0 {
 		t.Fatalf("failed build cached: plans = %d", c.plans())
 	}
-	if _, err := c.acquire("serial", core.AddInt64, bad, 4); err == nil {
+	if _, err := c.acquire(context.Background(), "serial", core.AddInt64, bad, 4); err == nil {
 		t.Fatal("expected build error on retry")
 	}
 	if st.cacheMisses.Load() != 2 {

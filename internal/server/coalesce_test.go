@@ -112,7 +112,7 @@ func groupCount(s *Server) int {
 // cleanup.
 func pinPlan(t *testing.T, s *Server, backendName string, labels []int, m int) *planEntry {
 	t.Helper()
-	e, err := s.cache.acquire(backendName, core.AddInt64, labels, m)
+	e, err := s.cache.acquire(context.Background(), backendName, core.AddInt64, labels, m)
 	if err != nil {
 		t.Fatal(err)
 	}

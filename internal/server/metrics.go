@@ -69,6 +69,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("mp_version_conflicts_total", "Requests rejected on a stale version pin.", snap.VersionConflicts)
 	counter("mp_not_bound_total", "Stateful requests rejected for missing resident state.", snap.NotBound)
 	counter("mp_warmed_plans_total", "Plans pre-built by cache warming.", snap.WarmedPlans)
+	counter("mp_auto_trials_total", "Auto plans' trials run to a pick, each at a plan's 4th cache hit.", snap.AutoTrials)
+	counter("mp_auto_switches_total", "Auto plans' trials whose pick switched the plan's engine.", snap.AutoSwitches)
 
 	counter("mp_plan_binds_total", "Resident vector binds across live plans.", inc.Binds)
 	counter("mp_plan_updates_total", "Point updates accepted across live plans.", inc.Updates)

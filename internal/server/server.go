@@ -134,6 +134,8 @@ type stats struct {
 	versionConflicts atomic.Uint64
 	notBound         atomic.Uint64
 	warmedPlans      atomic.Uint64
+	autoTrials       atomic.Uint64
+	autoSwitches     atomic.Uint64
 }
 
 // StatsSnapshot is the JSON shape of /v1/stats.
@@ -170,6 +172,11 @@ type StatsSnapshot struct {
 	NotBound         uint64 `json:"not_bound"`
 	WarmedPlans      uint64 `json:"warmed_plans"`
 	Warming          bool   `json:"warming"`
+	// AutoTrials counts the auto plans' trials that ran to a pick, each
+	// at a plan's trialHits-th cache hit; AutoSwitches counts the ones
+	// whose pick changed the plan's engine.
+	AutoTrials   uint64 `json:"auto_trials"`
+	AutoSwitches uint64 `json:"auto_switches"`
 }
 
 // Server is the multiprefix service. Construct with New, mount
@@ -272,6 +279,8 @@ func (s *Server) Stats() StatsSnapshot {
 		NotBound:         s.st.notBound.Load(),
 		WarmedPlans:      s.st.warmedPlans.Load(),
 		Warming:          s.warming.Load(),
+		AutoTrials:       s.st.autoTrials.Load(),
+		AutoSwitches:     s.st.autoSwitches.Load(),
 	}
 }
 
@@ -321,18 +330,23 @@ func (s *Server) handleCompute(reduce, batchEP bool) http.HandlerFunc {
 				putVec(it.dst)
 			}
 		}()
-		err := decodeCompute(wb.b, &req, s.opts.MaxN)
-		var tk textKey
-		if err == nil && req.labelText != nil {
-			if entry, tk = s.findText(&req); entry != nil {
-				req.labelText = nil
-			} else {
-				err = parseLabelText(wb.b, &req, s.opts.MaxN)
-			}
-		}
-		if err != nil {
+		if err := decodeCompute(wb.b, &req, s.opts.MaxN); err != nil {
 			s.badJSON(w, err)
 			return
+		}
+		// Per-request deadline, propagated into the engines via the
+		// plan Call context, and into the trial a cache hit may run.
+		ctx, cancel := s.requestCtx(r.Context(), req.DeadlineMS)
+		defer cancel()
+		deadline, _ := ctx.Deadline()
+		var tk textKey
+		if req.labelText != nil {
+			if entry, tk = s.findText(ctx, &req); entry != nil {
+				req.labelText = nil
+			} else if err := parseLabelText(wb.b, &req, s.opts.MaxN); err != nil {
+				s.badJSON(w, err)
+				return
+			}
 		}
 		op, backendName, ok := s.resolvePlanIdent(w, req.Op, req.Backend, req.longest(), req.M)
 		if !ok {
@@ -360,14 +374,9 @@ func (s *Server) handleCompute(reduce, batchEP bool) http.HandlerFunc {
 			}
 		}
 
-		// Per-request deadline, propagated into the engines via the
-		// plan Call context.
-		ctx, cancel := s.requestCtx(r.Context(), req.DeadlineMS)
-		defer cancel()
-		deadline, _ := ctx.Deadline()
-
 		if entry == nil {
-			if entry, err = s.cache.acquire(backendName, op, req.Labels, req.M); err != nil {
+			var err error
+			if entry, err = s.cache.acquire(ctx, backendName, op, req.Labels, req.M); err != nil {
 				status, kind := classify(err)
 				s.writeError(w, status, kind, err.Error())
 				return
@@ -451,7 +460,7 @@ func (s *Server) handleCompute(reduce, batchEP bool) http.HandlerFunc {
 // pinned. A request naming an operator or backend the service does not
 // serve is not looked up: it fails validation once its labels have
 // parsed, as it did before the index.
-func (s *Server) findText(req *computeRequest) (*planEntry, textKey) {
+func (s *Server) findText(ctx context.Context, req *computeRequest) (*planEntry, textKey) {
 	op, ok := ops[req.Op]
 	backendName := req.Backend
 	if backendName == "" {
@@ -461,7 +470,7 @@ func (s *Server) findText(req *computeRequest) (*planEntry, textKey) {
 		return nil, textKey{}
 	}
 	k := s.cache.textKey(backendName, op.Name, req.M, req.labelText)
-	return s.cache.acquireText(k, req.labelText), k
+	return s.cache.acquireText(ctx, k, req.labelText), k
 }
 
 // armChaos applies the server's chaos configuration to one request:

@@ -114,7 +114,7 @@ func (s *Server) warmOne(k warmKey[int]) bool {
 	if !ok || !served(k.Backend) || len(k.Labels) > s.opts.MaxN || k.M > s.opts.MaxM {
 		return false
 	}
-	entry, err := s.cache.acquire(k.Backend, op, k.Labels, k.M)
+	entry, err := s.cache.acquire(s.base, k.Backend, op, k.Labels, k.M)
 	if err != nil {
 		return false // a plan that won't build now won't build for traffic either
 	}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -562,7 +563,9 @@ func TestWarmComputeAllocs(t *testing.T) {
 				t.Fatalf("%s: status %d", path, rec.Code)
 			}
 		}
-		for range 3 { // builds the plan, indexes its labels and fills the pools
+		// Builds the plan, indexes its labels, runs the auto plan's
+		// trial at its trialHits-th hit and fills the pools.
+		for range trialHits + 1 {
 			serve()
 		}
 		// The least of three runs: a garbage collection that empties the
@@ -765,7 +768,7 @@ func BenchmarkComputeDecode(b *testing.B) {
 		if err := decodeFull(body, &req, math.MaxInt); err != nil {
 			b.Fatal(err)
 		}
-		e, err := c.acquire("serial", core.AddInt64, req.Labels, req.M)
+		e, err := c.acquire(context.Background(), "serial", core.AddInt64, req.Labels, req.M)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -782,7 +785,7 @@ func BenchmarkComputeDecode(b *testing.B) {
 			if err := decodeCompute(body, &req, math.MaxInt); err != nil {
 				b.Fatal(err)
 			}
-			hit := c.acquireText(c.textKey("serial", core.AddInt64.Name, req.M, req.labelText), req.labelText)
+			hit := c.acquireText(context.Background(), c.textKey("serial", core.AddInt64.Name, req.M, req.labelText), req.labelText)
 			if hit == nil {
 				b.Fatal("text index missed")
 			}

@@ -27,6 +27,11 @@
 #   9. the startup line names the integer codec: codec=avx2 where
 #      /proc/cpuinfo lists the AVX2, BMI1 and BMI2 the amd64 kernels
 #      use, codec=go elsewhere and in a -tags purego build,
+#  10. an auto plan runs its trial at its 4th cache hit, not on its
+#      miss: on an mpd with -workers 2, so that the trial runs on any
+#      host, a fresh n=4096 label vector posted 4 times leaves
+#      /v1/stats' auto_trials at 0, the 5th post moves it to 1, and the
+#      five answers are byte-identical,
 # and that mpload fails a mix in which no request succeeds (-backend
 # sorted, which the service refuses), naming the mix, the status and
 # the error kind.
@@ -222,6 +227,40 @@ for i in $(seq 1 100); do
 done
 wait "$MPD_PID" || { echo "check-service: warmed mpd exited nonzero"; cat "$BIN/mpd2.log"; exit 1; }
 
+# Promotion: a cold auto request runs the rule's engine, and the
+# request that makes the plan's 4th cache hit runs the trial.
+"$BIN/mpd" -addr "127.0.0.1:$PORT" -workers 2 >"$BIN/mpd3.log" 2>&1 &
+MPD_PID=$!
+for i in $(seq 1 100); do
+  if curl -sf "$URL/readyz" >/dev/null 2>&1; then break; fi
+  if ! kill -0 "$MPD_PID" 2>/dev/null; then
+    echo "check-service: mpd -workers 2 died on startup"; cat "$BIN/mpd3.log"; exit 1
+  fi
+  sleep 0.1
+done
+awk 'BEGIN { n = 4096; printf "{\"op\":\"sum\",\"m\":64,\"labels\":[";
+  for (i = 0; i < n; i++) printf "%s%d", (i ? "," : ""), (i * 7 + int(i / 64)) % 64;
+  printf "],\"values\":[";
+  for (i = 0; i < n; i++) printf "%s%d", (i ? "," : ""), i % 13 - 4;
+  printf "]}" }' >"$BIN/fresh.json"
+for i in 1 2 3 4 5; do
+  curl -sf -X POST "$URL/v1/multiprefix" --data-binary @"$BIN/fresh.json" >"$BIN/fresh.$i.out" ||
+    { echo "check-service: fresh vector post $i failed"; cat "$BIN/mpd3.log"; exit 1; }
+  TRIALS=$(curl -sf "$URL/v1/stats" | jq .auto_trials)
+  WANT_TRIALS=0
+  [ "$i" = 5 ] && WANT_TRIALS=1
+  if [ "$TRIALS" != "$WANT_TRIALS" ]; then
+    echo "check-service: auto_trials $TRIALS after post $i of a fresh vector, want $WANT_TRIALS"; exit 1
+  fi
+  cmp -s "$BIN/fresh.1.out" "$BIN/fresh.$i.out" ||
+    { echo "check-service: post $i of the fresh vector answered unlike post 1"; exit 1; }
+done
+curl -sf "$URL/metrics" >"$BIN/metrics3.txt"
+grep -q '^mp_auto_trials_total 1$' "$BIN/metrics3.txt" ||
+  { echo "check-service: /metrics does not count the trial"; cat "$BIN/metrics3.txt"; exit 1; }
+kill -TERM "$MPD_PID"
+wait "$MPD_PID" || { echo "check-service: mpd -workers 2 exited nonzero"; cat "$BIN/mpd3.log"; exit 1; }
+
 # A purego build runs the Go loops whatever the CPU, and says so.
 "$BIN/mpd-purego" -addr 127.0.0.1:0 >"$BIN/purego.log" 2>&1 &
 MPD_PID=$!
@@ -234,4 +273,4 @@ wait "$MPD_PID" || true
 grep -q "serving on .* (backend=auto, codec=go)" "$BIN/purego.log" ||
   { echo "check-service: the purego build does not name codec=go"; cat "$BIN/purego.log"; exit 1; }
 
-echo "check-service: ok (codec=$WANT_CODEC, purego codec=go, mpload failure, pprof apart, smoke, chaos ladder on one plan, typed errors, stateful plans, metrics, drain, warm)"
+echo "check-service: ok (codec=$WANT_CODEC, purego codec=go, mpload failure, pprof apart, smoke, chaos ladder on one plan, typed errors, stateful plans, metrics, drain, warm, trial at the 4th hit)"
