@@ -47,10 +47,13 @@ race:
 # cache's collision check against a building entry, the serial rung on
 # an entry's own plan, and an auto plan's switch of engine in place
 # (Promote) and its trial at the 4th cache hit under concurrent compute
-# and update traffic.
+# and update traffic; and the cold path: label sets (one pass to check,
+# narrow, count and digest) and their errors, the four-lane digest, a
+# miss's allocations and typed label errors, and the body buffer's
+# growth.
 race-matrix:
-	$(GO) test -race -count=2 -run 'Sorted|Sharded|Batch|Chunk|Plan|Update|Incremental|PanicInjection|PooledEngines|LabelWidth|Promote' ./internal/backend ./internal/core
-	$(GO) test -race -count=2 -run 'Update|Query|Warm|Metrics|Eviction|Stateful|TextIndex|ServeCompute|OverLimit|Coalesc|Drain|Batch|SoloRound|VectorReuse|Collision|EntryBytes|SerialRung|Promote|AutoTrial' ./internal/server
+	$(GO) test -race -count=2 -run 'Sorted|Sharded|Batch|Chunk|Plan|Update|Incremental|PanicInjection|PooledEngines|LabelWidth|Promote|LabelSet|Digest' ./internal/backend ./internal/core
+	$(GO) test -race -count=2 -run 'Update|Query|Warm|Metrics|Eviction|Stateful|TextIndex|ServeCompute|OverLimit|Coalesc|Drain|Batch|SoloRound|VectorReuse|Collision|EntryBytes|SerialRung|Promote|AutoTrial|Cold|ReadBody|ChunkedBody' ./internal/server
 
 # Each fuzz target runs briefly from its seed corpus plus FUZZTIME of
 # random inputs; failures minimize and persist under testdata/fuzz.
@@ -71,7 +74,8 @@ fuzz-smoke:
 
 # The integer codec's portable path: the purego build tag leaves out
 # the amd64 kernels (internal/server/codec_amd64.s), so the server suite
-# and the codec's fuzz smokes run on the SWAR Go loops alone.
+# and the codec's fuzz smokes run on the SWAR Go loops alone, the int32
+# label parse of a miss included.
 purego:
 	$(GO) test -tags purego ./internal/server
 	$(GO) test -tags purego -run '^$$' -fuzz '^FuzzIntCodec$$' -fuzztime $(FUZZTIME) ./internal/server

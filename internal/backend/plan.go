@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -220,26 +219,49 @@ type Plan[T any] struct {
 // m-sized is allocated. An auto plan chooses its engine by trial here,
 // at build time (see trialPlan).
 func (b impl[T]) Plan(op core.Op[T], labels []int, m int, cfg core.Config) (*Plan[T], error) {
-	if err := checkPlan(op, labels, m); err != nil {
+	if err := checkOp(op); err != nil {
 		return nil, err
 	}
-	l32, classes := narrow(labels), core.CountClasses(labels, m)
-	if b.k == kindAuto && runsTrial(len(labels), m, cfg) {
-		return trialPlan(op, l32, m, classes, cfg)
+	set, err := NewLabelSet(labels, m)
+	if err != nil {
+		return nil, err
 	}
-	return newPlan(b.k, b.name, op, l32, m, classes, cfg)
+	return b.planSet(op, set, cfg)
 }
 
-// RulePlan builds an auto plan like Open("auto").Plan, except that it
+// PlanSet is Open(name) then Plan over a label set NewLabelSet
+// prepared: the plan takes the set's labels as its own and makes no
+// pass over them. An auto plan runs its build-time trial, as Plan's
+// does.
+func PlanSet[T any](name string, op core.Op[T], set LabelSet, cfg core.Config) (*Plan[T], error) {
+	be, err := Open[T](name)
+	if err != nil {
+		return nil, err
+	}
+	if err := checkOp(op); err != nil {
+		return nil, err
+	}
+	return be.(impl[T]).planSet(op, set, cfg)
+}
+
+// planSet builds the backend's plan over a prepared label set.
+func (b impl[T]) planSet(op core.Op[T], set LabelSet, cfg core.Config) (*Plan[T], error) {
+	if b.k == kindAuto && runsTrial(len(set.labels), set.m, cfg) {
+		return trialPlan(op, set, cfg)
+	}
+	return newPlan(b.k, b.name, op, set, cfg)
+}
+
+// RulePlan builds an auto plan like PlanSet("auto"), except that it
 // runs no trial at build time: it starts on the one-shot rule's engine
 // (core.AutoChoice) and leaves the trial to Promote, on the live plan.
 // A cache that may evict a plan before its second use builds this way,
 // so a plan pays for the trial only once it has proved hot.
-func RulePlan[T any](op core.Op[T], labels []int, m int, cfg core.Config) (*Plan[T], error) {
-	if err := checkPlan(op, labels, m); err != nil {
+func RulePlan[T any](op core.Op[T], set LabelSet, cfg core.Config) (*Plan[T], error) {
+	if err := checkOp(op); err != nil {
 		return nil, err
 	}
-	p, err := newPlan(kindAuto, "auto", op, narrow(labels), m, core.CountClasses(labels, m), cfg)
+	p, err := newPlan(kindAuto, "auto", op, set, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -249,33 +271,28 @@ func RulePlan[T any](op core.Op[T], labels []int, m int, cfg core.Config) (*Plan
 	return p, nil
 }
 
-// checkPlan validates a plan's inputs: the labels against m, and m
-// against the plans' int32 label space.
-func checkPlan[T any](op core.Op[T], labels []int, m int) error {
-	if err := core.ValidatePlan(op, labels, m); err != nil {
-		return err
-	}
-	if m > math.MaxInt32 {
-		return fmt.Errorf("%w: m=%d exceeds a plan's int32 label space", core.ErrBadInput, m)
+// checkOp refuses an operator without a Combine.
+func checkOp[T any](op core.Op[T]) error {
+	if !op.Valid() {
+		return fmt.Errorf("%w: operator has nil Combine", core.ErrBadInput)
 	}
 	return nil
 }
 
-// newPlan builds a plan of kind k, registered as name, over validated
-// labels already narrowed to int32 (the plan keeps that slice as its
-// own) with classes distinct labels. An auto kind applies the one-shot
-// rule. The plan is unpublished until it returns.
+// newPlan builds a plan of kind k, registered as name, over a prepared
+// label set, whose labels the plan keeps as its own. An auto kind
+// applies the one-shot rule. The plan is unpublished until it returns.
 //
 //mp:locked
-func newPlan[T any](k kind, name string, op core.Op[T], labels []int32, m, classes int, cfg core.Config) (*Plan[T], error) {
+func newPlan[T any](k kind, name string, op core.Op[T], set LabelSet, cfg core.Config) (*Plan[T], error) {
 	p := &Plan[T]{
 		backend: name,
 		op:      op,
 		cfg:     cfg,
-		n:       len(labels),
-		m:       m,
-		classes: classes,
-		labels:  labels,
+		n:       len(set.labels),
+		m:       set.m,
+		classes: set.classes,
+		labels:  set.labels,
 	}
 	if k == kindAuto {
 		// No trial here (see trialPlan and Promote): the one-shot rule
@@ -283,7 +300,7 @@ func newPlan[T any](k kind, name string, op core.Op[T], labels []int32, m, class
 		// Auto engine is preserved per run.
 		p.fallback = true
 		k = kindSerial
-		if core.AutoPlanChoice(p.n, m, cfg) == "chunked" {
+		if core.AutoPlanChoice(p.n, p.m, cfg) == "chunked" {
 			k = kindChunked
 		}
 	}
@@ -325,7 +342,7 @@ func newPlan[T any](k kind, name string, op core.Op[T], labels []int32, m, class
 		p.exec = planChunked
 		p.startTeam(core.ChunkWorkers(cfg.Workers, p.n))
 		p.chunks = core.NewChunkRunner[T, int32]("plan/chunked")
-		p.chunks.Plan(p.team, op, p.labels, m)
+		p.chunks.Plan(p.team, op, p.labels, p.m)
 	case kindSpinetree, kindParallel:
 		p.exec = planBuffers
 		p.bufKind = k
@@ -336,16 +353,6 @@ func newPlan[T any](k kind, name string, op core.Op[T], labels []int32, m, class
 		p.exec = planPram
 	}
 	return p, nil
-}
-
-// narrow copies a validated label vector into the plan's int32 form;
-// labels are below m ≤ math.MaxInt32, so no label changes.
-func narrow(labels []int) []int32 {
-	out := make([]int32, len(labels))
-	for i, l := range labels {
-		out[i] = int32(l)
-	}
-	return out
 }
 
 // startTeam starts the plan's persistent worker team.

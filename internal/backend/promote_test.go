@@ -3,6 +3,7 @@ package backend
 import (
 	"context"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -23,7 +24,7 @@ func TestPromote(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := core.Config{Workers: 2}
-	p, err := RulePlan(core.AddInt64, labels, m, cfg)
+	p, err := RulePlan(core.AddInt64, mustSet(t, labels, m), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +32,7 @@ func TestPromote(t *testing.T) {
 	if _, ok := p.Trial(); ok || p.exec != planSerial || p.Backend() != "auto" || !p.fallback {
 		t.Fatalf("RulePlan: trial recorded %v, exec %d, backend %q; want no record on the rule's serial under auto", ok, p.exec, p.Backend())
 	}
-	ok, switched := p.Promote(context.Background())
+	ok, switched := promote(p, context.Background())
 	if !ok {
 		t.Fatal("first Promote ran no trial")
 	}
@@ -50,7 +51,7 @@ func TestPromote(t *testing.T) {
 	if !equalInt64(res.Multi, want.Multi) || !equalInt64(res.Reductions, want.Reductions) {
 		t.Fatal("promoted plan differs from serial")
 	}
-	if ok, _ := p.Promote(context.Background()); ok {
+	if ok, _ := promote(p, context.Background()); ok {
 		t.Fatal("second Promote ran a trial")
 	}
 
@@ -71,22 +72,24 @@ func TestPromote(t *testing.T) {
 		ctx   context.Context
 	}{
 		{"library auto plan", func() (*Plan[int64], error) { return library, nil }, context.Background()},
-		{"ended context", func() (*Plan[int64], error) { return RulePlan(core.AddInt64, labels, m, cfg) }, ended},
-		{"one worker", func() (*Plan[int64], error) { return RulePlan(core.AddInt64, labels, m, core.Config{Workers: 1}) }, context.Background()},
-		{"m > n", func() (*Plan[int64], error) { return RulePlan(core.AddInt64, labels, n+1, cfg) }, context.Background()},
+		{"ended context", func() (*Plan[int64], error) { return RulePlan(core.AddInt64, mustSet(t, labels, m), cfg) }, ended},
+		{"one worker", func() (*Plan[int64], error) {
+			return RulePlan(core.AddInt64, mustSet(t, labels, m), core.Config{Workers: 1})
+		}, context.Background()},
+		{"m > n", func() (*Plan[int64], error) { return RulePlan(core.AddInt64, mustSet(t, labels, n+1), cfg) }, context.Background()},
 	} {
 		q, err := c.build()
 		if err != nil {
 			t.Fatal(err)
 		}
 		before, _ := q.Trial()
-		if ok, _ := q.Promote(c.ctx); ok {
+		if ok, _ := promote(q, c.ctx); ok {
 			t.Errorf("%s: Promote ran a trial", c.name)
 		}
 		if after, _ := q.Trial(); after.Pick != before.Pick || after.Elapsed != before.Elapsed {
 			t.Errorf("%s: record moved from %+v to %+v", c.name, before, after)
 		}
-		if ok, _ := q.Promote(context.Background()); ok && c.name == "ended context" {
+		if ok, _ := promote(q, context.Background()); ok && c.name == "ended context" {
 			t.Errorf("%s: a trial cut short ran again", c.name)
 		}
 		q.Close()
@@ -96,17 +99,69 @@ func TestPromote(t *testing.T) {
 	}
 
 	// A float plan never switches engine: its low bits would change.
-	fp, err := RulePlan(core.AddFloat64, labels, m, cfg)
+	fp, err := RulePlan(core.AddFloat64, mustSet(t, labels, m), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fp.Close()
-	if ok, _ := fp.Promote(context.Background()); ok {
+	if ok, _ := promote(fp, context.Background()); ok {
 		t.Error("float64 plan ran a promotion trial")
 	}
 	if _, ok := fp.Trial(); ok {
 		t.Error("float64 plan recorded a trial")
 	}
+}
+
+// TestPromoteCallerVectors: a promotion on vectors its caller lends
+// allocates no n-slot vector of its own. What it does allocate (the
+// candidate plan, its chunk runner and worker team, the record) stays
+// under one such vector.
+func TestPromoteCallerVectors(t *testing.T) {
+	const n, m = 1 << 16, 256
+	_, labels := trialInput(n, m)
+	p, err := RulePlan(core.AddInt64, mustSet(t, labels, m), core.Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	values, dst := make([]int64, n), make([]int64, n)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ok, _ := p.Promote(context.Background(), values, dst)
+	runtime.ReadMemStats(&after)
+	if !ok {
+		t.Skip("the trial was cut short on this host")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 8*n {
+		t.Fatalf("Promote on lent vectors allocated %d bytes, an n-slot vector is %d", got, 8*n)
+	}
+	if slices.ContainsFunc(values, func(v int64) bool { return v != 0 }) {
+		t.Fatal("the trial's values were not the identity")
+	}
+	short := make([]int64, n-1)
+	q, err := RulePlan(core.AddInt64, mustSet(t, labels, m), core.Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	if ok, _ := q.Promote(context.Background(), short, dst); ok {
+		t.Fatal("Promote ran a trial on a vector shorter than the plan")
+	}
+}
+
+// mustSet prepares labels over [0, m) and fails t if they do not check.
+func mustSet(t testing.TB, labels []int, m int) LabelSet {
+	t.Helper()
+	set, err := NewLabelSet(labels, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return set
+}
+
+// promote runs p's Promote on two vectors of its own.
+func promote[T any](p *Plan[T], ctx context.Context) (ok, switched bool) {
+	return p.Promote(ctx, make([]T, p.N()), make([]T, p.N()))
 }
 
 // switchEngine drives Promote's switch without its timing: it builds
@@ -117,7 +172,7 @@ func switchEngine(t *testing.T, p *Plan[int64], k kind) {
 	p.mu.Lock()
 	cfg := quietConfig(p.cfg)
 	p.mu.Unlock()
-	c, err := newPlan(k, "candidate", p.op, p.labels, p.m, p.classes, cfg)
+	c, err := newPlan(k, "candidate", p.op, LabelSet{labels: p.labels, m: p.m, classes: p.classes}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +198,7 @@ func TestPromoteSwitch(t *testing.T) {
 	for i := range resident {
 		resident[i] = int64(i%17) - 8
 	}
-	p, err := RulePlan(core.AddInt64, labels, m, core.Config{Workers: 2})
+	p, err := RulePlan(core.AddInt64, mustSet(t, labels, m), core.Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +292,7 @@ func TestPromoteTeamSurvivesGC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := RulePlan(core.AddInt64, labels, m, core.Config{Workers: 2})
+	p, err := RulePlan(core.AddInt64, mustSet(t, labels, m), core.Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

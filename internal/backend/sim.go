@@ -34,7 +34,11 @@ func labels32(labels []int, m int) ([]int32, error) {
 	if m > math.MaxInt32 {
 		return nil, fmt.Errorf("%w: m=%d exceeds the vector backend's int32 label space", core.ErrBadInput, m)
 	}
-	return narrow(labels), nil
+	out := make([]int32, len(labels))
+	for i, l := range labels {
+		out[i] = int32(l)
+	}
+	return out, nil
 }
 
 // vcfg maps the shared Config onto the vector machine's knobs. The

@@ -100,25 +100,27 @@ func runsTrial(n, m int, cfg core.Config) bool {
 	return cfg.AutoCal == nil && m <= n && core.ChunkWorkers(cfg.Workers, n) > 1 && ctxDone(cfg) == nil
 }
 
-// trialPlan builds an auto plan by trial over labels, validated and
-// narrowed, with classes distinct labels; every candidate shares the
-// one label vector. The candidates run without the fault hook, so the
-// trial consumes no injected faults; the caller's context is polled
+// trialPlan builds an auto plan by trial over a prepared label set;
+// every candidate shares its one label vector, and the trial runs on
+// two n-slot vectors of its own. The candidates run without the fault
+// hook, so the trial consumes no injected faults; the caller's context is polled
 // between runs, and when it ends the trial stops and the plan applies
 // the rule, as it does when the trial would overrun trialBudget.
 // Either way the plan records no trial. The winner gets the caller's
 // Config back.
-func trialPlan[T any](op core.Op[T], labels []int32, m, classes int, cfg core.Config) (*Plan[T], error) {
+func trialPlan[T any](op core.Op[T], set LabelSet, cfg core.Config) (*Plan[T], error) {
 	var plans [len(trialEngines)]*Plan[T]
 	build := func(i int) (err error) {
-		plans[i], err = newPlan(trialEngines[i].k, trialEngines[i].name, op, labels, m, classes, quietConfig(cfg))
+		plans[i], err = newPlan(trialEngines[i].k, trialEngines[i].name, op, set, quietConfig(cfg))
 		return err
 	}
-	rec, pick, err := timeTrial(op, len(labels), &plans, build, func() bool { return ctxDone(cfg) != nil })
+	n := len(set.labels)
+	values, dst := make([]T, n), make([]T, n)
+	rec, pick, err := timeTrial(op, values, dst, &plans, build, func() bool { return ctxDone(cfg) != nil })
 	if err == nil && rec == nil {
 		// Cut short: the rule's engine, built now if the trial had not.
 		pick = 0
-		if core.AutoPlanChoice(len(labels), m, cfg) == "chunked" {
+		if core.AutoPlanChoice(n, set.m, cfg) == "chunked" {
 			pick = 1
 		}
 		if plans[pick] == nil {
@@ -150,13 +152,20 @@ func trialPlan[T any](op core.Op[T], labels []int32, m, classes int, cfg core.Co
 // element type may switch, where serial and chunked agree bit for bit,
 // so a switch changes no answer. ctx is polled between runs.
 //
+// The trial runs on values and dst, two vectors of the plan's length
+// that the caller lends it: their contents on entry do not matter, and
+// no candidate writes either once Promote has returned. A live plan's
+// trial runs beside traffic, so the caller can lend vectors it pools
+// instead of the trial allocating two per promotion.
+//
 // Promote reports whether the trial ran to a pick, which Trial then
 // returns, and whether the engine changed. It runs none, and the plan
 // stays on its engine and records nothing, for a plan RulePlan did not
 // build or that was promoted before, a floating-point element type, a
 // shape the trial does not cover (one worker, m > n, an explicit
-// Config.AutoCal), or a trial cut short by ctx or by its budget.
-func (p *Plan[T]) Promote(ctx context.Context) (ok, switched bool) {
+// Config.AutoCal), vectors of another length than the plan's, or a
+// trial cut short by ctx or by its budget.
+func (p *Plan[T]) Promote(ctx context.Context, values, dst []T) (ok, switched bool) {
 	p.mu.Lock()
 	eligible := p.deferred && !p.closed
 	p.deferred = false
@@ -167,16 +176,17 @@ func (p *Plan[T]) Promote(ctx context.Context) (ok, switched bool) {
 	}
 	p.mu.Unlock()
 	cfg.Ctx = ctx
-	if !eligible || !exactElem[T]() || !runsTrial(p.n, p.m, cfg) {
+	if !eligible || !exactElem[T]() || !runsTrial(p.n, p.m, cfg) || len(values) != p.n || len(dst) != p.n {
 		return false, false
 	}
 	var plans [len(trialEngines)]*Plan[T]
 	plans[cur] = p
+	set := LabelSet{labels: p.labels, m: p.m, classes: p.classes} // what newPlan reads of a set
 	build := func(i int) (err error) {
-		plans[i], err = newPlan(trialEngines[i].k, trialEngines[i].name, p.op, p.labels, p.m, p.classes, quietConfig(cfg))
+		plans[i], err = newPlan(trialEngines[i].k, trialEngines[i].name, p.op, set, quietConfig(cfg))
 		return err
 	}
-	r, pick, err := timeTrial(p.op, p.n, &plans, build, func() bool { return ctx.Err() != nil })
+	r, pick, err := timeTrial(p.op, values, dst, &plans, build, func() bool { return ctx.Err() != nil })
 	cand := plans[1-cur]
 	p.mu.Lock()
 	if err == nil && r != nil && !p.closed {
@@ -220,11 +230,11 @@ func exactElem[T any]() bool {
 // record and the pick's index into plans, or a nil record when the
 // trial was cut short: stopped reported true between runs, or serial's
 // warm-up alone took a quarter of trialBudget. Elapsed counts the
-// builds. The candidates run into trial-owned storage, so none keeps a
-// result vector of the trial's; a build error ends the trial with it.
-func timeTrial[T any](op core.Op[T], n int, plans *[len(trialEngines)]*Plan[T], build func(i int) error, stopped func() bool) (*AutoTrial, int, error) {
+// builds. The candidates run on values, which it fills with the
+// identity, into dst, both of the plans' length, so none keeps a result
+// vector of the trial's; a build error ends the trial with it.
+func timeTrial[T any](op core.Op[T], values, dst []T, plans *[len(trialEngines)]*Plan[T], build func(i int) error, stopped func() bool) (*AutoTrial, int, error) {
 	start := time.Now()
-	values, dst := make([]T, n), make([]T, n)
 	core.FillIdentity(op, values)
 	rec := &AutoTrial{Candidates: make([]TrialCandidate, len(plans))}
 	samples := make([][]time.Duration, len(plans))

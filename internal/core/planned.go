@@ -50,21 +50,6 @@ func ChunkWorkers(workers, n int) int {
 	return chunkWorkers(workers, n)
 }
 
-// CountClasses reports how many distinct labels occur — the plan-time
-// metadata callers use for capacity planning and engine choice.
-// Labels must already be validated against m.
-func CountClasses(labels []int, m int) int {
-	seen := make([]bool, m)
-	classes := 0
-	for _, l := range labels {
-		if !seen[l] {
-			seen[l] = true
-			classes++
-		}
-	}
-	return classes
-}
-
 // BucketRange runs the serial one-pass bucket algorithm over
 // [lo, hi): multi[i] receives the running combine of earlier
 // same-label values, buckets[l] accumulates. multi may be nil for

@@ -78,6 +78,12 @@ type computeRequest struct {
 	// scanner decoded the body (see decodeCompute). It aliases the
 	// body's pooled buffer.
 	labelText []byte
+	// labels32 holds the labels when parseLabelText parsed labelText,
+	// in the int32 form a plan keeps; Labels is then nil. json.Unmarshal
+	// decodes a body's labels into Labels instead, so that a label
+	// beyond int32 gets the same range error as any other out of
+	// [0, m).
+	labels32 []int32
 	// overN is the length of the longest array the decoder refused to
 	// store for holding more than MaxN elements; 0 when none.
 	overN int
@@ -88,11 +94,23 @@ type computeRequest struct {
 // the scanner refused to store through overN, and every array of a body
 // json.Unmarshal decoded.
 func (r *computeRequest) longest() int {
-	n := max(len(r.Labels), len(r.Values), len(r.Batch), r.overN)
+	n := max(r.labelCount(), len(r.Values), len(r.Batch), r.overN)
 	for _, v := range r.Batch {
 		n = max(n, len(v))
 	}
 	return n
+}
+
+// labelCount is how many labels r holds, in either form.
+func (r *computeRequest) labelCount() int { return len(r.Labels) + len(r.labels32) }
+
+// acquire acquires the plan of r's labels under the resolved backend
+// and operator, from whichever form holds them.
+func (r *computeRequest) acquire(ctx context.Context, c *planCache, backendName string, op core.Op[int64]) (*planEntry, error) {
+	if r.labels32 != nil {
+		return acquireLabels(c, ctx, backendName, op, r.labels32, r.M)
+	}
+	return acquireLabels(c, ctx, backendName, op, r.Labels, r.M)
 }
 
 // pointUpdate is one resident-value replacement in an updateRequest.

@@ -5,6 +5,7 @@ import (
 	"container/list"
 	"context"
 	"hash/maphash"
+	"slices"
 	"sync"
 
 	"multiprefix/internal/backend"
@@ -34,6 +35,12 @@ import (
 //     copy of its own), waiting first for an entry still building; a
 //     digest collision gets a private, uncached plan rather than
 //     another key's answers.
+//
+// A request's labels reach the cache as a backend.LabelSet: checked
+// against m, narrowed to int32, their classes counted and their digest
+// taken in one pass (acquireLabels). A miss builds its plan on the
+// set's labels, and a digest hit compares them with the plan's; neither
+// makes another pass of its own.
 //
 // A second index finds an entry by a compute request's labels array as
 // the wire carried it, so that a warm request neither parses nor
@@ -110,12 +117,25 @@ func newPlanCache(capacity, workers int, st *stats) *planCache {
 	}
 }
 
+// acquireLabels prepares labels over [0, m) into a label set and
+// acquires its plan: the one path of the compute routes' labels, parsed
+// to int32 or decoded by json.Unmarshal, of /v1/update, /v1/query and
+// the -warm file. A label set that does not check is the error, and
+// nothing is pinned.
+func acquireLabels[L core.Label](c *planCache, ctx context.Context, backendName string, op core.Op[int64], labels []L, m int) (*planEntry, error) {
+	set, err := backend.NewLabelSet(labels, m)
+	if err != nil {
+		return nil, err
+	}
+	return c.acquire(ctx, backendName, op, set)
+}
+
 // acquire returns a pinned entry whose plan is built and ready. The
 // caller must release it exactly once, after its last use of
 // entry.plan. On error nothing is pinned. A hit may run the entry's
 // trial under ctx before it returns (see hitLocked).
-func (c *planCache) acquire(ctx context.Context, backendName string, op core.Op[int64], labels []int, m int) (*planEntry, error) {
-	key := backend.KeyFor(backendName, op.Name, labels, m)
+func (c *planCache) acquire(ctx context.Context, backendName string, op core.Op[int64], set backend.LabelSet) (*planEntry, error) {
+	key := set.Key(backendName, op.Name)
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
 		e.refs++
@@ -124,7 +144,7 @@ func (c *planCache) acquire(ctx context.Context, backendName string, op core.Op[
 		}
 		c.mu.Unlock()
 		<-e.ready
-		if e.err == nil && equalLabels(e.plan.Labels(), labels) {
+		if e.err == nil && slices.Equal(e.plan.Labels(), set.Labels()) {
 			c.mu.Lock()
 			trial := c.hitLocked(e)
 			c.mu.Unlock()
@@ -138,7 +158,7 @@ func (c *planCache) acquire(ctx context.Context, backendName string, op core.Op[
 		// serve from a private plan, never another vector's plan or
 		// error.
 		c.release(e)
-		return c.buildUncached(key, op, labels, m)
+		return c.buildUncached(key, op, set)
 	}
 	e := &planEntry{
 		key:   key,
@@ -152,7 +172,7 @@ func (c *planCache) acquire(ctx context.Context, backendName string, op core.Op[
 	c.evictLocked()
 	c.mu.Unlock()
 
-	plan, err := c.build(backendName, op, labels, m)
+	plan, err := c.build(backendName, op, set)
 	c.mu.Lock()
 	e.plan, e.err = plan, err
 	if err != nil {
@@ -218,10 +238,15 @@ func (c *planCache) hitLocked(e *planEntry) bool {
 
 // promote runs e's trial on the calling goroutine, outside the cache
 // lock; the caller's pin keeps the plan open. The trial polls ctx, the
-// request's own. A trial that ran to a pick is counted, and so is a
-// switch of engine.
+// request's own, and runs on two vectors from the request vector pool,
+// handed back once it has returned. A trial that ran to a pick is
+// counted, and so is a switch of engine.
 func (c *planCache) promote(ctx context.Context, e *planEntry) {
-	ok, switched := e.plan.Promote(ctx)
+	n := e.plan.N()
+	values, dst := getVec(n), getVec(n)
+	ok, switched := e.plan.Promote(ctx, values, dst)
+	putVec(values)
+	putVec(dst)
 	c.mu.Lock()
 	c.trialRunning = false
 	c.mu.Unlock()
@@ -344,9 +369,9 @@ func (c *planCache) dropLocked(e *planEntry) {
 
 // buildUncached serves the digest-collision path: a private plan owned
 // by this request alone, closed on release.
-func (c *planCache) buildUncached(key backend.Key, op core.Op[int64], labels []int, m int) (*planEntry, error) {
+func (c *planCache) buildUncached(key backend.Key, op core.Op[int64], set backend.LabelSet) (*planEntry, error) {
 	c.st.cacheMisses.Add(1)
-	plan, err := c.build(key.Backend, op, labels, m)
+	plan, err := c.build(key.Backend, op, set)
 	if err != nil {
 		return nil, err
 	}
@@ -362,29 +387,13 @@ func (c *planCache) buildUncached(key backend.Key, op core.Op[int64], labels []i
 	return e, nil
 }
 
-// build builds a plan for the cache. An auto plan starts on the rule's
-// engine; its trial waits for the plan's trialHits-th hit.
-func (c *planCache) build(backendName string, op core.Op[int64], labels []int, m int) (*backend.Plan[int64], error) {
+// build builds a plan for the cache over a label set, whose labels the
+// plan keeps. An auto plan starts on the rule's engine; its trial waits
+// for the plan's trialHits-th hit.
+func (c *planCache) build(backendName string, op core.Op[int64], set backend.LabelSet) (*backend.Plan[int64], error) {
 	cfg := core.Config{Workers: c.workers}
 	if backendName == "auto" {
-		return backend.RulePlan(op, labels, m, cfg)
+		return backend.RulePlan(op, set, cfg)
 	}
-	be, err := backend.Open[int64](backendName)
-	if err != nil {
-		return nil, err
-	}
-	return be.Plan(op, labels, m, cfg)
-}
-
-// equalLabels reports whether a plan's int32 labels equal a request's.
-func equalLabels(plan []int32, req []int) bool {
-	if len(plan) != len(req) {
-		return false
-	}
-	for i, l := range req {
-		if int(plan[i]) != l {
-			return false
-		}
-	}
-	return true
+	return backend.PlanSet(backendName, op, set, cfg)
 }

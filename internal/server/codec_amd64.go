@@ -2,6 +2,8 @@
 
 package server
 
+import "unsafe"
+
 // On an amd64 CPU with AVX2, BMI1 and BMI2, whose OS saves the YMM
 // registers, the per-number loops of the integer codec run as two
 // kernels (codec_amd64.s) that do what shortIntsGo and formatIntsGo do,
@@ -42,19 +44,23 @@ func cpuFeatures() (ecx1, ebx7, xcr0 uint32)
 // 4 KiB of text, about as many short integers as an encode chunk.
 const decodeBlocks = 64
 
-// scanShort64 is shortIntsGo for an int64 destination, with closing the
-// length of d, except that it returns after entering decodeBlocks
-// blocks: then the mask is zero and base is the last block it finished,
-// whose end is not past closing.
+// scanShort is shortIntsGo for a destination of n integers of size
+// bytes at out, 8 for int64 and 4 for int32, with closing the length of
+// d, except that it returns after entering decodeBlocks blocks: then
+// the mask is zero and base is the last block it finished, whose end is
+// not past closing. A nil out only counts. scanShort64 and scanShort32
+// are its typed forms.
 //
 //go:noescape
-func scanShort64(d []byte, base int, mask uint64, start int, out []int64, k int) (nbase int, nmask uint64, nstart, nk int)
+func scanShort(d []byte, base int, mask uint64, start int, out unsafe.Pointer, n, k, size int) (nbase int, nmask uint64, nstart, nk int)
 
-// scanShortInt is scanShort64 for an int destination, 64 bits wide on
-// amd64: the same kernel.
-//
-//go:noescape
-func scanShortInt(d []byte, base int, mask uint64, start int, out []int, k int) (nbase int, nmask uint64, nstart, nk int)
+func scanShort64(d []byte, base int, mask uint64, start int, out []int64, k int) (int, uint64, int, int) {
+	return scanShort(d, base, mask, start, unsafe.Pointer(unsafe.SliceData(out)), len(out), k, 8)
+}
+
+func scanShort32(d []byte, base int, mask uint64, start int, out []int32, k int) (int, uint64, int, int) {
+	return scanShort(d, base, mask, start, unsafe.Pointer(unsafe.SliceData(out)), len(out), k, 4)
+}
 
 // formatShort is formatIntsGo for the integers of v below 10^8 in
 // magnitude: it formats v from its first integer up to the first of
@@ -66,7 +72,7 @@ func formatShort(b []byte, n int, v []int64) (nn, i int)
 
 // shortInts is shortIntsGo, on the decode kernel where the CPU runs it.
 // The kernel reads d only below closing.
-func shortInts[T int | int64](d []byte, base, closing int, mask uint64, start int, out []T, k int) (int, uint64, int, int) {
+func shortInts[T int32 | int64](d []byte, base, closing int, mask uint64, start int, out []T, k int) (int, uint64, int, int) {
 	if !useKernels {
 		return shortIntsGo(d, base, closing, mask, start, out, k)
 	}
@@ -75,8 +81,8 @@ func shortInts[T int | int64](d []byte, base, closing int, mask uint64, start in
 		switch o := any(out).(type) {
 		case []int64:
 			base, mask, start, k = scanShort64(d, base, mask, start, o, k)
-		case []int:
-			base, mask, start, k = scanShortInt(d, base, mask, start, o, k)
+		case []int32:
+			base, mask, start, k = scanShort32(d, base, mask, start, o, k)
 		}
 		if mask != 0 || base+64 > closing {
 			return base, mask, start, k

@@ -81,11 +81,7 @@ DATA decWidth<>+152(SB)/8, $100000
 DATA decWidth<>+160(SB)/8, $1000000
 GLOBL decWidth<>(SB), RODATA|NOPTR, $168
 
-// func scanShortInt(d []byte, base int, mask uint64, start int, out []int, k int) (nbase int, nmask uint64, nstart, nk int)
-TEXT ·scanShortInt(SB), NOSPLIT, $0-112
-	JMP ·scanShort64(SB)
-
-// func scanShort64(d []byte, base int, mask uint64, start int, out []int64, k int) (nbase int, nmask uint64, nstart, nk int)
+// func scanShort(d []byte, base int, mask uint64, start int, out unsafe.Pointer, n, k, size int) (nbase int, nmask uint64, nstart, nk int)
 //
 // The kernel takes the elements four at a time: a group is the elements
 // that end at the next four commas, which may lie in this block and the
@@ -107,14 +103,16 @@ TEXT ·scanShortInt(SB), NOSPLIT, $0-112
 // zero, Y9 to Y7 the parse steps' multipliers, Y6 all but each word's
 // last byte. Reads: a block at base only while base+64 ≤ len(d), and the word
 // d[comma-8:comma] only for a comma < len(d) with comma ≥ 8. Writes:
-// out[k:k+4] only for k+4 ≤ len(out), out[k] only for k < len(out).
-TEXT ·scanShort64(SB), NOSPLIT, $0-112
+// out[k:k+4] only for k+4 ≤ n, out[k] only for k < n, each element
+// size bytes: 8, or 4, when a group's four values are packed from their
+// low halves (they are short, so their low halves are their int32s).
+TEXT ·scanShort(SB), NOSPLIT, $0-112
 	MOVQ d_base+0(FP), SI
 	MOVQ base+24(FP), R9
 	MOVQ mask+32(FP), BX
 	MOVQ start+40(FP), DX
-	MOVQ out_base+48(FP), DI
-	MOVQ k+72(FP), R11
+	MOVQ out+48(FP), DI
+	MOVQ k+64(FP), R11
 	MOVQ $const_decodeBlocks, R12
 	VMOVDQU decCommas, Y15
 	VPCMPEQB Y14, Y14, Y14
@@ -221,9 +219,17 @@ fields:
 	VPXOR Y5, Y0, Y0
 	VPSUBQ Y5, Y0, Y0
 	LEAQ 4(R11), AX
-	CMPQ AX, out_len+56(FP)
+	CMPQ AX, n+56(FP)
 	JHI gshort
+	CMPQ size+72(FP), $8
+	JNE g32
 	VMOVDQU Y0, (DI)(R11*8)
+	JMP gnext
+
+g32:
+	VPSHUFD $0x08, Y0, Y0 // each half's two low dwords first
+	VPERMQ $0x08, Y0, Y0  // the halves' pairs side by side
+	VMOVDQU X0, (DI)(R11*4)
 
 gnext:
 	MOVQ AX, R11
@@ -342,9 +348,15 @@ single:
 	JCS done // a leading zero: fewer significant digits than nd
 	XORQ R14, AX
 	SUBQ R14, AX // the sign
-	CMPQ R11, out_len+56(FP)
+	CMPQ R11, n+56(FP)
 	JCC nostore
+	CMPQ size+72(FP), $8
+	JNE s32
 	MOVQ AX, (DI)(R11*8)
+	JMP next
+
+s32:
+	MOVL AX, (DI)(R11*4)
 
 next:
 	INCQ R11

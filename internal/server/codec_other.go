@@ -8,7 +8,7 @@ package server
 // useKernels is false: there are no kernels to run.
 var useKernels = false
 
-func shortInts[T int | int64](d []byte, base, closing int, mask uint64, start int, out []T, k int) (int, uint64, int, int) {
+func shortInts[T int32 | int64](d []byte, base, closing int, mask uint64, start int, out []T, k int) (int, uint64, int, int) {
 	return shortIntsGo(d, base, closing, mask, start, out, k)
 }
 

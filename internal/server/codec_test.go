@@ -84,8 +84,9 @@ var groupTexts = func() []string {
 // starts at start in d and ends at its first ']', as scanInts does: from
 // the first block on, and, at each element one stops at, again from the
 // comma after it. Both must return the same block, mask, start and index
-// at every stop, and leave the same values in an int64 and an int
-// destination, and in none when the destination is nil.
+// at every stop, and leave the same values in an int64 and an int32
+// destination (the labels' 4-byte store), and in none when the
+// destination is nil.
 func checkShortInts(t *testing.T, d []byte, start int) {
 	t.Helper()
 	end := bytes.IndexByte(d[start:], ']')
@@ -94,17 +95,23 @@ func checkShortInts(t *testing.T, d []byte, start int) {
 	}
 	closing := start + end
 	c := bytes.Count(d[start:closing], []byte{','}) + 1
-	check64 := shortIntsPair(t, d, start, closing, make([]int64, c), make([]int64, c))
-	checkInt := shortIntsPair(t, d, start, closing, make([]int, c), make([]int, c))
+	got64, got32 := make([]int64, c), make([]int32, c)
+	check64 := shortIntsPair(t, d, start, closing, got64, make([]int64, c))
+	check32 := shortIntsPair(t, d, start, closing, got32, make([]int32, c))
 	checkNil := shortIntsPair[int64](t, d, start, closing, nil, nil)
-	if check64 != checkInt || check64 != checkNil {
-		t.Fatalf("%q: %d, %d and %d elements into int64, int and nil destinations", d, check64, checkInt, checkNil)
+	if check64 != check32 || check64 != checkNil {
+		t.Fatalf("%q: %d, %d and %d elements into int64, int32 and nil destinations", d, check64, check32, checkNil)
+	}
+	for i, v := range got32 {
+		if int64(v) != got64[i] {
+			t.Fatalf("%q: element %d is %d in an int32 destination, %d in an int64 one", d, i, v, got64[i])
+		}
 	}
 }
 
 // shortIntsPair is one destination type of checkShortInts, and returns
 // how many elements the loops took.
-func shortIntsPair[T int | int64](t *testing.T, d []byte, start, closing int, got, want []T) int {
+func shortIntsPair[T int32 | int64](t *testing.T, d []byte, start, closing int, got, want []T) int {
 	t.Helper()
 	base, mask, k := start-64, uint64(0), 0
 	for {

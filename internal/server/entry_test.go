@@ -44,7 +44,7 @@ func TestCacheEntryBytes(t *testing.T) {
 		c := newPlanCache(8, 2, &st)
 
 		before := liveHeapBytes()
-		e, err := c.acquire(context.Background(), tc.backend, core.AddInt64, labels, tc.m)
+		e, err := acquireLabels(c, context.Background(), tc.backend, core.AddInt64, labels, tc.m)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -352,7 +352,7 @@ func (s *Server) handleCompute(reduce, batchEP bool) http.HandlerFunc {
 		if !ok {
 			return
 		}
-		n := len(req.Labels)
+		n := req.labelCount()
 		if entry != nil {
 			n = entry.plan.N() // a text hit: the labels were never parsed
 		}
@@ -376,7 +376,7 @@ func (s *Server) handleCompute(reduce, batchEP bool) http.HandlerFunc {
 
 		if entry == nil {
 			var err error
-			if entry, err = s.cache.acquire(ctx, backendName, op, req.Labels, req.M); err != nil {
+			if entry, err = req.acquire(ctx, s.cache, backendName, op); err != nil {
 				status, kind := classify(err)
 				s.writeError(w, status, kind, err.Error())
 				return

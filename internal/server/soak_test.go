@@ -181,7 +181,7 @@ func TestChaosSoakAndDrain(t *testing.T) {
 	// the requests queue behind it and fuse into one round after the
 	// flip; that round also makes the soak cover fusion for certain,
 	// which its own traffic does only when requests happen to overlap.
-	e, err := s.cache.acquire(context.Background(), "chunked", core.AddInt64, shapes[0].labels, shapes[0].m)
+	e, err := acquireLabels(s.cache, context.Background(), "chunked", core.AddInt64, shapes[0].labels, shapes[0].m)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -157,7 +157,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.requestCtx(r.Context(), req.DeadlineMS)
 	defer cancel()
 
-	entry, err := s.cache.acquire(ctx, backendName, op, req.Labels, req.M)
+	entry, err := acquireLabels(s.cache, ctx, backendName, op, req.Labels, req.M)
 	if err != nil {
 		status, kind := classify(err)
 		s.writeError(w, status, kind, err.Error())
@@ -253,7 +253,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.requestCtx(r.Context(), req.DeadlineMS)
 	defer cancel()
 
-	entry, err := s.cache.acquire(ctx, backendName, op, req.Labels, req.M)
+	entry, err := acquireLabels(s.cache, ctx, backendName, op, req.Labels, req.M)
 	if err != nil {
 		status, kind := classify(err)
 		s.writeError(w, status, kind, err.Error())

@@ -23,7 +23,14 @@ import (
 // [0, m) and values in [-1000, 1000], marshalled from the request struct.
 func wireBody(tb testing.TB, n, m int) []byte {
 	tb.Helper()
-	rng := rand.New(rand.NewSource(1))
+	return seededBody(tb, n, m, 1)
+}
+
+// seededBody is wireBody drawn from seed: bodies of one shape and
+// different seeds have different label vectors.
+func seededBody(tb testing.TB, n, m int, seed int64) []byte {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(seed))
 	req := computeRequest{Op: "sum", M: m, Labels: make([]int, n), Values: make([]int64, n)}
 	for i := range req.Labels {
 		req.Labels[i] = rng.Intn(m)
@@ -174,12 +181,21 @@ func edgeBodies() []string {
 
 // decodeFull decodes a compute body as the handler does when the text
 // index misses: decodeCompute, then parseLabelText on the labels text.
+// The labels parseLabelText stores as int32 come back widened into
+// Labels, where json.Unmarshal puts them, for the compare.
 func decodeFull(data []byte, req *computeRequest, maxN int) error {
 	if err := decodeCompute(data, req, maxN); err != nil || req.labelText == nil {
 		return err
 	}
 	err := parseLabelText(data, req, maxN)
 	req.labelText = nil // json.Unmarshal never sets it
+	if req.labels32 != nil {
+		req.Labels = make([]int, len(req.labels32))
+		for i, l := range req.labels32 {
+			req.Labels[i] = int(l)
+		}
+		req.labels32 = nil
+	}
 	return err
 }
 
@@ -507,7 +523,7 @@ func TestOverLimitAllocs(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			body := []byte(tc.body)
 			read := totalAlloc(func() {
-				if _, err := readBody(nil, bytes.NewReader(body)); err != nil {
+				if _, err := readBody(nil, bytes.NewReader(body), int64(len(body))); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -768,7 +784,7 @@ func BenchmarkComputeDecode(b *testing.B) {
 		if err := decodeFull(body, &req, math.MaxInt); err != nil {
 			b.Fatal(err)
 		}
-		e, err := c.acquire(context.Background(), "serial", core.AddInt64, req.Labels, req.M)
+		e, err := acquireLabels(c, context.Background(), "serial", core.AddInt64, req.Labels, req.M)
 		if err != nil {
 			b.Fatal(err)
 		}

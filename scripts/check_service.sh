@@ -143,6 +143,17 @@ CODE=$(curl -s -o "$BIN/trail.json" -w '%{http_code}' -X POST "$URL/v1/multipref
 if [ "$CODE" != 400 ] || [ "$(jq -r .error.kind "$BIN/trail.json")" != bad_input ]; then
   echo "check-service: data after the JSON value not rejected typed (code $CODE)"; exit 1
 fi
+# Labels that do not check: one at m, a negative one, and 2^31, which
+# the int32 label parse refuses so that json.Unmarshal decodes the
+# body. Each is the typed 400 of a label outside [0, m).
+for LABELS in '[0,1,2]' '[0,-1,0]' '[0,2147483648,0]'; do
+  CODE=$(curl -s -o "$BIN/label.json" -w '%{http_code}' -X POST "$URL/v1/multiprefix" \
+    -d "{\"op\":\"sum\",\"m\":2,\"labels\":$LABELS,\"values\":[1,2,3]}")
+  if [ "$CODE" != 400 ] || [ "$(jq -r .error.kind "$BIN/label.json")" != bad_input ] ||
+    ! jq -r .error.message "$BIN/label.json" | grep -q 'outside \[0, 2)$'; then
+    echo "check-service: labels $LABELS not rejected typed (code $CODE)"; cat "$BIN/label.json"; exit 1
+  fi
+done
 { printf '%s' "$BODY"; head -c 8192 /dev/zero | tr '\0' ' '; } >"$BIN/big.json"
 CODE=$(curl -s -o "$BIN/big.out" -w '%{http_code}' -X POST "$URL/v1/multiprefix" \
   --data-binary @"$BIN/big.json")
@@ -255,6 +266,22 @@ for i in 1 2 3 4 5; do
   cmp -s "$BIN/fresh.1.out" "$BIN/fresh.$i.out" ||
     { echo "check-service: post $i of the fresh vector answered unlike post 1"; exit 1; }
 done
+# A fresh vector of the service benchmark's shape, posted twice: the
+# miss parses its labels straight into the plan's int32 vector, the hit
+# finds the plan by the labels' text, and both answer the same bytes.
+awk 'BEGIN { n = 65536; printf "{\"op\":\"sum\",\"m\":256,\"labels\":[";
+  for (i = 0; i < n; i++) printf "%s%d", (i ? "," : ""), (i * 37 + int(i / 256)) % 256;
+  printf "],\"values\":[";
+  for (i = 0; i < n; i++) printf "%s%d", (i ? "," : ""), (i * 7919) % 2001 - 1000;
+  printf "]}" }' >"$BIN/cold.json"
+for i in 1 2; do
+  curl -sf -X POST "$URL/v1/multiprefix" --data-binary @"$BIN/cold.json" >"$BIN/cold.$i.out" ||
+    { echo "check-service: cold vector post $i failed"; cat "$BIN/mpd3.log"; exit 1; }
+done
+[ "$(jq '.multi | length' "$BIN/cold.1.out")" = 65536 ] ||
+  { echo "check-service: the cold vector's answer has no 65536 prefixes"; exit 1; }
+cmp -s "$BIN/cold.1.out" "$BIN/cold.2.out" ||
+  { echo "check-service: the cold and the warm post of a fresh vector answered unlike"; exit 1; }
 curl -sf "$URL/metrics" >"$BIN/metrics3.txt"
 grep -q '^mp_auto_trials_total 1$' "$BIN/metrics3.txt" ||
   { echo "check-service: /metrics does not count the trial"; cat "$BIN/metrics3.txt"; exit 1; }
@@ -273,4 +300,4 @@ wait "$MPD_PID" || true
 grep -q "serving on .* (backend=auto, codec=go)" "$BIN/purego.log" ||
   { echo "check-service: the purego build does not name codec=go"; cat "$BIN/purego.log"; exit 1; }
 
-echo "check-service: ok (codec=$WANT_CODEC, purego codec=go, mpload failure, pprof apart, smoke, chaos ladder on one plan, typed errors, stateful plans, metrics, drain, warm, trial at the 4th hit)"
+echo "check-service: ok (codec=$WANT_CODEC, purego codec=go, mpload failure, pprof apart, smoke, chaos ladder on one plan, typed errors, label range errors, stateful plans, metrics, drain, warm, trial at the 4th hit, cold and warm alike)"
