@@ -50,10 +50,13 @@ race:
 # and update traffic; and the cold path: label sets (one pass to check,
 # narrow, count and digest) and their errors, the four-lane digest, a
 # miss's allocations and typed label errors, and the body buffer's
-# growth.
+# growth; and the request buffers' free lists shared by every P (a
+# buffer released on one goroutine is the next another takes, a burst
+# leaves no list past its bound) with the allocation pins that rely on
+# them: the warm compute routes, the codec and a /v1/query hit.
 race-matrix:
 	$(GO) test -race -count=2 -run 'Sorted|Sharded|Batch|Chunk|Plan|Update|Incremental|PanicInjection|PooledEngines|LabelWidth|Promote|LabelSet|Digest' ./internal/backend ./internal/core
-	$(GO) test -race -count=2 -run 'Update|Query|Warm|Metrics|Eviction|Stateful|TextIndex|ServeCompute|OverLimit|Coalesc|Drain|Batch|SoloRound|VectorReuse|Collision|EntryBytes|SerialRung|Promote|AutoTrial|Cold|ReadBody|ChunkedBody' ./internal/server
+	$(GO) test -race -count=2 -run 'Update|Query|Warm|Metrics|Eviction|Stateful|TextIndex|ServeCompute|OverLimit|Coalesc|Drain|Batch|SoloRound|VectorReuse|Collision|EntryBytes|SerialRung|Promote|AutoTrial|Cold|ReadBody|ChunkedBody|FreeList|WireAllocs' ./internal/server
 
 # Each fuzz target runs briefly from its seed corpus plus FUZZTIME of
 # random inputs; failures minimize and persist under testdata/fuzz.

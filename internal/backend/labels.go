@@ -81,6 +81,27 @@ func NewLabelSet[L core.Label](labels []L, m int) (LabelSet, error) {
 	return LabelSet{labels: own, m: m, classes: classes, digest: digestSum(&h, len(labels))}, nil
 }
 
+// LabelKey checks labels against the label space [0, m) as NewLabelSet
+// does, refusing with the same errors in the same order, and returns
+// KeyFor's key for them, allocating nothing. Unlike NewLabelSet it
+// neither narrows the labels nor counts their classes: a cache looks a
+// plan up by the key before it knows it must build one, and only a miss
+// needs the set.
+func LabelKey[L core.Label](backendName, opName string, labels []L, m int) (Key, error) {
+	if m < 0 {
+		return Key{}, fmt.Errorf("%w: m=%d < 0", core.ErrBadInput, m)
+	}
+	for i, l := range labels {
+		if uint64(l) >= uint64(m) {
+			return Key{}, errLabel(i, l, m)
+		}
+	}
+	if m > math.MaxInt32 {
+		return Key{}, fmt.Errorf("%w: m=%d exceeds a plan's int32 label space", core.ErrBadInput, m)
+	}
+	return KeyFor(backendName, opName, labels, m), nil
+}
+
 // errLabel is the error for labels[i] = l outside [0, m).
 func errLabel[L core.Label](i int, l L, m int) error {
 	return fmt.Errorf("%w: labels[%d]=%d outside [0, %d)", core.ErrBadInput, i, l, m)

@@ -62,6 +62,14 @@ func TestLabelSetPaths(t *testing.T) {
 		if set.Key(name, core.AddInt64.Name) != key || set.m != m || set.classes != len(distinct) {
 			t.Fatalf("%s: set key %+v, m %d, %d classes; want %+v, %d, %d", name, set.Key(name, core.AddInt64.Name), set.m, set.classes, key, m, len(distinct))
 		}
+		for _, got := range []func() (Key, error){
+			func() (Key, error) { return LabelKey(name, core.AddInt64.Name, labels, m) },
+			func() (Key, error) { return LabelKey(name, core.AddInt64.Name, narrow, m) },
+		} {
+			if k, err := got(); err != nil || k != key {
+				t.Fatalf("%s: LabelKey %+v, %v; want %+v", name, k, err, key)
+			}
+		}
 		for _, p := range built {
 			if !slices.Equal(p.Labels(), narrow) || p.Classes() != len(distinct) || p.N() != n || p.M() != m {
 				t.Fatalf("%s: plan over %d labels, %d classes, m %d; want the labels, %d, %d", name, p.N(), p.Classes(), p.M(), len(distinct), m)
@@ -72,7 +80,8 @@ func TestLabelSetPaths(t *testing.T) {
 }
 
 // TestLabelSetErrors: the []int and the int32 path refuse the same
-// inputs with the same typed error and message. A label beyond int32
+// inputs with the same typed error and message, and LabelKey refuses
+// them as NewLabelSet does. A label beyond int32
 // has no int32 form; the []int path gives it the range error of any
 // label at or past m, which is what the service answers when its int32
 // parse refuses such a label and json.Unmarshal decodes the body.
@@ -98,14 +107,16 @@ func TestLabelSetErrors(t *testing.T) {
 		}
 		_, wideErr := be.Plan(core.AddInt64, tc.labels, tc.m, core.Config{})
 		_, setErr := NewLabelSet(tc.labels, tc.m)
-		errs := []error{wideErr, setErr}
+		_, keyErr := LabelKey("serial", core.AddInt64.Name, tc.labels, tc.m)
+		errs := []error{wideErr, setErr, keyErr}
 		if narrow := slices.Clone(tc.labels); !slices.ContainsFunc(narrow, func(l int) bool { return l > math.MaxInt32 }) {
 			l32 := make([]int32, len(narrow))
 			for i, l := range narrow {
 				l32[i] = int32(l)
 			}
 			_, err := NewLabelSet(l32, tc.m)
-			errs = append(errs, err)
+			_, keyErr := LabelKey("serial", core.AddInt64.Name, l32, tc.m)
+			errs = append(errs, err, keyErr)
 		}
 		for _, err := range errs {
 			if !errors.Is(err, core.ErrBadInput) || err.Error() != want {

@@ -76,7 +76,7 @@ type computeRequest struct {
 
 	// labelText is the labels array as the wire carried it, when the
 	// scanner decoded the body (see decodeCompute). It aliases the
-	// body's pooled buffer.
+	// body's wire buffer.
 	labelText []byte
 	// labels32 holds the labels when parseLabelText parsed labelText,
 	// in the int32 form a plan keeps; Labels is then nil. json.Unmarshal

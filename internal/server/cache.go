@@ -5,7 +5,6 @@ import (
 	"container/list"
 	"context"
 	"hash/maphash"
-	"slices"
 	"sync"
 
 	"multiprefix/internal/backend"
@@ -36,11 +35,15 @@ import (
 //     digest collision gets a private, uncached plan rather than
 //     another key's answers.
 //
-// A request's labels reach the cache as a backend.LabelSet: checked
-// against m, narrowed to int32, their classes counted and their digest
-// taken in one pass (acquireLabels). A miss builds its plan on the
-// set's labels, and a digest hit compares them with the plan's; neither
-// makes another pass of its own.
+// A request's labels reach the cache in one of two forms
+// (acquireLabels). Labels the scanner parsed to int32, most often a
+// miss's, become a backend.LabelSet before the lookup: checked against
+// m, their classes counted and their digest taken in one pass, which is
+// all a miss needs to build its plan on them. Labels json.Unmarshal
+// decoded to []int, most often a bound plan's /v1/update and /v1/query
+// traffic, are only checked and digested (backend.LabelKey): a digest
+// hit compares them with the plan's int32 labels as they are, and only
+// a miss narrows them and counts their classes.
 //
 // A second index finds an entry by a compute request's labels array as
 // the wire carried it, so that a warm request neither parses nor
@@ -64,6 +67,8 @@ type planCache struct {
 	seed    maphash.Seed
 	lru     *list.List // of *planEntry, front = most recently used
 	st      *stats
+	// bufs lends a trial its vectors.
+	bufs *reqBufs
 	// trialRunning is set while a request runs an entry's trial.
 	trialRunning bool
 }
@@ -105,7 +110,7 @@ type planEntry struct {
 	tried bool
 }
 
-func newPlanCache(capacity, workers int, st *stats) *planCache {
+func newPlanCache(capacity, workers int, st *stats, bufs *reqBufs) *planCache {
 	return &planCache{
 		cap:     capacity,
 		workers: workers,
@@ -114,28 +119,37 @@ func newPlanCache(capacity, workers int, st *stats) *planCache {
 		seed:    maphash.MakeSeed(),
 		lru:     list.New(),
 		st:      st,
+		bufs:    bufs,
 	}
 }
 
-// acquireLabels prepares labels over [0, m) into a label set and
-// acquires its plan: the one path of the compute routes' labels, parsed
-// to int32 or decoded by json.Unmarshal, of /v1/update, /v1/query and
-// the -warm file. A label set that does not check is the error, and
-// nothing is pinned.
+// acquireLabels acquires the plan of labels over [0, m): the one path
+// of the compute routes' labels, parsed to int32 or decoded by
+// json.Unmarshal, of /v1/update, /v1/query and the -warm file. Labels
+// that do not check are the error, and nothing is pinned. A []int32
+// vector becomes the plan's own labels on a miss, so the caller must
+// not change it afterwards.
 func acquireLabels[L core.Label](c *planCache, ctx context.Context, backendName string, op core.Op[int64], labels []L, m int) (*planEntry, error) {
-	set, err := backend.NewLabelSet(labels, m)
+	if parsed, ok := any(labels).([]int32); ok {
+		set, err := backend.NewLabelSet(parsed, m)
+		if err != nil {
+			return nil, err
+		}
+		return acquire(c, ctx, backendName, op, set.Key(backendName, op.Name), parsed, &set)
+	}
+	key, err := backend.LabelKey(backendName, op.Name, labels, m)
 	if err != nil {
 		return nil, err
 	}
-	return c.acquire(ctx, backendName, op, set)
+	return acquire(c, ctx, backendName, op, key, labels, nil)
 }
 
-// acquire returns a pinned entry whose plan is built and ready. The
-// caller must release it exactly once, after its last use of
-// entry.plan. On error nothing is pinned. A hit may run the entry's
-// trial under ctx before it returns (see hitLocked).
-func (c *planCache) acquire(ctx context.Context, backendName string, op core.Op[int64], set backend.LabelSet) (*planEntry, error) {
-	key := set.Key(backendName, op.Name)
+// acquire returns a pinned entry for labels under key whose plan is
+// built and ready. set is the labels' set, or nil when a build is to
+// make it. The caller must release the entry exactly once, after its
+// last use of entry.plan. On error nothing is pinned. A hit may run the
+// entry's trial under ctx before it returns (see hitLocked).
+func acquire[L core.Label](c *planCache, ctx context.Context, backendName string, op core.Op[int64], key backend.Key, labels []L, set *backend.LabelSet) (*planEntry, error) {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
 		e.refs++
@@ -144,7 +158,7 @@ func (c *planCache) acquire(ctx context.Context, backendName string, op core.Op[
 		}
 		c.mu.Unlock()
 		<-e.ready
-		if e.err == nil && slices.Equal(e.plan.Labels(), set.Labels()) {
+		if e.err == nil && sameLabels(e.plan.Labels(), labels) {
 			c.mu.Lock()
 			trial := c.hitLocked(e)
 			c.mu.Unlock()
@@ -158,7 +172,7 @@ func (c *planCache) acquire(ctx context.Context, backendName string, op core.Op[
 		// serve from a private plan, never another vector's plan or
 		// error.
 		c.release(e)
-		return c.buildUncached(key, op, set)
+		return buildUncached(c, key, op, labels, set)
 	}
 	e := &planEntry{
 		key:   key,
@@ -172,7 +186,7 @@ func (c *planCache) acquire(ctx context.Context, backendName string, op core.Op[
 	c.evictLocked()
 	c.mu.Unlock()
 
-	plan, err := c.build(backendName, op, set)
+	plan, err := build(c, backendName, op, labels, key.M, set)
 	c.mu.Lock()
 	e.plan, e.err = plan, err
 	if err != nil {
@@ -238,15 +252,15 @@ func (c *planCache) hitLocked(e *planEntry) bool {
 
 // promote runs e's trial on the calling goroutine, outside the cache
 // lock; the caller's pin keeps the plan open. The trial polls ctx, the
-// request's own, and runs on two vectors from the request vector pool,
-// handed back once it has returned. A trial that ran to a pick is
+// request's own, and runs on two vectors from the server's vector
+// lists, released once it has returned. A trial that ran to a pick is
 // counted, and so is a switch of engine.
 func (c *planCache) promote(ctx context.Context, e *planEntry) {
 	n := e.plan.N()
-	values, dst := getVec(n), getVec(n)
+	values, dst := c.bufs.getVec(n), c.bufs.getVec(n)
 	ok, switched := e.plan.Promote(ctx, values, dst)
-	putVec(values)
-	putVec(dst)
+	c.bufs.putVec(values)
+	c.bufs.putVec(dst)
 	c.mu.Lock()
 	c.trialRunning = false
 	c.mu.Unlock()
@@ -367,11 +381,25 @@ func (c *planCache) dropLocked(e *planEntry) {
 	e.dead = true
 }
 
+// sameLabels reports whether labels, each in the plan's int32 range, are
+// the plan's labels.
+func sameLabels[L core.Label](plan []int32, labels []L) bool {
+	if len(plan) != len(labels) {
+		return false
+	}
+	for i, l := range labels {
+		if plan[i] != int32(l) {
+			return false
+		}
+	}
+	return true
+}
+
 // buildUncached serves the digest-collision path: a private plan owned
 // by this request alone, closed on release.
-func (c *planCache) buildUncached(key backend.Key, op core.Op[int64], set backend.LabelSet) (*planEntry, error) {
+func buildUncached[L core.Label](c *planCache, key backend.Key, op core.Op[int64], labels []L, set *backend.LabelSet) (*planEntry, error) {
 	c.st.cacheMisses.Add(1)
-	plan, err := c.build(key.Backend, op, set)
+	plan, err := build(c, key.Backend, op, labels, key.M, set)
 	if err != nil {
 		return nil, err
 	}
@@ -387,13 +415,21 @@ func (c *planCache) buildUncached(key backend.Key, op core.Op[int64], set backen
 	return e, nil
 }
 
-// build builds a plan for the cache over a label set, whose labels the
-// plan keeps. An auto plan starts on the rule's engine; its trial waits
-// for the plan's trialHits-th hit.
-func (c *planCache) build(backendName string, op core.Op[int64], set backend.LabelSet) (*backend.Plan[int64], error) {
+// build builds a plan for the cache over labels in [0, m), whose label
+// set is set, or made here when set is nil; the plan keeps the set's
+// labels. An auto plan starts on the rule's engine; its trial waits for
+// the plan's trialHits-th hit.
+func build[L core.Label](c *planCache, backendName string, op core.Op[int64], labels []L, m int, set *backend.LabelSet) (*backend.Plan[int64], error) {
+	if set == nil {
+		s, err := backend.NewLabelSet(labels, m)
+		if err != nil {
+			return nil, err
+		}
+		set = &s
+	}
 	cfg := core.Config{Workers: c.workers}
 	if backendName == "auto" {
-		return backend.RulePlan(op, set, cfg)
+		return backend.RulePlan(op, *set, cfg)
 	}
-	return backend.PlanSet(backendName, op, set, cfg)
+	return backend.PlanSet(backendName, op, *set, cfg)
 }

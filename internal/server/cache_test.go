@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"runtime"
 	"slices"
@@ -29,7 +30,7 @@ func testLabels(n, m, salt int) []int {
 // key and asserts exactly one plan build happened.
 func TestCacheSingleFlight(t *testing.T) {
 	var st stats
-	c := newPlanCache(8, 1, &st)
+	c := newPlanCache(8, 1, &st, newReqBufs(1))
 	defer c.closeAll()
 	labels := testLabels(4096, 17, 0)
 
@@ -76,7 +77,7 @@ func TestCacheSingleFlight(t *testing.T) {
 // closed, while pinned entries survive any pressure.
 func TestCacheLRUEviction(t *testing.T) {
 	var st stats
-	c := newPlanCache(2, 1, &st)
+	c := newPlanCache(2, 1, &st, newReqBufs(1))
 	defer c.closeAll()
 
 	e0, err := acquireLabels(c, context.Background(), "serial", core.AddInt64, testLabels(64, 4, 0), 4)
@@ -132,7 +133,7 @@ func TestCacheLRUEviction(t *testing.T) {
 // after the pin drops does the next insertion evict and close it.
 func TestCachePinnedSurvivesPressure(t *testing.T) {
 	var st stats
-	c := newPlanCache(1, 1, &st)
+	c := newPlanCache(1, 1, &st, newReqBufs(1))
 	defer c.closeAll()
 	labels := testLabels(256, 8, 0)
 
@@ -185,7 +186,7 @@ func TestCachePinnedSurvivesPressure(t *testing.T) {
 // caller can only compare after the build.
 func TestCacheDigestCollision(t *testing.T) {
 	var st stats
-	c := newPlanCache(8, 1, &st)
+	c := newPlanCache(8, 1, &st, newReqBufs(1))
 	defer c.closeAll()
 	labelsA := testLabels(128, 8, 0)
 	labelsB := testLabels(128, 8, 3) // different vector
@@ -258,11 +259,7 @@ func TestCacheDigestCollision(t *testing.T) {
 		waiting = building.refs == 2
 		c.mu.Unlock()
 	}
-	setA, err := backend.NewLabelSet(labelsA, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	planA, err := c.build("serial", core.AddInt64, setA)
+	planA, err := build(c, "serial", core.AddInt64, labelsA, 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +292,7 @@ func TestCacheDigestCollision(t *testing.T) {
 // and that labels which do not check never reach the cache.
 func TestCacheBuildErrorNotCached(t *testing.T) {
 	var st stats
-	c := newPlanCache(8, 1, &st)
+	c := newPlanCache(8, 1, &st, newReqBufs(1))
 	defer c.closeAll()
 	labels := []int{0, 3}
 	for range 2 {
@@ -356,7 +353,7 @@ func (x *testServer) postMulti(body []byte, want []int64) error {
 func labelText(t *testing.T, body []byte) []byte {
 	t.Helper()
 	var r computeRequest
-	if err := decodeCompute(body, &r, math.MaxInt); err != nil || r.labelText == nil {
+	if err := decodeCompute(body, &r, math.MaxInt, testBufs.getVec); err != nil || r.labelText == nil {
 		t.Fatalf("not a canonical body with labels: %v", err)
 	}
 	return r.labelText
@@ -547,6 +544,64 @@ func TestTextIndexConcurrent(t *testing.T) {
 		r := computeRequest{labelText: e.text}
 		if e.dead || e.textKey != k || parseLabelText(e.text, &r, math.MaxInt) != nil || !slices.Equal(e.plan.Labels(), r.labels32) {
 			t.Fatalf("text index entry %+v inconsistent", k)
+		}
+	}
+}
+
+// TestQueryHitAllocs posts /v1/query at n=2^16, m=256 to a bound plan
+// through Handler() and bounds what a warm request allocates beyond
+// what json.Unmarshal makes of its body. Its labels, decoded to []int,
+// are checked and digested as they are and compared with the plan's
+// int32 labels: no 4n + m-byte label set is made for a hit.
+func TestQueryHitAllocs(t *testing.T) {
+	const n, m = 1 << 16, 256
+	s := New(Options{})
+	defer s.Close()
+	labels, values := refInputs(n, m)
+	serve := func(path string, body any) {
+		t.Helper()
+		b, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(b))
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, r)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d %s", path, rec.Code, rec.Body.Bytes())
+		}
+	}
+	serve("/v1/update", map[string]any{"op": "sum", "backend": "serial", "m": m, "labels": labels, "values": values})
+	query := map[string]any{"op": "sum", "backend": "serial", "m": m, "labels": labels, "indices": []int{0, n / 2, n - 1}}
+	body, err := json.Marshal(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unmarshal := func() {
+		var q queryRequest
+		if err := json.Unmarshal(body, &q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	unmarshal() // encoding/json's first decode of the type fills its caches
+	decode := int64(totalAlloc(unmarshal))
+	post := func() {
+		r, err := http.NewRequest(http.MethodPost, "/v1/query", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, r)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("query: status %d %s", rec.Code, rec.Body.Bytes())
+		}
+	}
+	post() // the wire list's first buffer for this body
+	for run := range 3 {
+		over := int64(totalAlloc(post)) - decode
+		t.Logf("run %d: a query hit allocates %d B beyond its body's decode (%d B)", run, over, decode)
+		if over >= 4*n {
+			t.Errorf("run %d: a query hit allocates %d B beyond its body's decode, want under %d: no label set", run, over, 4*n)
 		}
 	}
 }

@@ -41,7 +41,7 @@ func TestCacheEntryBytes(t *testing.T) {
 		values := make([]int64, tc.n)
 		d, s := [1][]int64{make([]int64, tc.n)}, [1][]int64{values}
 		var st stats
-		c := newPlanCache(8, 2, &st)
+		c := newPlanCache(8, 2, &st, newReqBufs(1))
 
 		before := liveHeapBytes()
 		e, err := acquireLabels(c, context.Background(), tc.backend, core.AddInt64, labels, tc.m)

@@ -27,7 +27,9 @@ type Options struct {
 	// Workers is the per-plan engine worker count; 0 = GOMAXPROCS.
 	Workers int
 	// MaxInFlight bounds concurrently admitted compute requests;
-	// excess load is shed with 429. 0 = 4x GOMAXPROCS.
+	// excess load is shed with 429. 0 = 4x GOMAXPROCS. It also bounds
+	// the idle buffers kept between requests: MaxInFlight wire buffers
+	// of at most 4 MiB, and 2x MaxInFlight vectors per size class.
 	MaxInFlight int
 	// MaxBody bounds the request body in bytes (413 beyond it).
 	MaxBody int64
@@ -188,6 +190,9 @@ type Server struct {
 	cache *planCache
 	coal  *coalescer
 	slots chan struct{}
+	// bufs holds the idle wire buffers and request vectors, bounded by
+	// MaxInFlight.
+	bufs *reqBufs
 	// limiter is the per-client quota; nil when ClientRPS is 0.
 	limiter  *clientLimiter
 	base     context.Context
@@ -203,7 +208,8 @@ type Server struct {
 // New builds a Server from opts (zero value = defaults).
 func New(opts Options) *Server {
 	s := &Server{opts: opts.withDefaults()}
-	s.cache = newPlanCache(s.opts.PlanCacheCap, s.opts.Workers, &s.st)
+	s.bufs = newReqBufs(s.opts.MaxInFlight)
+	s.cache = newPlanCache(s.opts.PlanCacheCap, s.opts.Workers, &s.st, s.bufs)
 	s.coal = newCoalescer(s)
 	s.slots = make(chan struct{}, s.opts.MaxInFlight)
 	if s.opts.ClientRPS > 0 {
@@ -310,7 +316,7 @@ func (s *Server) handleCompute(reduce, batchEP bool) http.HandlerFunc {
 			entry *planEntry // pinned by the text index or by acquire
 			items []*pending
 		)
-		wb, ok := s.readRequest(w, r)
+		body, ok := s.readRequest(w, r)
 		if !ok {
 			return
 		}
@@ -319,18 +325,16 @@ func (s *Server) handleCompute(reduce, batchEP bool) http.HandlerFunc {
 		// and result vectors, which no engine touches once the handler
 		// has every vector's outcome.
 		defer func() {
-			if wb != nil {
-				putWireBuf(wb)
-			}
+			s.bufs.putWire(body)
 			if entry != nil {
 				s.cache.release(entry)
 			}
-			req.putVectors()
+			req.putVectors(s.bufs)
 			for _, it := range items {
-				putVec(it.dst)
+				s.bufs.putVec(it.dst)
 			}
 		}()
-		if err := decodeCompute(wb.b, &req, s.opts.MaxN); err != nil {
+		if err := decodeCompute(body, &req, s.opts.MaxN, s.bufs.getVec); err != nil {
 			s.badJSON(w, err)
 			return
 		}
@@ -343,7 +347,7 @@ func (s *Server) handleCompute(reduce, batchEP bool) http.HandlerFunc {
 		if req.labelText != nil {
 			if entry, tk = s.findText(ctx, &req); entry != nil {
 				req.labelText = nil
-			} else if err := parseLabelText(wb.b, &req, s.opts.MaxN); err != nil {
+			} else if err := parseLabelText(body, &req, s.opts.MaxN); err != nil {
 				s.badJSON(w, err)
 				return
 			}
@@ -388,8 +392,8 @@ func (s *Server) handleCompute(reduce, batchEP bool) http.HandlerFunc {
 		// The label text was the last alias of the body: hand its
 		// buffer back before the wait, for this response's encoding.
 		req.labelText = nil
-		putWireBuf(wb)
-		wb = nil
+		s.bufs.putWire(body)
+		body = nil
 
 		cctx, hook := s.armChaos(ctx, n)
 		dstLen := n
@@ -400,7 +404,7 @@ func (s *Server) handleCompute(reduce, batchEP bool) http.HandlerFunc {
 		for i, src := range vectors {
 			items[i] = &pending{
 				src:      src,
-				dst:      getVec(dstLen), // every service engine writes all of it
+				dst:      s.bufs.getVec(dstLen), // every service engine writes all of it
 				ctx:      cctx,
 				hook:     hook,
 				deadline: deadline,
@@ -450,7 +454,7 @@ func (s *Server) handleCompute(reduce, batchEP bool) http.HandlerFunc {
 			resp.Fallback = "serial"
 		}
 		s.st.ok.Add(1)
-		writeWire(w, &resp, appendCompute)
+		writeWire(w, s.bufs, &resp, appendCompute)
 	}
 }
 
@@ -523,7 +527,7 @@ func (s *Server) respondBatch(w http.ResponseWriter, backendName, opName string,
 		resp.Results[i] = item
 	}
 	s.st.ok.Add(1)
-	writeWire(w, &resp, appendBatch)
+	writeWire(w, s.bufs, &resp, appendBatch)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

@@ -460,7 +460,7 @@ func TestCoalescing(t *testing.T) {
 
 // TestVectorReuse runs concurrent requests on several plans, each with
 // values of its own, among requests that end early once they have taken
-// vectors from the pool: a length mismatch (400), a pinned version
+// vectors from the server's lists: a length mismatch (400), a pinned version
 // conflict (409), deadlines that expire while queued behind a held round
 // (504) and chaos panics the serial rung answers. A vector handed back
 // while an engine still used it, or handed back twice, would give one

@@ -25,94 +25,136 @@ import (
 // because a warm request's plan is found by those bytes alone (see the
 // plan cache's text index) and its labels are never parsed.
 
-// maxPooledBuf caps the wire buffers kept for reuse. A buffer that grew
-// past it for one large body is dropped, so the pool never pins memory
-// that a rare request needed.
+// maxPooledBuf caps the wire buffers kept for reuse, and the buffer a
+// body's declared length may size before its bytes arrive. A buffer
+// that grew past it for one large body is dropped, so the free list
+// never pins memory that a rare request needed.
 const maxPooledBuf = 4 << 20
 
-// wireBuf is a pooled byte buffer for request bodies and encoded
-// responses. Nothing decoded from it may alias it: it is reused as soon
-// as the handler that took it returns it.
-type wireBuf struct{ b []byte }
-
-var wirePool = sync.Pool{New: func() any { return new(wireBuf) }}
-
-func getWireBuf() *wireBuf { return wirePool.Get().(*wireBuf) }
-
-func putWireBuf(wb *wireBuf) {
-	if cap(wb.b) > maxPooledBuf {
-		return
-	}
-	wb.b = wb.b[:0]
-	wirePool.Put(wb)
-}
-
-// maxVecClass is the largest size class of the vector pool: 2^19 int64s,
-// the wire buffers' 4 MiB cap. A longer vector is allocated and left to
-// the garbage collector.
+// maxVecClass is the largest size class of the vector lists: 2^19
+// int64s, the wire buffers' 4 MiB cap. A longer vector is allocated and
+// left to the garbage collector.
 const maxVecClass = 19
 
-// vecPools holds the compute path's request vectors (decoded values and
-// result destinations) by size class: class k holds vectors whose
+// freeList is a LIFO list of idle buffers shared by every goroutine,
+// whichever P it runs on, so that the buffer one request releases is the
+// next one any other request takes. It keeps at most bound buffers: one
+// released into a full list is left to the garbage collector. A
+// collection does not empty it.
+type freeList[T any] struct {
+	mu    sync.Mutex
+	bound int
+	items []T
+}
+
+// get takes the most recently released buffer, or reports false when
+// the list is empty.
+func (l *freeList[T]) get() (x T, ok bool) {
+	l.mu.Lock()
+	if n := len(l.items); n > 0 {
+		x, ok = l.items[n-1], true
+		var zero T
+		l.items[n-1] = zero // the list no longer holds it
+		l.items = l.items[:n-1]
+	}
+	l.mu.Unlock()
+	return x, ok
+}
+
+// put releases x to the list, or to the garbage collector when the list
+// is full.
+func (l *freeList[T]) put(x T) {
+	l.mu.Lock()
+	if len(l.items) < l.bound {
+		l.items = append(l.items, x)
+	}
+	l.mu.Unlock()
+}
+
+// reqBufs is a server's idle request buffers: the wire buffers that
+// carry request bodies and encoded responses, and the compute path's
+// value and result vectors by size class. Class k holds vectors whose
 // capacity is 2^k, or a larger capacity below 2^(k+1) for a vector that
-// json.Unmarshal made. vecBoxes holds the empty *[]int64 boxes that
-// carry a vector through a pool, so that neither getVec nor putVec
-// allocates once both are warm.
-var (
-	vecPools [maxVecClass + 1]sync.Pool
-	vecBoxes = sync.Pool{New: func() any { return new([]int64) }}
-)
+// json.Unmarshal made. Admission bounds what the lists keep: an admitted
+// request holds one wire buffer at a time, and a single-vector request
+// two vectors, its values and its result, so the wire list keeps at
+// most MaxInFlight buffers and each vector class 2×MaxInFlight.
+type reqBufs struct {
+	wire freeList[[]byte]
+	vecs [maxVecClass + 1]freeList[[]int64]
+}
+
+// newReqBufs returns empty lists bounded for maxInFlight admitted
+// requests.
+func newReqBufs(maxInFlight int) *reqBufs {
+	b := &reqBufs{wire: freeList[[]byte]{bound: maxInFlight}}
+	for k := range b.vecs {
+		b.vecs[k].bound = 2 * maxInFlight
+	}
+	return b
+}
+
+// getWire returns an empty wire buffer, nil when none is idle. Nothing
+// decoded from it may alias it once it is released: the next request
+// takes it.
+func (b *reqBufs) getWire() []byte {
+	w, _ := b.wire.get()
+	return w[:0]
+}
+
+// putWire releases w, unless it grew past maxPooledBuf.
+func (b *reqBufs) putWire(w []byte) {
+	if cap(w) > 0 && cap(w) <= maxPooledBuf {
+		b.wire.put(w)
+	}
+}
 
 // getVec returns a vector of length n whose contents are unspecified:
 // the caller writes every element before reading any.
-func getVec(n int) []int64 {
+func (b *reqBufs) getVec(n int) []int64 {
 	k := bits.Len(uint(n - 1)) // the smallest class that holds n
 	if n == 0 || k > maxVecClass {
 		return make([]int64, n)
 	}
-	p, _ := vecPools[k].Get().(*[]int64)
-	if p == nil {
-		return make([]int64, n, 1<<k)
+	if v, ok := b.vecs[k].get(); ok {
+		return v[:n]
 	}
-	v := (*p)[:n]
-	*p = nil
-	vecBoxes.Put(p)
-	return v
+	return make([]int64, n, 1<<k)
 }
 
-// putVec hands v to the vector pool. Nothing may use v afterwards.
-func putVec(v []int64) {
+// putVec releases v to its size class. Nothing may use v afterwards.
+func (b *reqBufs) putVec(v []int64) {
 	c := cap(v)
 	if c == 0 || c > 1<<maxVecClass {
 		return
 	}
-	p := vecBoxes.Get().(*[]int64)
-	*p = v
-	vecPools[bits.Len(uint(c))-1].Put(p)
+	b.vecs[bits.Len(uint(c))-1].put(v)
 }
 
-// putVectors hands r's value vectors to the vector pool.
-func (r *computeRequest) putVectors() {
-	putVec(r.Values)
+// putVectors releases r's value vectors to bufs.
+func (r *computeRequest) putVectors(bufs *reqBufs) {
+	bufs.putVec(r.Values)
 	for _, v := range r.Batch {
-		putVec(v)
+		bufs.putVec(v)
 	}
 }
 
-// readBody appends everything r yields to b. b grows only as bytes
-// arrive, never from a length the client declared: when it is full it
-// doubles, from 512 bytes, so a body of D bytes is copied about
-// log₂(D/512) times rather than the thirty-odd of append's 1.25× steps.
-// A declared length D (declared, or -1 when unknown) only caps a growth
-// that would reach it: the buffer then grows to D + D/8 + 1, room for
-// the whole body and the read that finds its end, and headroom that
-// lets a pooled buffer take a next body a little longer than this one
-// without growing again.
+// readBody appends everything r yields to b. A body that declares its
+// length D (declared, or -1 when unknown) is sized once: when b must
+// grow, it grows straight to D + D/8 + 1, room for the whole body and
+// the read that finds its end, and headroom that lets a reused buffer
+// take a next body a little longer than this one without growing
+// again. That holds while D + D/8 + 1 fits maxPooledBuf, which bounds
+// what a client that declares a length and stalls can pin. Past it, and
+// without a declared length, b grows only as bytes arrive: when it is
+// full it doubles, from 512 bytes, capped at D + D/8 + 1 once doubling
+// would reach D, so a client that declares far more than it sends holds
+// at most twice what it sent.
 func readBody(b []byte, r io.Reader, declared int64) ([]byte, error) {
 	for {
 		if len(b) == cap(b) {
 			next := max(2*cap(b), 512)
-			if limit := declared + declared/8 + 1; declared > 0 && int64(next) >= declared && limit > int64(cap(b)) {
+			if limit := declared + declared/8 + 1; declared > 0 && limit > int64(cap(b)) && (limit <= maxPooledBuf || int64(next) >= declared) {
 				next = max(int(limit), 512)
 			}
 			b = append(make([]byte, 0, next), b...)
@@ -128,18 +170,17 @@ func readBody(b []byte, r io.Reader, declared int64) ([]byte, error) {
 	}
 }
 
-// readRequest reads the whole size-bounded request body into a pooled
-// buffer, writing the typed error itself on failure: 413 when the body
-// exceeds MaxBody, 400 when it cannot be read. The caller returns the
-// buffer with putWireBuf once nothing it decoded aliases it.
-func (s *Server) readRequest(w http.ResponseWriter, r *http.Request) (*wireBuf, bool) {
-	wb := getWireBuf()
-	var err error
-	wb.b, err = readBody(wb.b, http.MaxBytesReader(w, r.Body, s.opts.MaxBody), r.ContentLength)
+// readRequest reads the whole size-bounded request body into a wire
+// buffer from the server's free list, writing the typed error itself on
+// failure: 413 when the body exceeds MaxBody, 400 when it cannot be
+// read. The caller releases the buffer with putWire once nothing it
+// decoded aliases it.
+func (s *Server) readRequest(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	body, err := readBody(s.bufs.getWire(), http.MaxBytesReader(w, r.Body, s.opts.MaxBody), r.ContentLength)
 	if err == nil {
-		return wb, true
+		return body, true
 	}
-	putWireBuf(wb)
+	s.bufs.putWire(body)
 	var mbe *http.MaxBytesError
 	if errors.As(err, &mbe) {
 		s.writeError(w, http.StatusRequestEntityTooLarge, kindTooLarge,
@@ -155,12 +196,12 @@ func (s *Server) readRequest(w http.ResponseWriter, r *http.Request) (*wireBuf, 
 // as readRequest, and 400 when the body is not exactly one JSON value
 // of v's shape.
 func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	wb, ok := s.readRequest(w, r)
+	body, ok := s.readRequest(w, r)
 	if !ok {
 		return false
 	}
-	defer putWireBuf(wb)
-	if err := json.Unmarshal(wb.b, v); err != nil {
+	defer s.bufs.putWire(body)
+	if err := json.Unmarshal(body, v); err != nil {
 		s.badJSON(w, err)
 		return false
 	}
@@ -176,10 +217,11 @@ func (s *Server) badJSON(w http.ResponseWriter, err error) {
 // canonical body takes the scanner, which leaves the labels array
 // unparsed in req.labelText so that the plan cache can look it up by
 // its bytes; parseLabelText parses it. The scanner stores no array
-// longer than maxN (see scanInts). Any other body goes to
-// json.Unmarshal, which decodes every array whole, as before.
-func decodeCompute(data []byte, req *computeRequest, maxN int) error {
-	if scanCompute(data, req, maxN) {
+// longer than maxN (see scanInts), and takes its value vectors from
+// vec. Any other body goes to json.Unmarshal, which decodes every array
+// whole, as before.
+func decodeCompute(data []byte, req *computeRequest, maxN int, vec func(int) []int64) error {
+	if scanCompute(data, req, maxN, vec) {
 		return nil
 	}
 	*req = computeRequest{}
@@ -224,8 +266,9 @@ const (
 // whitespace after the object. For every such body json.Unmarshal
 // yields the same struct once parseLabelText has parsed the labels,
 // which the scanner leaves as text: the bytes from the array's '[' to
-// its first ']', aliasing data. On false req may hold partial fields.
-func scanCompute(data []byte, req *computeRequest, maxN int) bool {
+// its first ']', aliasing data. The values and batch vectors come from
+// vec. On false req may hold partial fields.
+func scanCompute(data []byte, req *computeRequest, maxN int, vec func(int) []int64) bool {
 	s := wireScanner{d: data, maxLen: maxN}
 	if !s.consume('{') {
 		return false
@@ -252,10 +295,10 @@ func scanCompute(data []byte, req *computeRequest, maxN int) bool {
 			req.labelText, ok = s.arrayText()
 		case "values":
 			bit = keyValues
-			req.Values, ok = scanInts(&s, getVec)
+			req.Values, ok = scanInts(&s, vec)
 		case "batch":
 			bit = keyBatch
-			req.Batch, ok = s.batch()
+			req.Batch, ok = s.batch(vec)
 		case "deadline_ms":
 			bit = keyDeadline
 			req.DeadlineMS, ok = scanInt[int64](&s)
@@ -606,10 +649,10 @@ func parseDigits(x uint64) uint64 {
 	return x * (1 + 10000<<32) >> 32
 }
 
-// batch scans an array of int64 arrays. It counts the vectors as
-// scanInts counts elements: past maxLen it stores none of them, still
-// scanning the rest, and raises over to the vector count.
-func (s *wireScanner) batch() ([][]int64, bool) {
+// batch scans an array of int64 arrays into vectors from vec. It counts
+// the vectors as scanInts counts elements: past maxLen it stores none of
+// them, still scanning the rest, and raises over to the vector count.
+func (s *wireScanner) batch(vec func(int) []int64) ([][]int64, bool) {
 	if !s.consume('[') {
 		return nil, false
 	}
@@ -622,7 +665,7 @@ func (s *wireScanner) batch() ([][]int64, bool) {
 		if s.drop = n > s.maxLen; s.drop {
 			out = nil
 		}
-		v, ok := scanInts(s, getVec)
+		v, ok := scanInts(s, vec)
 		if !ok {
 			return nil, false
 		}
@@ -646,16 +689,15 @@ func (s *wireScanner) batch() ([][]int64, bool) {
 }
 
 // writeWire sends a compute response as a 200, append-encoded by enc
-// into a pooled buffer and sent with its Content-Length.
-func writeWire[R any](w http.ResponseWriter, resp *R, enc func([]byte, *R) []byte) {
-	wb := getWireBuf()
-	defer putWireBuf(wb)
-	wb.b = enc(wb.b, resp)
+// into a wire buffer from bufs and sent with its Content-Length.
+func writeWire[R any](w http.ResponseWriter, bufs *reqBufs, resp *R, enc func([]byte, *R) []byte) {
+	b := enc(bufs.getWire(), resp)
+	defer bufs.putWire(b)
 	h := w.Header()
 	h.Set("Content-Type", "application/json")
-	h.Set("Content-Length", strconv.Itoa(len(wb.b)))
+	h.Set("Content-Length", strconv.Itoa(len(b)))
 	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(wb.b)
+	_, _ = w.Write(b)
 }
 
 // appendCompute appends r's JSON encoding to b: byte for byte what
