@@ -9,7 +9,7 @@
 GO ?= go
 FUZZTIME ?= 5s
 
-.PHONY: all build test check check-service trial-smoke shard-smoke vet lint race race-matrix fuzz-smoke purego bench bench-smoke bench-json bench-service
+.PHONY: all build test check check-service trial-smoke shard-smoke experiments-full vet lint race race-matrix fuzz-smoke purego bench bench-smoke bench-json bench-service
 
 all: build test
 
@@ -109,6 +109,12 @@ trial-smoke:
 # ⌈log₂S⌉.
 shard-smoke:
 	bash ./scripts/check_shard.sh
+
+# Full-scale reproduction gate: the paper-scale report must match the
+# committed experiments_full.txt in every line but the wall times. It
+# takes about 50 s, so it is not part of `make check`.
+experiments-full:
+	bash ./scripts/check_experiments.sh
 
 bench:
 	$(GO) test -bench . -benchtime 1x ./...

@@ -299,46 +299,62 @@ func BenchmarkEnginePooled(b *testing.B) {
 }
 
 // BenchmarkPlanReuse measures the "plan once, run many" pipeline per
-// backend against the matching one-shot Compute: the plan-run side
-// pays no per-call validation or label-structure setup and allocates
-// nothing in steady state. cmd/benchjson records the same comparison
-// in BENCH_engines.json.
+// backend against the matching one-shot Compute, at n=2^16 and 2^18:
+// plan-run is Run, plan-reduce is Reduce, and plan-batch1 is a RunBatch
+// of one vector into caller storage — what the service runs for a
+// single-vector request, and what Auto's trial times. The plan rows pay
+// no per-call validation or label-structure setup and allocate nothing
+// in steady state. cmd/benchjson records the compute/plan-run
+// comparison in BENCH_engines.json.
 func BenchmarkPlanReuse(b *testing.B) {
-	const n, m = 1 << 18, 1 << 10
-	values, labels := benchInput(n, m)
+	const m = 1 << 10
 	cfg := Config{Workers: 4}
-	for _, name := range []string{"serial", "spinetree", "chunked", "parallel", "auto"} {
-		be, err := OpenBackend[int64](name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(name+"/compute", func(b *testing.B) {
-			b.SetBytes(n * 8)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := be.Compute(AddInt64, values, labels, m, cfg); err != nil {
-					b.Fatal(err)
-				}
+	for _, n := range []int{1 << 16, 1 << 18} {
+		values, labels := benchInput(n, m)
+		dst, src := [][]int64{make([]int64, n)}, [][]int64{values}
+		for _, name := range []string{"serial", "sorted", "sharded", "spinetree", "chunked", "parallel", "auto"} {
+			be, err := OpenBackend[int64](name)
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
-		b.Run(name+"/plan-run", func(b *testing.B) {
+			prefix := fmt.Sprintf("n=%d/%s/", n, name)
+			b.Run(prefix+"compute", func(b *testing.B) {
+				b.SetBytes(int64(n) * 8)
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := be.Compute(AddInt64, values, labels, m, cfg); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 			plan, err := be.Plan(AddInt64, labels, m, cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer plan.Close()
-			if _, err := plan.Run(values); err != nil { // warm plan storage
-				b.Fatal(err)
+			for _, row := range []struct {
+				name string
+				run  func() error
+			}{
+				{"plan-run", func() error { _, err := plan.Run(values); return err }},
+				{"plan-batch1", func() error { return plan.RunBatch(dst, src) }},
+				{"plan-reduce", func() error { _, err := plan.Reduce(values); return err }},
+			} {
+				b.Run(prefix+row.name, func(b *testing.B) {
+					if err := row.run(); err != nil { // warm plan storage
+						b.Fatal(err)
+					}
+					b.SetBytes(int64(n) * 8)
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if err := row.run(); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
 			}
-			b.SetBytes(n * 8)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := plan.Run(values); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+			plan.Close()
+		}
 	}
 }
 

@@ -1,10 +1,10 @@
 // Command mpload is the service load generator: the ssbench
 // counterpart for mpd. It drives concurrent HTTP clients against the
 // daemon's compute endpoints for a fixed duration per traffic mix and
-// reports QPS, latency (mean/p50/p99) and error counts per mix as
-// machine-readable JSON — the committed BENCH_service.json at the
-// repo root is its reference snapshot (`make bench-service`
-// regenerates it).
+// reports QPS and latency (mean/p50/p99) over the OK responses, and
+// error and shed counts, per mix as machine-readable JSON — the
+// committed BENCH_service.json at the repo root is its reference
+// snapshot (`make bench-service` regenerates it).
 //
 // With -url it targets a running daemon; without, it boots a fresh
 // in-process server on a loopback listener for every sample, so a
@@ -54,13 +54,16 @@ type MixResult struct {
 	Mix string `json:"mix"`
 	// Endpoint is the path(s) driven.
 	Endpoint string `json:"endpoint"`
-	Requests int    `json:"requests"`
-	OK       int    `json:"ok"`
-	Errors   int    `json:"errors"`
+	// Requests counts the requests attempted: OK + Errors + Shed.
+	Requests int `json:"requests"`
+	OK       int `json:"ok"`
+	Errors   int `json:"errors"`
 	// Shed counts 429/503 responses (admission control working as
 	// designed under overload; they are not in Errors).
-	Shed       int     `json:"shed"`
-	DurSec     float64 `json:"dur_sec"`
+	Shed   int     `json:"shed"`
+	DurSec float64 `json:"dur_sec"`
+	// QPS is the OK responses served per second, and the latencies are
+	// those of the OK responses: a refused request is not throughput.
 	QPS        float64 `json:"qps"`
 	MeanMS     float64 `json:"mean_ms"`
 	P50MS      float64 `json:"p50_ms"`
@@ -398,9 +401,10 @@ func runMix(base, mix string, bodies [][]byte, clients int, dur time.Duration, n
 				derr := json.NewDecoder(resp.Body).Decode(&r)
 				io.Copy(io.Discard, resp.Body)
 				resp.Body.Close()
-				ws.lat = append(ws.lat, time.Since(t0))
+				lat := time.Since(t0)
 				switch {
 				case resp.StatusCode == http.StatusOK && derr == nil:
+					ws.lat = append(ws.lat, lat)
 					ws.ok++
 					ws.coal += r.Coalesced
 					if r.Fallback != "" {
@@ -448,7 +452,7 @@ func runMix(base, mix string, bodies [][]byte, clients int, dur time.Duration, n
 	if res.OK > 0 {
 		res.CoalescedAvg /= float64(res.OK)
 	}
-	res.QPS = float64(res.Requests) / elapsed.Seconds()
+	res.QPS = float64(res.OK) / elapsed.Seconds()
 	res.ElemPerSec = float64(res.OK) * float64(n) / elapsed.Seconds()
 	if len(all) > 0 {
 		sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })

@@ -8,8 +8,8 @@ import (
 
 // This file is batched Plan execution: evaluating k value vectors
 // against one planned label structure in a single call. Every backend
-// supports it — the default is the per-vector loop over Run/Reduce
-// with a copy into the caller's destination — and the serial, sorted,
+// supports it — the study engines loop over their run with a copy into
+// the caller's destination (loopBatch) — and the serial, sorted,
 // sharded, chunked and vector plans run fused implementations that
 // write each vector's results directly into the caller's storage (no
 // copy) and, for the team-parallel plans, drive the worker team once
@@ -89,10 +89,7 @@ func (p *Plan[T]) batch(dsts, srcs [][]T, withMulti bool) error {
 		return err
 	}
 	err := p.runBatch(dsts, srcs, withMulti)
-	if err == nil {
-		return nil
-	}
-	if p.fallback && p.exec != planSerial && !terminalErr(err) {
+	if err != nil && p.degrades(err) {
 		return p.serialBatch(dsts, srcs, withMulti)
 	}
 	return err
@@ -124,8 +121,7 @@ func (p *Plan[T]) checkBatch(dsts, srcs [][]T, withMulti bool) error {
 	return nil
 }
 
-// runBatch dispatches one validated batch to the plan's execution
-// strategy.
+// runBatch runs one validated batch on the plan's executor.
 //
 //mp:locked
 //mp:polls
@@ -133,42 +129,7 @@ func (p *Plan[T]) runBatch(dsts, srcs [][]T, withMulti bool) error {
 	if len(srcs) == 0 {
 		return nil
 	}
-	switch p.exec {
-	case planSerial:
-		return p.serialBatch(dsts, srcs, withMulti)
-	case planSharded:
-		p.shMeasured = 0
-		if p.team == nil {
-			return p.sortedSerialBatch(dsts, srcs, withMulti)
-		}
-		return p.teamBatch(dsts, srcs, withMulti)
-	case planChunked:
-		return p.chunks.Batch(p.team, dsts, srcs, withMulti, p.batchRed(withMulti), p.cfg)
-	case planVector:
-		if withMulti {
-			return p.vrunBatch(dsts, srcs)
-		}
-		return p.vreduceBatch(dsts, srcs)
-	default:
-		// planBuffers, planPram: per-vector evaluation plus a copy into
-		// the caller's storage. run/reduce carry their own fallback.
-		for k := range srcs {
-			if withMulti {
-				res, err := p.run(srcs[k])
-				if err != nil {
-					return err
-				}
-				copy(dsts[k], res.Multi)
-			} else {
-				red, err := p.reduce(srcs[k])
-				if err != nil {
-					return err
-				}
-				copy(dsts[k], red)
-			}
-		}
-		return nil
-	}
+	return p.ex.batch(p, dsts, srcs, withMulti)
 }
 
 // serialBatch is the fused serial batch: the planned one-pass bucket
@@ -182,56 +143,10 @@ func (p *Plan[T]) serialBatch(dsts, srcs [][]T, withMulti bool) (err error) {
 	defer recoverPlanPanic("plan/serial", &err)
 	scratch := p.batchRed(withMulti)
 	for k := range srcs {
-		multi, red := dsts[k], scratch
-		if !withMulti {
-			multi, red = nil, dsts[k]
-		}
+		multi, red := batchOut(dsts, k, withMulti, scratch)
 		if err := p.serialPass(srcs[k], multi, red); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// sortedSerialBatch is the fused single-shard sorted batch: one fused
-// segmented scan per vector over the plan-time permutation.
-//
-//mp:locked
-func (p *Plan[T]) sortedSerialBatch(dsts, srcs [][]T, withMulti bool) (err error) {
-	defer recoverPlanPanic(p.engine, &err)
-	fast := p.op.FastKind(p.cfg.FaultHook)
-	scratch := p.batchRed(withMulti)
-	for k := range srcs {
-		// Poll between vectors as well: a short vector never exhausts
-		// the in-scan stride credit, so without this check a cancelled
-		// batch of small vectors would run to completion.
-		if err := ctxDone(p.cfg); err != nil {
-			return err
-		}
-		multi, red := dsts[k], scratch
-		if !withMulti {
-			multi, red = nil, dsts[k]
-		}
-		if err := p.scanSingle(fast, srcs[k], multi, red); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// teamBatch drives one round of the sharded team for the whole batch.
-//
-//mp:locked
-func (p *Plan[T]) teamBatch(dsts, srcs [][]T, withMulti bool) error {
-	p.batchRed(withMulti) // shardedBatch reads it as p.red
-	p.batchDsts, p.batchSrcs = dsts, srcs
-	p.runMulti = withMulti
-	p.fast = p.op.FastKind(p.cfg.FaultHook)
-	p.guard.Reset()
-	defer func() { p.batchDsts, p.batchSrcs = nil, nil }()
-	p.team.Run(p.shBatchBody)
-	if err := p.guard.First(); err != nil {
-		return err
-	}
-	return ctxDone(p.cfg)
 }

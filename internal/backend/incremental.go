@@ -263,9 +263,8 @@ func (p *Plan[T]) prepareIncremental() {
 	if p.imode == incNone {
 		return
 	}
-	if p.exec == planSharded && p.shardsN == 1 {
-		p.iperm, p.istart = p.sperm, p.shStart[0]
-	} else {
+	var shared bool
+	if p.iperm, p.istart, shared = p.sortedIndex(); !shared {
 		p.iperm = make([]int32, p.n)
 		p.istart = make([]int32, p.m+1)
 		core.BuildSortedIndexInto(p.iperm, p.istart, p.labels)
@@ -579,30 +578,19 @@ func (p *Plan[T]) refreshLocked() error {
 }
 
 // evalSnapshot evaluates the resident values into snapMulti and
-// snapRed. The engines that keep Run storage in the plan (serial,
-// chunked and the sorted family) run a one-vector prefix batch whose
-// destination is snapMulti and whose reduction scratch is red, so a
-// bound plan holds no n-slot Run result and a later Run, which writes
-// multi, leaves the snapshot whole. The study engines return results
-// in their own arenas, which are copied.
+// snapRed: a one-vector prefix batch whose destination is snapMulti and
+// whose reduction scratch is red, so a bound plan holds no n-slot Run
+// result and a later Run, which writes multi, leaves the snapshot whole.
 //
 //mp:locked
 func (p *Plan[T]) evalSnapshot() error {
-	switch p.exec {
-	case planSerial, planChunked, planSharded:
-		dst, src := [1][]T{p.snapMulti}, [1][]T{p.vals}
-		if err := p.batch(dst[:], src[:], true); err != nil {
-			return err
-		}
-		copy(p.snapRed, p.red)
-		return nil
-	}
-	res, err := p.run(p.vals)
+	dsts, srcs := p.one(p.snapMulti, p.vals)
+	err := p.batch(dsts, srcs, true)
+	p.clearOne()
 	if err != nil {
 		return err
 	}
-	copy(p.snapMulti, res.Multi)
-	copy(p.snapRed, res.Reductions)
+	copy(p.snapRed, p.red)
 	return nil
 }
 

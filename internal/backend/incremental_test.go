@@ -845,6 +845,35 @@ func TestUpdateZeroAllocs(t *testing.T) {
 	_ = sink
 }
 
+// TestIncrementalRefreshZeroAllocs pins the re-run tier's warm path:
+// on a bound max plan, an Update and the QueryPrefix that re-runs the
+// engine into the snapshot allocate nothing on every engine that
+// evaluates in plan storage (the PRAM simulator builds its machine per
+// run).
+func TestIncrementalRefreshZeroAllocs(t *testing.T) {
+	const n, m = 1 << 10, 32
+	values, labels, _ := refInput(17, n, m)
+	for _, name := range []string{"serial", "sorted", "sharded", "chunked", "spinetree", "parallel", "vector"} {
+		p := incPlan(t, name, core.MaxInt64, labels, m, backendCfg(name))
+		if err := p.Bind(values); err != nil {
+			t.Fatalf("%s: Bind: %v", name, err)
+		}
+		k := 0
+		allocs := testing.AllocsPerRun(50, func() {
+			k++
+			if err := p.Update(k%n, int64(k)); err != nil {
+				t.Fatalf("%s: Update: %v", name, err)
+			}
+			if _, err := p.QueryPrefix(k % n); err != nil {
+				t.Fatalf("%s: QueryPrefix: %v", name, err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: Update + re-running QueryPrefix allocated %.1f/op, want 0", name, allocs)
+		}
+	}
+}
+
 // FuzzIncrementalParity feeds a random update/query stream to a plan
 // on every registered backend and cross-checks each answer against a
 // full serial recompute, including the float64 envelope/drift split on

@@ -47,20 +47,20 @@ func (p *Plan[T]) each(calls []Call, dsts, srcs [][]T, withMulti bool) []error {
 		}
 		return errs
 	}
-	var d, s [1][]T
 	for k := range srcs {
-		d[0], s[0] = dsts[k], srcs[k]
+		d, s := p.one(dsts[k], srcs[k])
 		var c Call
 		if calls != nil {
 			c = calls[k]
 		}
 		old := p.override(c)
-		err := p.runBatch(d[:], s[:], withMulti)
-		if err != nil && p.fallback && p.exec != planSerial && !terminalErr(err) {
-			err = p.serialBatch(d[:], s[:], withMulti)
+		err := p.runBatch(d, s, withMulti)
+		if err != nil && p.degrades(err) {
+			err = p.serialBatch(d, s, withMulti)
 		}
 		p.cfg = old
 		errs[k] = err
 	}
+	p.clearOne()
 	return errs
 }

@@ -4,49 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
 	"multiprefix/internal/core"
-	"multiprefix/internal/par"
-	"multiprefix/internal/pram"
-	"multiprefix/internal/vecmp"
-	"multiprefix/internal/vector"
-)
-
-// planKind is how a Plan executes its runs.
-type planKind uint8
-
-const (
-	// planSerial: the one-pass bucket algorithm over plan-owned
-	// storage, in CancelStride segments when a context is set.
-	planSerial planKind = iota
-	// planChunked: core's ChunkRunner, the one chunked body, with
-	// each chunk's touched-label list found once at plan time on the
-	// plan's worker team.
-	planChunked
-	// planBuffers: spinetree or parallel, delegated to a plan-owned
-	// pooled core.Buffers (the arena is rebuilt per run — those
-	// engines' spine structure depends on the row-length choice the
-	// arena makes — but all storage and the worker team persist).
-	planBuffers
-	// planVector: a vecmp.Plan whose spinetree was built once (the
-	// paper's §5.2.1 setup/evaluation split) and is evaluated against
-	// each value vector.
-	planVector
-	// planPram: per-run simulated PRAM execution. The simulator
-	// allocates its machine per run; Plan here only amortizes
-	// validation.
-	planPram
-	// planSharded: the sorted engine, for both the sorted and the
-	// sharded backend — S contiguous element ranges each
-	// counting-sorted at plan time, scanned reduce-only per shard,
-	// carries combined in ⌈log₂S⌉ exclusive-prefix exchange rounds,
-	// then a seeded per-shard rescan for the prefixes; one shard is a
-	// single fused scan (see sharded.go).
-	planSharded
 )
 
 // Plan is a prepared multiprefix pipeline over one fixed label
@@ -85,10 +47,10 @@ type Plan[T any] struct {
 	mu sync.Mutex
 
 	backend string
-	// exec is how the plan runs; an auto plan's Promote may switch it
-	// between planSerial and planChunked, with team and chunks.
+	// ex is the engine the plan runs (exec.go); an auto plan's Promote
+	// may swap it for a serial or chunked one.
 	//mp:guarded-by mu
-	exec     planKind
+	ex       executor[T]
 	fallback bool // auto: degrade to the serial pass on internal failure
 	op       core.Op[T]
 	// cfg is swapped by per-call overrides and restored on return.
@@ -109,48 +71,9 @@ type Plan[T any] struct {
 	multi []T
 	//mp:guarded-by mu
 	red []T
-
-	// the persistent worker team of the chunked and sharded plans, the
-	// cleanup that closes it if the plan is dropped, and the sharded
-	// bodies' per-run state
+	// oneDst and oneSrc are the slots of a one-vector batch (one).
 	//mp:guarded-by mu
-	team *par.Team
-	//mp:guarded-by mu
-	teamCleanup runtime.Cleanup
-	guard       core.Guard
-	fast        core.FastOp
-	//mp:guarded-by mu
-	runMulti bool // current run wants Multi (read by worker bodies)
-	//mp:guarded-by mu
-	values []T // current run's values (read by worker bodies)
-
-	// chunked state: core's runner, planned over the labels
-	//mp:guarded-by mu
-	chunks *core.ChunkRunner[T, int32]
-
-	// sorted-family state (see sharded.go): S contiguous element
-	// ranges, each with its own counting-sort row over the shared
-	// full-length sperm, and the flat S×m ping-pong carry buffers of
-	// the exclusive-prefix exchange
-	engine      string      // "plan/sorted" or "plan/sharded", for panics
-	sperm       []int32     // the shards' counting-sort permutations
-	shardsN     int         // shard count S (one team worker per shard)
-	shLo, shHi  []int       // element range per shard
-	shStart     [][]int32   // per-shard run-bound rows, each len m+1
-	shCarryA    []T         // flat S×m totals / exchange buffer (pass-1 target)
-	shCarryB    []T         // flat S×m exchange ping-pong partner
-	shRounds    int         // ⌈log₂S⌉
-	sortedStop  func() bool // prebound guard poll for worker bodies
-	shBody      func(w int, bar *par.Barrier)
-	shBatchBody func(w int, bar *par.Barrier)
-	// shMeasured counts the exchange rounds the last evaluation actually
-	// executed (ShardStats.MeasuredRounds, which shard-smoke asserts).
-	//mp:guarded-by mu
-	shMeasured int // written by worker 0 between barriers
-
-	// batched execution state (read by the batch team bodies)
-	//mp:guarded-by mu
-	batchDsts, batchSrcs [][]T
+	oneDst, oneSrc [1][]T
 
 	// trial is an auto plan's trial record; nil when the plan ran none.
 	// A library auto plan sets it before the plan is returned; a
@@ -159,16 +82,6 @@ type Plan[T any] struct {
 	trial *AutoTrial
 	//mp:guarded-by mu
 	deferred bool
-
-	// spinetree / parallel delegate state
-	buf     *core.Buffers[T]
-	bufKind kind
-
-	// vector state: monomorphic closures bound to a vecmp.Plan
-	vrun         func(values []T) (core.Result[T], error)
-	vreduce      func(values []T) ([]T, error)
-	vrunBatch    func(dsts, srcs [][]T) error
-	vreduceBatch func(dsts, srcs [][]T) error
 
 	// incremental (stateful) extension — see incremental.go. Built
 	// lazily at the first Bind; serialized by mu like every evaluation.
@@ -185,9 +98,9 @@ type Plan[T any] struct {
 	//mp:guarded-by mu
 	imode incMode // maintenance tier (operator + element type)
 	//mp:guarded-by mu
-	iperm []int32 // counting-sort permutation (aliases sperm on one-shard plans)
+	iperm []int32 // counting-sort permutation (a one-shard sorted plan's own: sortedIndex)
 	//mp:guarded-by mu
-	istart []int32 // per-label run bounds, len m+1 (aliases shStart[0])
+	istart []int32 // per-label run bounds, len m+1 (likewise)
 	//mp:guarded-by mu
 	iloc []classPos // element i's label class and offset in its run
 	//mp:guarded-by mu
@@ -304,159 +217,12 @@ func newPlan[T any](k kind, name string, op core.Op[T], set LabelSet, cfg core.C
 			k = kindChunked
 		}
 	}
-	// The simulated machines assume at least one element; an empty
-	// plan degenerates to the (trivially equivalent) serial pass after
-	// their capability checks.
-	switch k {
-	case kindVector:
-		if err := p.prepareVector(); err != nil {
-			return nil, err
-		}
-		if p.n == 0 {
-			k = kindSerial
-		}
-	case kindPram:
-		if err := pramCheck(name, op); err != nil {
-			return nil, err
-		}
-		if p.n == 0 {
-			k = kindSerial
-		}
-	}
-	switch k {
-	case kindSerial:
-		p.exec = planSerial
-	case kindSorted:
-		if err := p.prepareSharded("sorted", core.ChunkWorkers(cfg.Workers, p.n)); err != nil {
-			return nil, err
-		}
-	case kindSharded:
-		s := cfg.Shards
-		if s <= 0 {
-			s = core.ChunkWorkers(cfg.Workers, p.n)
-		}
-		if err := p.prepareSharded("sharded", s); err != nil {
-			return nil, err
-		}
-	case kindChunked:
-		p.exec = planChunked
-		p.startTeam(core.ChunkWorkers(cfg.Workers, p.n))
-		p.chunks = core.NewChunkRunner[T, int32]("plan/chunked")
-		p.chunks.Plan(p.team, op, p.labels, p.m)
-	case kindSpinetree, kindParallel:
-		p.exec = planBuffers
-		p.bufKind = k
-		p.buf = new(core.Buffers[T])
-	case kindVector:
-		p.exec = planVector
-	case kindPram:
-		p.exec = planPram
-	}
-	return p, nil
-}
-
-// startTeam starts the plan's persistent worker team.
-//
-//mp:locked
-func (p *Plan[T]) startTeam(workers int) {
-	p.team = par.NewTeam(workers)
-	p.watchTeam()
-}
-
-// watchTeam registers the cleanup that closes p's team if p is dropped
-// without Close, so the team's parked goroutines do not leak. It
-// replaces any earlier one: a plan whose team moved (swapEngine) must
-// not close it when it is collected, and the team's new owner must.
-//
-//mp:locked
-func (p *Plan[T]) watchTeam() {
-	p.teamCleanup.Stop()
-	p.teamCleanup = runtime.Cleanup{}
-	if p.team != nil {
-		p.teamCleanup = runtime.AddCleanup(p, func(t *par.Team) { t.Close() }, p.team)
-	}
-}
-
-// swapEngine exchanges p's engine with c's: the execution kind, the
-// chunk runner and the worker team, each team's cleanup moving with
-// it. c is a trial candidate built over p's own labels (trial.go), so
-// a chunk runner planned for c is planned for p. Nothing else moves:
-// p keeps its labels, result storage, resident state and version.
-// Callers hold p.mu; c is unpublished.
-//
-//mp:locked
-func (p *Plan[T]) swapEngine(c *Plan[T]) {
-	p.exec, c.exec = c.exec, p.exec
-	p.team, c.team = c.team, p.team
-	p.chunks, c.chunks = c.chunks, p.chunks
-	p.watchTeam()
-	c.watchTeam()
-}
-
-// interrupted is the sharded bodies' stride poll: the plan's guard
-// against the current call's context.
-//
-//mp:locked
-func (p *Plan[T]) interrupted() bool {
-	return p.guard.Interrupted(p.cfg.Ctx)
-}
-
-// prepareVector builds the vecmp.Plan — the one backend with true
-// spine-structure reuse: the spinetree depends only on the labels, so
-// it is built once here and every Run pays only the evaluation
-// phases.
-func (p *Plan[T]) prepareVector() error {
-	var probe []T
-	switch any(probe).(type) {
-	case []int64:
-		return bindVecPlan[int64](p)
-	case []float64:
-		return bindVecPlan[float64](p)
-	case []int32:
-		return bindVecPlan[int32](p)
-	}
-	return errElemType[T](p.backend)
-}
-
-// bindVecPlan builds the vecmp.Plan at the machine element type E
-// (== T) and binds the monomorphic evaluation closures.
-//
-//mp:locked
-func bindVecPlan[E vector.Elem, T any](p *Plan[T]) error {
-	eop, ok := any(p.op).(core.Op[E])
-	if !ok {
-		return errElemType[T](p.backend)
-	}
-	if p.n == 0 {
-		return nil // degenerates to the serial pass
-	}
-	vp, err := vecmp.NewPlan(vector.NewDefault(), eop, p.labels, p.m, vcfg(p.cfg))
+	ex, err := newExec(p, k)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	multi := make([]E, p.n)
-	red := make([]E, p.m)
-	p.vrun = func(values []T) (core.Result[T], error) {
-		if err := vp.MultiprefixInto(any(values).([]E), multi, red); err != nil {
-			return core.Result[T]{}, err
-		}
-		return core.Result[T]{Multi: any(multi).([]T), Reductions: any(red).([]T)}, nil
-	}
-	p.vreduce = func(values []T) ([]T, error) {
-		if err := vp.ReduceInto(any(values).([]E), red); err != nil {
-			return nil, err
-		}
-		return any(red).([]T), nil
-	}
-	// T == E concretely, so [][]T's dynamic type is [][]E: the batch
-	// slices pass through by assertion, no per-vector conversion.
-	p.vrunBatch = func(dsts, srcs [][]T) error {
-		return vp.MultiprefixBatch(any(dsts).([][]E), any(srcs).([][]E), red)
-	}
-	p.vreduceBatch = func(dsts, srcs [][]T) error {
-		return vp.ReduceBatch(any(dsts).([][]E), any(srcs).([][]E))
-	}
-	return nil
+	p.ex = ex
+	return p, nil
 }
 
 // Backend reports the registry name the plan was opened under.
@@ -477,31 +243,19 @@ func (p *Plan[T]) Classes() int { return p.classes }
 func (p *Plan[T]) Labels() []int32 { return p.labels }
 
 // Bytes reports the heap bytes the plan holds: its labels, the
-// Run/Reduce result storage once used, the sorted family's index and
-// carries, the chunk runner's buckets and lists, the study
-// engines' pooled arena, and the stateful tier once bound. It sums
-// backing-array capacities; the Plan struct, its closures and its
-// worker team's goroutines (a few KB) are not counted, nor is the
-// simulated vector machine's memory.
+// Run/Reduce result storage once used, what its executor holds (the
+// sorted family's index and carries, the chunk runner's buckets and
+// lists, the study engines' pooled arena), and the stateful tier once
+// bound. It sums backing-array capacities; the Plan struct, its
+// closures and its worker team's goroutines (a few KB) are not counted,
+// nor is the simulated vector machine's memory.
 func (p *Plan[T]) Bytes() int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	n := core.SliceBytes(p.labels) + core.SliceBytes(p.multi) + core.SliceBytes(p.red) +
-		core.SliceBytes(p.sperm) + core.SliceBytes(p.shLo) + core.SliceBytes(p.shHi) +
-		core.SliceBytes(p.shStart) + core.SliceBytes(p.shCarryA) + core.SliceBytes(p.shCarryB)
-	for w := range len(p.shStart) {
-		n += core.SliceBytes(p.shStart[w])
-	}
-	if p.chunks != nil {
-		n += p.chunks.Bytes()
-	}
-	if p.buf != nil {
-		n += p.buf.Bytes()
-	}
-	n += core.SliceBytes(p.vals) + core.SliceBytes(p.snapMulti) + core.SliceBytes(p.snapRed) +
+	n := core.SliceBytes(p.labels) + core.SliceBytes(p.multi) + core.SliceBytes(p.red) + p.ex.bytes() +
+		core.SliceBytes(p.vals) + core.SliceBytes(p.snapMulti) + core.SliceBytes(p.snapRed) +
 		core.SliceBytes(p.iloc) + core.SliceBytes(p.ftree)
-	if p.exec != planSharded || p.shardsN != 1 {
-		// a one-shard sorted plan's stateful index aliases its own
+	if _, _, shared := p.sortedIndex(); !shared {
 		n += core.SliceBytes(p.iperm) + core.SliceBytes(p.istart)
 	}
 	return n
@@ -514,13 +268,9 @@ func (p *Plan[T]) Bytes() int64 {
 func (p *Plan[T]) Close() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.closed {
-		return
-	}
-	p.closed = true
-	if p.team != nil {
-		p.team.Close()
-		p.team = nil
+	if !p.closed {
+		p.closed = true
+		p.ex.close()
 	}
 }
 
@@ -602,7 +352,7 @@ func (p *Plan[T]) override(c Call) core.Config {
 func (p *Plan[T]) Run(values []T) (core.Result[T], error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.run(values)
+	return p.eval(values, true)
 }
 
 // RunCall is Run under per-call overrides.
@@ -612,49 +362,39 @@ func (p *Plan[T]) RunCall(c Call, values []T) (core.Result[T], error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	defer func(old core.Config) { p.cfg = old }(p.override(c))
-	return p.run(values)
+	return p.eval(values, true)
 }
 
-// run dispatches one full-multiprefix evaluation to the planned
-// engine, falling back to serial on non-terminal failure. Callers hold
-// p.mu. Every engine polls p.cfg.Ctx at cancel-stride granularity.
+// eval is one evaluation on the plan's executor: the prefixes when
+// withMulti, the reductions always, into the plan's result storage or
+// the executor's own. An auto plan's non-terminal failure reruns on the
+// serial pass. Callers hold p.mu. Every engine polls p.cfg.Ctx at
+// cancel-stride granularity.
 //
 //mp:locked
 //mp:polls
-func (p *Plan[T]) run(values []T) (core.Result[T], error) {
+func (p *Plan[T]) eval(values []T, withMulti bool) (core.Result[T], error) {
 	if err := p.checkRun(values); err != nil {
 		return core.Result[T]{}, err
 	}
-	var res core.Result[T]
-	var err error
-	switch p.exec {
-	case planSerial:
-		return p.serialRun(values, true)
-	case planSharded:
-		err = p.runSharded(values, true)
-		res = core.Result[T]{Multi: p.multi, Reductions: p.red}
-	case planChunked:
-		multi, red := p.results(true)
-		err = p.chunks.Run(p.team, values, multi, red, p.cfg)
-		res = core.Result[T]{Multi: multi, Reductions: red}
-	case planBuffers:
-		if p.bufKind == kindSpinetree {
-			res, err = core.SpinetreeIn(p.buf, p.op, values, p.labels, p.m, p.cfg)
-		} else {
-			res, err = core.ParallelIn(p.buf, p.op, values, p.labels, p.m, p.cfg)
-		}
-	case planVector:
-		res, err = p.vrun(values)
-	case planPram:
-		res, err = p.runPram(values, true)
-	}
-	if err == nil {
+	res, err := p.ex.run(p, values, withMulti)
+	switch {
+	case err == nil:
 		return res, nil
-	}
-	if p.fallback && !terminalErr(err) {
-		return p.serialRun(values, true)
+	case p.degrades(err):
+		return p.runOne(serialExec[T]{}, values, withMulti)
 	}
 	return core.Result[T]{}, err
+}
+
+// degrades reports whether a failed evaluation reruns on the serial
+// pass: an auto plan's non-terminal failure on an engine other than
+// serial.
+//
+//mp:locked
+func (p *Plan[T]) degrades(err error) bool {
+	_, serial := p.ex.(serialExec[T])
+	return p.fallback && !serial && !terminalErr(err)
 }
 
 // Reduce evaluates the reductions-only multireduce over values. The
@@ -664,7 +404,8 @@ func (p *Plan[T]) run(values []T) (core.Result[T], error) {
 func (p *Plan[T]) Reduce(values []T) ([]T, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.reduce(values)
+	res, err := p.eval(values, false)
+	return res.Reductions, err
 }
 
 // ReduceCall is Reduce under per-call overrides.
@@ -674,68 +415,25 @@ func (p *Plan[T]) ReduceCall(c Call, values []T) ([]T, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	defer func(old core.Config) { p.cfg = old }(p.override(c))
-	return p.reduce(values)
-}
-
-// reduce dispatches one reductions-only evaluation; see run.
-//
-//mp:locked
-//mp:polls
-func (p *Plan[T]) reduce(values []T) ([]T, error) {
-	if err := p.checkRun(values); err != nil {
-		return nil, err
-	}
-	var red []T
-	var err error
-	switch p.exec {
-	case planSerial:
-		res, err := p.serialRun(values, false)
-		return res.Reductions, err
-	case planSharded:
-		if err = p.runSharded(values, false); err == nil {
-			red = p.red
-		}
-	case planChunked:
-		_, red = p.results(false)
-		if err = p.chunks.Run(p.team, values, nil, red, p.cfg); err != nil {
-			red = nil
-		}
-	case planBuffers:
-		if p.bufKind == kindSpinetree {
-			red, err = core.SpinetreeReduceIn(p.buf, p.op, values, p.labels, p.m, p.cfg)
-		} else {
-			red, err = core.ParallelReduceIn(p.buf, p.op, values, p.labels, p.m, p.cfg)
-		}
-	case planVector:
-		red, err = p.vreduce(values)
-	case planPram:
-		var res core.Result[T]
-		if res, err = p.runPram(values, false); err == nil {
-			red = res.Reductions
-		}
-	}
-	if err == nil {
-		return red, nil
-	}
-	if p.fallback && !terminalErr(err) {
-		res, ferr := p.serialRun(values, false)
-		return res.Reductions, ferr
-	}
-	return nil, err
+	res, err := p.eval(values, false)
+	return res.Reductions, err
 }
 
 // results returns the plan's Run/Reduce storage, allocating it on
 // first use: the reductions always, the prefixes when withMulti.
 //
 //mp:locked
-func (p *Plan[T]) results(withMulti bool) (multi, red []T) {
+func (p *Plan[T]) results(withMulti bool) core.Result[T] {
 	if len(p.red) != p.m {
 		p.red = make([]T, p.m)
 	}
-	if withMulti && len(p.multi) != p.n {
+	if !withMulti {
+		return core.Result[T]{Reductions: p.red}
+	}
+	if len(p.multi) != p.n {
 		p.multi = make([]T, p.n)
 	}
-	return p.multi, p.red
+	return core.Result[T]{Multi: p.multi, Reductions: p.red}
 }
 
 // batchRed returns a batch's reduction scratch: the plan's red,
@@ -747,31 +445,40 @@ func (p *Plan[T]) batchRed(withMulti bool) []T {
 	if !withMulti {
 		return nil
 	}
-	_, red := p.results(false)
-	return red
+	return p.results(false).Reductions
 }
 
-// serialRun is one planned serial pass into the plan's result storage:
-// a serial plan's Run and Reduce, and the auto plan's degradation of a
-// failed run. It goes through serialBatch, the one serial rung.
+// runOne is a run as a one-vector batch of e's into the plan's result
+// storage: a serial, sorted or vector plan's Run and Reduce, and on the
+// serial executor an auto plan's degradation of a failed run.
 //
 //mp:locked
-func (p *Plan[T]) serialRun(values []T, withMulti bool) (core.Result[T], error) {
-	multi, red := p.results(withMulti)
-	dst := [1][]T{red}
+func (p *Plan[T]) runOne(e executor[T], values []T, withMulti bool) (core.Result[T], error) {
+	res := p.results(withMulti)
+	dst := res.Reductions
 	if withMulti {
-		dst[0] = multi
+		dst = res.Multi
 	}
-	src := [1][]T{values}
-	if err := p.serialBatch(dst[:], src[:], withMulti); err != nil {
-		return core.Result[T]{}, err
-	}
-	res := core.Result[T]{Reductions: red}
-	if withMulti {
-		res.Multi = multi
-	}
-	return res, nil
+	dsts, srcs := p.one(dst, values)
+	err := e.batch(p, dsts, srcs, withMulti)
+	p.clearOne()
+	return res, err
 }
+
+// one returns dst and src as a one-vector batch in the plan's own
+// one-element slices: stack arrays passed through the executor
+// interface would escape to the heap. No executor's batch uses the
+// slots itself. The caller empties them with clearOne once the batch
+// returns, so the plan keeps no reference to its vectors.
+//
+//mp:locked
+func (p *Plan[T]) one(dst, src []T) (dsts, srcs [][]T) {
+	p.oneDst[0], p.oneSrc[0] = dst, src
+	return p.oneDst[:], p.oneSrc[:]
+}
+
+//mp:locked
+func (p *Plan[T]) clearOne() { p.oneDst[0], p.oneSrc[0] = nil, nil }
 
 // recoverPlanPanic converts a panic on the calling goroutine into the
 // typed engine-panic error, matching the one-shot engines' shield.
@@ -792,29 +499,4 @@ func recoverPlanPanic(engine string, err *error) {
 func (p *Plan[T]) serialPass(values, multi, red []T) error {
 	core.FillIdentity(p.op, red)
 	return core.SerialSegments(p.op, values, p.labels, multi, red, p.cfg.Ctx)
-}
-
-// runPram executes one simulated PRAM run. The simulator builds its
-// machine per run, so this path amortizes only validation; it exists
-// so study code can drive repeated traffic through the same Plan API.
-//
-//mp:locked
-func (p *Plan[T]) runPram(values []T, withMulti bool) (core.Result[T], error) {
-	procs := par.ClampWorkers(p.cfg.Workers)
-	vs := any(values).([]int64)
-	var res *pram.Result
-	var err error
-	if withMulti {
-		res, err = pram.RunMultiprefix(procs, vs, p.labels, p.m, p.cfg.RowLength, 1)
-	} else {
-		res, err = pram.RunMultireduce(procs, vs, p.labels, p.m, p.cfg.RowLength, 1)
-	}
-	if err != nil {
-		return core.Result[T]{}, err
-	}
-	out := core.Result[T]{Reductions: any(res.Reductions).([]T)}
-	if withMulti {
-		out.Multi = any(res.Multi).([]T)
-	}
-	return out, nil
 }

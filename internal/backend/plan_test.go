@@ -386,8 +386,8 @@ func TestPlanChunkMergePanic(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer plan.Close()
-			if plan.exec != planChunked {
-				t.Fatalf("plan resolved to exec %d, want chunked", plan.exec)
+			if execName(plan) != "chunked" {
+				t.Fatalf("plan resolved to %s, want chunked", execName(plan))
 			}
 			inj := fault.New()
 			inj.PanicEvent = fault.EventCombine

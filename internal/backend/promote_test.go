@@ -2,6 +2,7 @@ package backend
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"slices"
 	"testing"
@@ -29,8 +30,8 @@ func TestPromote(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	if _, ok := p.Trial(); ok || p.exec != planSerial || p.Backend() != "auto" || !p.fallback {
-		t.Fatalf("RulePlan: trial recorded %v, exec %d, backend %q; want no record on the rule's serial under auto", ok, p.exec, p.Backend())
+	if _, ok := p.Trial(); ok || execName(p) != "serial" || p.Backend() != "auto" || !p.fallback {
+		t.Fatalf("RulePlan: trial recorded %v, engine %s, backend %q; want no record on the rule's serial under auto", ok, execName(p), p.Backend())
 	}
 	ok, switched := promote(p, context.Background())
 	if !ok {
@@ -40,8 +41,8 @@ func TestPromote(t *testing.T) {
 	if !recorded || rec.Elapsed <= 0 || len(rec.Candidates) != 2 {
 		t.Fatalf("Trial() = %+v, %v after Promote ran one", rec, recorded)
 	}
-	if wantExec := map[string]planKind{"serial": planSerial, "chunked": planChunked}[rec.Pick]; p.exec != wantExec || switched != (rec.Pick == "chunked") {
-		t.Fatalf("pick %q, switched %v, plan exec %d", rec.Pick, switched, p.exec)
+	if execName(p) != rec.Pick || switched != (rec.Pick == "chunked") {
+		t.Fatalf("pick %q, switched %v, plan engine %s", rec.Pick, switched, execName(p))
 	}
 	t.Logf("promotion trial: %v", rec)
 	res, err := p.Run(values)
@@ -164,9 +165,21 @@ func promote[T any](p *Plan[T], ctx context.Context) (ok, switched bool) {
 	return p.Promote(ctx, make([]T, p.N()), make([]T, p.N()))
 }
 
+// execName names p's engine: "serial", "chunked", or its executor's
+// type.
+func execName[T any](p *Plan[T]) string {
+	switch p.ex.(type) {
+	case serialExec[T]:
+		return "serial"
+	case *chunkedExec[T]:
+		return "chunked"
+	}
+	return fmt.Sprintf("%T", p.ex)
+}
+
 // switchEngine drives Promote's switch without its timing: it builds
 // the candidate of kind k over p's own labels, as Promote does, swaps
-// it in under p's lock and closes it.
+// executors with it under p's lock and closes it.
 func switchEngine(t *testing.T, p *Plan[int64], k kind) {
 	t.Helper()
 	p.mu.Lock()
@@ -177,7 +190,7 @@ func switchEngine(t *testing.T, p *Plan[int64], k kind) {
 		t.Fatal(err)
 	}
 	p.mu.Lock()
-	p.swapEngine(c)
+	p.ex, c.ex = c.ex, p.ex
 	p.mu.Unlock()
 	c.Close()
 }
@@ -219,10 +232,10 @@ func TestPromoteSwitch(t *testing.T) {
 	dsts := [][]int64{make([]int64, n), make([]int64, n)}
 	reds := [][]int64{make([]int64, m), make([]int64, m)}
 	srcs := [][]int64{values, values}
-	check := func(step string, exec planKind) {
+	check := func(step, engine string) {
 		t.Helper()
-		if p.exec != exec {
-			t.Fatalf("%s: plan exec %d, want %d", step, p.exec, exec)
+		if execName(p) != engine {
+			t.Fatalf("%s: plan engine %s, want %s", step, execName(p), engine)
 		}
 		res, err := p.Run(values)
 		if err != nil || !equalInt64(res.Multi, want.Multi) || !equalInt64(res.Reductions, want.Reductions) {
@@ -270,14 +283,11 @@ func TestPromoteSwitch(t *testing.T) {
 			}
 		}
 	}
-	check("rule", planSerial)
+	check("rule", "serial")
 	switchEngine(t, p, kindChunked)
-	check("serial→chunked", planChunked)
+	check("serial→chunked", "chunked")
 	switchEngine(t, p, kindSerial)
-	check("chunked→serial", planSerial)
-	if p.team != nil || p.chunks != nil {
-		t.Fatal("plan back on serial still holds a team or a chunk runner")
-	}
+	check("chunked→serial", "serial")
 }
 
 // TestPromoteTeamSurvivesGC: a plan that took a candidate's worker team

@@ -3,7 +3,9 @@ package backend
 import (
 	"errors"
 	"math/rand"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"multiprefix/internal/core"
 	"multiprefix/internal/fault"
@@ -347,6 +349,83 @@ func TestShardedPlanPanicRecovery(t *testing.T) {
 			t.Fatalf("%s: post-recovery run differs from serial", phase)
 		}
 		plan.Close()
+	}
+}
+
+// TestShardedBatchAbortDrains aborts team batches with a panic at their
+// first, middle and last combine — the last lands in the final
+// vector's finish step, after its last barrier — and then runs the
+// same plan clean. An aborting worker's DrainAwait must make exactly
+// the arrivals its siblings still make, (2+⌈log₂S⌉)·k − 1 in a whole
+// batch, or a later round deadlocks or misaligns.
+func TestShardedBatchAbortDrains(t *testing.T) {
+	const n, m = 1500, 7
+	rng := rand.New(rand.NewSource(103))
+	var calls, target atomic.Int64
+	op := core.Op[int64]{
+		Name:     "+int64 (panic at a chosen combine)",
+		Identity: 0,
+		Combine: func(a, x int64) int64 {
+			if calls.Add(1) == target.Load() {
+				panic("injected")
+			}
+			return a + x
+		},
+		IsIdentity: func(x int64) bool { return x == 0 },
+	}
+	be, err := Open[int64]("sharded")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// batch runs one RunBatch within a deadline: a misaligned barrier
+	// hangs it.
+	batch := func(plan *Plan[int64], dsts, srcs [][]int64) error {
+		done := make(chan error, 1)
+		go func() { done <- plan.RunBatch(dsts, srcs) }()
+		select {
+		case err := <-done:
+			return err
+		case <-time.After(10 * time.Second):
+			t.Fatal("batch did not return: the team's barrier arrivals are misaligned")
+			return nil
+		}
+	}
+	for _, shards := range []int{2, 3, 4} {
+		for _, k := range []int{1, 3} {
+			labels, srcs, dsts, _ := batchInput(rng, n, m, k)
+			plan, err := be.Plan(op, labels, m, core.Config{Shards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			target.Store(0)
+			calls.Store(0)
+			if err := batch(plan, dsts, srcs); err != nil {
+				t.Fatal(err)
+			}
+			total := calls.Load()
+			for _, at := range []int64{1, total / 2, total} {
+				calls.Store(0)
+				target.Store(at)
+				var pe *core.EnginePanicError
+				if err := batch(plan, dsts, srcs); !errors.As(err, &pe) || pe.Engine != "plan/sharded" {
+					t.Fatalf("s%d k%d: panic at combine %d of %d: got %v, want the sharded engine's panic", shards, k, at, total, err)
+				}
+				target.Store(0)
+				if err := batch(plan, dsts, srcs); err != nil {
+					t.Fatalf("s%d k%d: batch after a panic at combine %d: %v", shards, k, at, err)
+				}
+				for j := range srcs {
+					want, err := core.Serial(core.AddInt64, srcs[j], labels, m)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !equalInt64(dsts[j], want.Multi) {
+						t.Fatalf("s%d k%d: vector %d differs after a panic at combine %d", shards, k, j, at)
+					}
+				}
+			}
+			plan.Close()
+		}
 	}
 }
 

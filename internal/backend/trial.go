@@ -171,7 +171,7 @@ func (p *Plan[T]) Promote(ctx context.Context, values, dst []T) (ok, switched bo
 	p.deferred = false
 	cfg := p.cfg
 	cur := 0
-	if p.exec == planChunked {
+	if _, chunked := p.ex.(*chunkedExec[T]); chunked {
 		cur = 1
 	}
 	p.mu.Unlock()
@@ -191,7 +191,10 @@ func (p *Plan[T]) Promote(ctx context.Context, values, dst []T) (ok, switched bo
 	p.mu.Lock()
 	if err == nil && r != nil && !p.closed {
 		if pick != cur {
-			p.swapEngine(cand)
+			// cand was built over p's own labels, so its executor is
+			// planned for p; p keeps its labels, result storage,
+			// resident state and version
+			p.ex, cand.ex = cand.ex, p.ex
 			switched = true
 		}
 		p.trial, ok = r, true
@@ -286,13 +289,14 @@ func timeTrial[T any](op core.Op[T], values, dst []T, plans *[len(trialEngines)]
 // plan's own shields miss comes back as the candidate's error.
 func trialRun[T any](p *Plan[T], values, dst []T, samples *[]time.Duration) (err error) {
 	defer recoverPlanPanic("plan/trial", &err)
-	d, src := [1][]T{dst}, [1][]T{values}
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	dsts, srcs := p.one(dst, values)
 	t0 := time.Now()
-	if err = p.checkBatch(d[:], src[:], true); err == nil {
-		err = p.runBatch(d[:], src[:], true)
+	if err = p.checkBatch(dsts, srcs, true); err == nil {
+		err = p.runBatch(dsts, srcs, true)
 	}
+	p.clearOne()
 	if samples != nil {
 		*samples = append(*samples, time.Since(t0))
 	}

@@ -56,9 +56,8 @@ func TestAutoTrial(t *testing.T) {
 			t.Fatalf("candidate %s: median %v, err %v", c.Engine, c.Median, c.Err)
 		}
 	}
-	wantExec := map[string]planKind{"serial": planSerial, "chunked": planChunked}
-	if exec, ok := wantExec[tr.Pick]; !ok || plan.exec != exec {
-		t.Fatalf("trial picked %q, plan runs exec %d", tr.Pick, plan.exec)
+	if execName(plan) != tr.Pick {
+		t.Fatalf("trial picked %q, plan runs %s", tr.Pick, execName(plan))
 	}
 	if plan.Backend() != "auto" || !plan.fallback || tr.Elapsed <= 0 {
 		t.Fatalf("trial plan: backend %q, fallback %v, elapsed %v", plan.Backend(), plan.fallback, tr.Elapsed)
@@ -87,8 +86,8 @@ func TestAutoTrial(t *testing.T) {
 		if _, ok := p.Trial(); ok {
 			t.Errorf("%s: plan ran a trial", c.name)
 		}
-		if got, want := p.exec == planChunked, core.AutoPlanChoice(n, c.m, c.cfg) == "chunked"; got != want {
-			t.Errorf("%s: plan exec %d, rule says %s", c.name, p.exec, core.AutoPlanChoice(n, c.m, c.cfg))
+		if got, want := execName(p), core.AutoPlanChoice(n, c.m, c.cfg); got != want {
+			t.Errorf("%s: plan runs %s, rule says %s", c.name, got, want)
 		}
 		p.Close()
 	}
@@ -187,8 +186,8 @@ func TestAutoTrialBounded(t *testing.T) {
 		if got := combines.Load(); got != c.runs*perRun {
 			t.Errorf("%s: build made %d combines, want %d (%d serial runs)", c.name, got, c.runs*perRun, c.runs)
 		}
-		if p.exec != planSerial || p.Backend() != "auto" || p.cfg.Ctx != ctx {
-			t.Errorf("%s: plan exec %d, backend %q; want the rule's serial under auto with the caller's context", c.name, p.exec, p.Backend())
+		if execName(p) != "serial" || p.Backend() != "auto" || p.cfg.Ctx != ctx {
+			t.Errorf("%s: plan runs %s, backend %q; want the rule's serial under auto with the caller's context", c.name, execName(p), p.Backend())
 		}
 		t.Logf("%s: build took %v", c.name, time.Since(start))
 		p.Close()
